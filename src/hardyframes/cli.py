@@ -146,12 +146,12 @@ def cmd_construct_st(args) -> int:
     op = st_construct(qm, seq, ctx, delta)
     defect, min_norm_sq = st_roundtrip_defect(op, qm, seq, ctx)
 
-    payload = io.operator_to_json(op)
-    payload["roundtrip_defect"] = defect
-    payload["min_norm_sq"] = min_norm_sq
-    payload["delta"] = delta
     out = opt.get("out")
     if out:
+        payload = io.operator_to_json(op)
+        payload["roundtrip_defect"] = defect
+        payload["min_norm_sq"] = min_norm_sq
+        payload["delta"] = delta
         io.write_json_atomic(out, payload)
     print(f"construct-st dim={op.dim} roundtrip={defect:.3e} min_norm_sq={min_norm_sq:.6f} delta={delta}")
     if defect > ROUNDTRIP_GATE or min_norm_sq < delta - NORM_FLOOR_SLACK:

@@ -31,7 +31,7 @@ class DimensionMismatchError(HardyFramesError):
 
 
 class TruncationTooCoarseError(HardyFramesError):
-    """Projection stayed non-idempotent after buffer escalation."""
+    """The truncation window cuts off too much of a projection's model-space basis."""
 
 
 class IndexOutOfRangeError(HardyFramesError):

@@ -12,6 +12,7 @@ the partitioning routines.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ LOG_UNDERFLOW = -700.0
 
 def _require_in_disk(z: complex) -> complex:
     value = complex(z)
+    if not cmath.isfinite(value):
+        raise ValueError(f"point {value} is not a finite complex number")
     if abs(value) >= 1.0:
         raise ValueError(f"point {value} does not lie in the open unit disk")
     return value

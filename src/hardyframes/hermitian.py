@@ -17,14 +17,16 @@ from .errors import DimensionMismatchError, NonHermitianError, NotPSDError
 
 DEFAULT_RANK_TOL = 1e-10
 HERMITIAN_TOL = 1e-8
+# Eigenvalues down to -PSD_REL_TOL * max(1, lambda_max) count as rounding noise.
+PSD_REL_TOL = 1e-10
 
 
 class HermitianMatrix:
     """A square complex matrix symmetrized on construction.
 
-    The stored matrix is (H + H*) / 2. If the anti-Hermitian part exceeds
-    ``tol`` relative to the entry scale the input is rejected instead of
-    silently symmetrized.
+    The stored matrix is (H + H*) / 2. Non-finite entries raise
+    ``ValueError``. If the anti-Hermitian part exceeds ``tol`` relative to
+    the entry scale the input is rejected instead of silently symmetrized.
     """
 
     __slots__ = ("matrix",)
@@ -33,6 +35,8 @@ class HermitianMatrix:
         m = np.array(entries, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite (found NaN or infinity)")
         scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
         defect = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
         if defect > tol * scale:
@@ -70,6 +74,12 @@ class EigenExtremes:
     lambda_max: float
     smallest_above: float
     rank_tol: float
+
+
+def require_psd(lambda_min: float, lambda_max: float, what: str) -> None:
+    """Raise ``NotPSDError`` unless lambda_min >= -PSD_REL_TOL * max(1, lambda_max)."""
+    if lambda_min < -PSD_REL_TOL * max(1.0, lambda_max):
+        raise NotPSDError(f"{what} has lambda_min {lambda_min:.3e} (lambda_max {lambda_max:.3e})")
 
 
 def eig_extremes(h, rank_tol: float = DEFAULT_RANK_TOL) -> EigenExtremes:

@@ -40,6 +40,9 @@ def matrix_from_json(d) -> np.ndarray:
     if len(entries) != n * n:
         raise ValueError(f"matrix of dim {n} needs {n * n} entries, got {len(entries)}")
     flat = np.array([from_pair(p) for p in entries], dtype=np.complex128)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise ValueError(f"matrix entry {int(bad[0])} is {flat[bad[0]]}; entries must be finite")
     return flat.reshape(n, n)
 
 

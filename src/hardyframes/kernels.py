@@ -18,22 +18,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateKernelError, DimensionMismatchError, NotPSDError, WeightOutOfRangeError
+from .errors import DegenerateKernelError, DimensionMismatchError, WeightOutOfRangeError
 from .geometry import PointSequence, _coerce
-from .hermitian import HermitianMatrix, as_matrix, eig_extremes
+from .hermitian import HermitianMatrix, as_matrix, eig_extremes, require_psd
 
 DEGENERATE_NORM_TOL = 1e-12
-PSD_REL_TOL = 1e-10
 UNIT_DIAG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class TruncationContext:
-    """Order-N monomial truncation with a working buffer for products.
+    """Order-N monomial truncation.
 
-    Operator products are formed at order ``order + buffer`` and compressed
-    back to ``order``; the buffer absorbs the mass that a product pushes
-    past the truncation window.
+    Operators act on the first ``order`` Taylor coefficients. Projections
+    are built from the truncated model-space basis, which needs no working
+    space past the window, so no operator depends on ``buffer``. It is
+    accepted and validated for callers and config files that pass it, and
+    ``range_contains_phi`` uses it to pick a margin.
     """
 
     order: int = 256
@@ -93,11 +94,7 @@ class Grammian:
         if m.shape[0] != len(self.provenance.labels):
             raise DimensionMismatchError("matrix size disagrees with provenance labels")
         ext = eig_extremes(self.matrix)
-        if ext.lambda_min < -PSD_REL_TOL * max(1.0, ext.lambda_max):
-            raise NotPSDError(
-                f"Grammian has lambda_min {ext.lambda_min:.3e} "
-                f"(lambda_max {ext.lambda_max:.3e})"
-            )
+        require_psd(ext.lambda_min, ext.lambda_max, "Grammian")
         if self.normalized:
             diag_defect = float(np.abs(np.diagonal(m) - 1.0).max())
             if diag_defect > UNIT_DIAG_TOL:
@@ -148,6 +145,21 @@ def szego_gram(seq: PointSequence) -> Grammian:
     return Grammian(HermitianMatrix(g), prov, normalized=True)
 
 
+def apply_operator(op, x: np.ndarray, ctx: TruncationContext) -> np.ndarray:
+    """P @ x for an operator of the truncation order.
+
+    A ``PositiveOperator`` applies its structured form, at O(N * cols * rank)
+    cost; a plain or ``HermitianMatrix`` operand is multiplied densely.
+    """
+    dense = None if hasattr(op, "apply") else as_matrix(op)
+    dim = op.dim if dense is None else dense.shape[0]
+    if dim != ctx.order:
+        raise DimensionMismatchError(
+            f"operator dimension {dim} disagrees with truncation order {ctx.order}"
+        )
+    return op.apply(x) if dense is None else dense @ x
+
+
 def range_space_gram(op, seq: PointSequence, ctx: TruncationContext) -> Grammian:
     """Grammian of normalized kernels of the range space of a positive operator.
 
@@ -156,13 +168,8 @@ def range_space_gram(op, seq: PointSequence, ctx: TruncationContext) -> Grammian
     s_i = sqrt((V* P V)_ii). A kernel image with norm at or below
     ``DEGENERATE_NORM_TOL`` raises ``DegenerateKernelError``.
     """
-    p = as_matrix(op.matrix if hasattr(op, "matrix") else op)
-    if p.shape[0] != ctx.order:
-        raise DimensionMismatchError(
-            f"operator dimension {p.shape[0]} disagrees with truncation order {ctx.order}"
-        )
     v = kernel_matrix(seq, ctx)
-    m = v.conj().T @ p @ v
+    m = v.conj().T @ apply_operator(op, v, ctx)
     m = (m + m.conj().T) / 2.0
     norms_sq = np.clip(np.real(np.diagonal(m)).copy(), 0.0, None)
     norms = np.sqrt(norms_sq)
@@ -186,12 +193,7 @@ def image_gram(op, seq: PointSequence, ctx: TruncationContext) -> Grammian:
     diagonal carries ||P k~_z||^2. This is the matrix that sits inside the
     monotone comparison chains.
     """
-    p = as_matrix(op.matrix if hasattr(op, "matrix") else op)
-    if p.shape[0] != ctx.order:
-        raise DimensionMismatchError(
-            f"operator dimension {p.shape[0]} disagrees with truncation order {ctx.order}"
-        )
-    w = p @ kernel_matrix(seq, ctx, normalize=True)
+    w = apply_operator(op, kernel_matrix(seq, ctx, normalize=True), ctx)
     g = w.conj().T @ w
     op_id = getattr(op, "id", None)
     prov = Provenance(

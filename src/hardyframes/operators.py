@@ -11,27 +11,31 @@ complements, monomial coordinate projections, the rank-one extension by
 constants, diagonal weight operators, and the inverse construction that
 realizes a prescribed PSD matrix as the Grammian of projected kernels.
 
-All operator products are formed at order N + M and compressed back to N;
-the buffer M doubles (capped) until the idempotency defect of a projection
-is acceptable.
+Operators are held in structured form (see ``PositiveOperator``). The
+projections built from phi use the Takenaka-Malmquist-Walsh basis of the
+model space: the compression of T_phi T_phi* to the first N coefficients
+is exactly I_N - E E* with E of size N x deg(phi), so building one costs
+O(N log N) per zero plus O(N deg(phi)^2) for the orthonormalization, and
+needs no working buffer past the window. The inverse
+construction is low rank: rank n for n points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     IllConditionedGramError,
     IndexOutOfRangeError,
     NegativeWeightError,
-    NotPSDError,
     TruncationTooCoarseError,
 )
 from .geometry import PointSequence
-from .hermitian import HermitianMatrix, as_matrix, eig_extremes, psd_inverse, psd_sqrt
-from .kernels import TruncationContext, kernel_matrix
+from .hermitian import HermitianMatrix, as_matrix, eig_extremes, psd_inverse, psd_sqrt, require_psd
+from .kernels import TruncationContext, apply_operator, kernel_matrix
 
 OPERATOR_KINDS = frozenset(
     {
@@ -46,11 +50,9 @@ OPERATOR_KINDS = frozenset(
     }
 )
 
-IDEMPOTENCY_GATE = 1e-6
-BUFFER_CAP = 1024
+ORTHONORMALITY_GATE = 1e-6
 GRAM_CONDITION_FLOOR = 1e-8
 CONTRACTION_SLACK = 1e-10
-PSD_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -134,50 +136,74 @@ def taylor_coefficients(phi: InnerFunction, count: int) -> np.ndarray:
     return phi.unimodular * coeffs
 
 
-def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
-    n = c.size
-    idx = np.subtract.outer(np.arange(n), np.arange(n))
-    t = np.where(idx >= 0, c[np.clip(idx, 0, n - 1)], 0.0)
-    return t.astype(np.complex128)
-
-
 def toeplitz_matrix(phi: InnerFunction, ctx: TruncationContext) -> np.ndarray:
     """Truncated analytic Toeplitz matrix of phi: entry (m, n) = c_{m-n}.
 
-    Coefficients are produced at order N + M and the matrix is compressed
-    to the leading N-by-N block (for an analytic symbol the block is exact;
-    the buffer only matters once products are formed).
+    For an analytic symbol the leading N-by-N block of T_phi only involves
+    the first N coefficients, so the block is exact.
     """
-    c = taylor_coefficients(phi, ctx.order + ctx.buffer)
-    return _lower_toeplitz(c)[: ctx.order, : ctx.order]
+    c = taylor_coefficients(phi, ctx.order)
+    idx = np.subtract.outer(np.arange(ctx.order), np.arange(ctx.order))
+    return np.where(idx >= 0, c[np.clip(idx, 0, ctx.order - 1)], 0.0).astype(np.complex128)
 
 
-@dataclass(frozen=True)
 class PositiveOperator:
-    """A PSD matrix acting on the truncated monomial model.
+    """A PSD operator on the truncated monomial model, held in structured form.
 
-    ``contraction`` is set exactly when lambda_max <= 1 + 1e-10, so every
-    projection and every diagonal with weights in [0, 1] reports True.
+    The operator is ``shift * I + B C B*``. ``core`` C is a 1-d array (a
+    diagonal) or a Hermitian matrix; ``basis`` B has orthonormal columns, or
+    is None for the identity basis. So ``PositiveOperator(weights, ...)`` is
+    diag(weights), ``basis=U`` with a small core is a low-rank update of
+    ``shift * I``, and a user-supplied N-by-N matrix stays dense.
+
+    PSD and contraction are read off the exact spectrum of that form: the
+    diagonal, or the core's eigenvalues, plus ``shift``, which is also an
+    eigenvalue whenever the basis has fewer than N columns. ``contraction``
+    is set exactly when lambda_max <= 1 + 1e-10, so every projection and
+    every diagonal with weights in [0, 1] reports True. The dense matrix is
+    built only when ``matrix`` or ``array`` is read.
     """
 
-    matrix: HermitianMatrix
-    id: str
-    kind: str
-    contraction: bool = field(init=False)
+    def __init__(self, core, id: str, kind: str, *, basis=None, shift: float = 0.0):
+        if kind not in OPERATOR_KINDS:
+            raise ValueError(f"unknown operator kind {kind!r}")
+        self.id, self.kind, self.basis, self.shift = id, kind, basis, float(shift)
+        self._dense = None
+        if np.ndim(core) == 1:
+            core = np.asarray(core, dtype=np.float64)
+            if not np.isfinite(core).all():
+                raise ValueError("diagonal entries must be finite (found NaN or infinity)")
+        else:
+            hermitian = core if isinstance(core, HermitianMatrix) else HermitianMatrix(core)
+            if basis is None:
+                self._dense = hermitian
+            core = hermitian.matrix
+        rank = core.shape[0]
+        self.core = core
+        self.dim = rank if basis is None else basis.shape[0]
+        if basis is not None and basis.shape[1] != rank:
+            raise DimensionMismatchError(f"basis has {basis.shape[1]} columns but the core is {rank}x{rank}")
+        spectrum = self.shift + (core if core.ndim == 1 else np.linalg.eigvalsh(core))
+        if rank < self.dim:
+            spectrum = np.append(spectrum, self.shift)
+        lam_min, lam_max = float(spectrum.min()), float(spectrum.max())
+        require_psd(lam_min, lam_max, f"operator {id!r}")
+        self.contraction = lam_max <= 1.0 + CONTRACTION_SLACK
 
-    def __post_init__(self):
-        if self.kind not in OPERATOR_KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        ext = eig_extremes(self.matrix)
-        if ext.lambda_min < -PSD_REL_TOL * max(1.0, ext.lambda_max):
-            raise NotPSDError(
-                f"operator {self.id!r} has lambda_min {ext.lambda_min:.3e}"
-            )
-        object.__setattr__(self, "contraction", ext.lambda_max <= 1.0 + CONTRACTION_SLACK)
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """P @ x for x of shape (N,) or (N, k), at O(N * k * rank) cost."""
+        y = x if self.basis is None else self.basis.conj().T @ x
+        y = (self.core * y.T).T if self.core.ndim == 1 else self.core @ y
+        if self.basis is not None:
+            y = self.basis @ y
+        return y + self.shift * x if self.shift else y
 
     @property
-    def dim(self) -> int:
-        return self.matrix.dim
+    def matrix(self) -> HermitianMatrix:
+        """The dense operator, exactly Hermitian, built on first use."""
+        if self._dense is None:
+            self._dense = HermitianMatrix(self.apply(np.eye(self.dim, dtype=np.complex128)))
+        return self._dense
 
     @property
     def array(self) -> np.ndarray:
@@ -185,7 +211,7 @@ class PositiveOperator:
 
 
 def identity(order: int) -> PositiveOperator:
-    return PositiveOperator(HermitianMatrix(np.eye(order)), f"identity(N={order})", "identity")
+    return PositiveOperator(np.ones(order), f"identity(N={order})", "identity")
 
 
 def diagonal_operator(weights) -> PositiveOperator:
@@ -196,57 +222,77 @@ def diagonal_operator(weights) -> PositiveOperator:
     if np.any(p < 0.0):
         bad = int(np.nonzero(p < 0.0)[0][0])
         raise NegativeWeightError(f"weight p[{bad}] = {p[bad]} is negative")
-    return PositiveOperator(
-        HermitianMatrix(np.diag(p.astype(np.complex128))),
-        f"diagonal(N={p.size})",
-        "diagonal",
-    )
-
-
-def _idempotency_defect(p: np.ndarray) -> float:
-    return float(np.abs(p @ p - p).max())
+    return PositiveOperator(p, f"diagonal(N={p.size})", "diagonal")
 
 
 def _phi_id(phi: InnerFunction) -> str:
     return f"m={phi.monomial_power},zeros={len(phi.zeros)}"
 
 
-def _compressed_phi_projection(phi: InnerFunction, ctx: TruncationContext) -> tuple[np.ndarray, float, int]:
-    """T_phi T_phi* at escalating buffer sizes until the compression is idempotent."""
-    buf = ctx.buffer
-    while True:
-        k = ctx.order + buf
-        t = _lower_toeplitz(taylor_coefficients(phi, k))
-        full = t @ t.conj().T
-        p = full[: ctx.order, : ctx.order]
-        p = (p + p.conj().T) / 2.0
-        defect = _idempotency_defect(p)
-        if defect <= IDEMPOTENCY_GATE:
-            return p, defect, buf
-        if buf >= BUFFER_CAP:
-            raise TruncationTooCoarseError(
-                f"idempotency defect {defect:.3e} above {IDEMPOTENCY_GATE:.1e} "
-                f"at buffer cap {BUFFER_CAP}; raise the truncation order"
-            )
-        buf = min(BUFFER_CAP, max(64, 2 * buf))
+def _over_linear(s: np.ndarray, c: complex) -> np.ndarray:
+    """Truncated series of s(z) / (1 - c z).
+
+    Solves h_n = s_n + c h_(n-1) by doubling strides: after the pass with
+    stride d, h_n sums c^(n-i) s_i over the last 2d indices i <= n.
+    """
+    h = s.copy()
+    step, power = 1, c
+    while step < h.size:
+        h[step:] += power * h[:-step]
+        step, power = 2 * step, power * power
+    return h
+
+
+def _model_space_basis(phi: InnerFunction, ctx: TruncationContext) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal U and small Hermitian C with U C U* = E E*, where the
+    columns of E are the truncated Takenaka-Malmquist-Walsh basis of the
+    model space K_phi = (phi H^2)^perp (Nikolski, Treatise on the Shift
+    Operator):
+
+        1, z, ..., z^(m-1),  z^m prod_{j<k} b_{a_j}(z) sqrt(1 - |a_k|^2) / (1 - conj(a_k) z)
+
+    with b_a(z) = (a - z) / (1 - conj(a) z); unimodular constants are
+    dropped since they leave E E* unchanged. The compressed projection onto
+    phi H^2 is then exactly I_N - E E*. Columns that lie wholly past the
+    window are exactly zero and are left out. If truncation cost the
+    columns norm, so that max |E*E - I| exceeds ``ORTHONORMALITY_GATE``,
+    ``TruncationTooCoarseError`` is raised.
+    """
+    order = ctx.order
+    heads = min(phi.monomial_power, order)
+    zeros = phi.zeros if phi.monomial_power < order else ()
+    e = np.zeros((order, heads + len(zeros)), dtype=np.complex128)
+    e[:heads, :heads] = np.eye(heads)
+    # running product prod_{j<k} b_{a_j}, stored from degree m on
+    s = np.zeros(order - heads, dtype=np.complex128)
+    s[:1] = 1.0
+    for k, a in enumerate(zeros, start=heads):
+        h = _over_linear(s, np.conj(a))
+        e[heads:, k] = np.sqrt(1.0 - abs(a) ** 2) * h
+        s = a * h
+        s[1:] -= h[:-1]
+    defect = float(np.abs(e.conj().T @ e - np.eye(e.shape[1])).max(initial=0.0))
+    if defect > ORTHONORMALITY_GATE:
+        raise TruncationTooCoarseError(
+            f"model-space basis has orthonormality defect {defect:.3e} above "
+            f"{ORTHONORMALITY_GATE:.1e} at order {order}; raise the truncation order"
+        )
+    u, r = np.linalg.qr(e)
+    return u, r @ r.conj().T
 
 
 def projection_phi_H2(phi: InnerFunction, ctx: TruncationContext) -> PositiveOperator:
     """Orthogonal projection onto phi H^2, compressed to the truncation window."""
-    p, _, _ = _compressed_phi_projection(phi, ctx)
+    u, c = _model_space_basis(phi, ctx)
     return PositiveOperator(
-        HermitianMatrix(p), f"projection_phiH2({_phi_id(phi)})", "projection_phiH2"
+        -c, f"projection_phiH2({_phi_id(phi)})", "projection_phiH2", basis=u, shift=1.0
     )
 
 
 def projection_model_space(phi: InnerFunction, ctx: TruncationContext) -> PositiveOperator:
     """Projection onto the model space (phi H^2)^perp; rank equals deg(phi)."""
-    p, _, _ = _compressed_phi_projection(phi, ctx)
-    return PositiveOperator(
-        HermitianMatrix(np.eye(ctx.order) - p),
-        f"projection_model({_phi_id(phi)})",
-        "projection_model",
-    )
+    u, c = _model_space_basis(phi, ctx)
+    return PositiveOperator(c, f"projection_model({_phi_id(phi)})", "projection_model", basis=u)
 
 
 def projection_monomial_span(excluded, order: int) -> PositiveOperator:
@@ -259,35 +305,31 @@ def projection_monomial_span(excluded, order: int) -> PositiveOperator:
         if j < 0 or j >= order:
             raise IndexOutOfRangeError(f"monomial index {j} outside [0, {order})")
         d[j] = 0.0
-    return PositiveOperator(
-        HermitianMatrix(np.diag(d.astype(np.complex128))),
-        f"projection_monomial(excluded={seen})",
-        "projection_monomial",
-    )
+    return PositiveOperator(d, f"projection_monomial(excluded={seen})", "projection_monomial")
 
 
 def projection_c_plus_phi(phi: InnerFunction, ctx: TruncationContext) -> PositiveOperator:
     """Projection onto constants + phi H^2.
 
     The constant direction is orthogonalized against phi H^2 and added as a
-    rank-one piece; for nonconstant phi the leftover has norm
-    sqrt(1 - |phi(0)|^2) > 0.
+    rank-one piece; for nonconstant phi the leftover E E* e_0 has norm
+    sqrt(1 - |phi(0)|^2) > 0 and lies in the model-space basis, so the
+    operator stays I + U C U*.
     """
-    p, _, _ = _compressed_phi_projection(phi, ctx)
-    e0 = np.zeros(ctx.order, dtype=np.complex128)
-    e0[0] = 1.0
-    v = e0 - p @ e0
-    nv = np.linalg.norm(v)
-    if nv > 1e-8:
-        v = v / nv
-        p = p + np.outer(v, v.conj())
-    defect = _idempotency_defect(p)
+    u, c = _model_space_basis(phi, ctx)
+    w = c @ np.conj(u[0])
+    nw = np.linalg.norm(w)
+    core = -c
+    if nw > 1e-8:
+        w = w / nw
+        core = core + np.outer(w, w.conj())
+    defect = float(np.abs(core @ core + core).max(initial=0.0))
     if defect > 1e-8:
         raise TruncationTooCoarseError(
             f"constants + phi H^2 projection has idempotency defect {defect:.3e}"
         )
     return PositiveOperator(
-        HermitianMatrix(p), f"projection_c_plus_phi({_phi_id(phi)})", "projection_c_plus_phi"
+        core, f"projection_c_plus_phi({_phi_id(phi)})", "projection_c_plus_phi", basis=u, shift=1.0
     )
 
 
@@ -304,14 +346,20 @@ def st_construct(q, seq: PointSequence, ctx: TruncationContext, delta: float) ->
     V* R V = Q exactly. Q must be PSD with diagonal at least ``delta``
     (that floor becomes the lower norm bound ||P k~_i||^2 >= delta), and
     the kernel Gram matrix must be invertible at the 1e-8 level.
+
+    R has rank n: with the thin QR factorization V = U S it is
+    U (S G^-1 Q G^-1 S*) U*, so P is U times the square root of that n-by-n
+    core times U*, with ``psd_sqrt``'s clipping rule applied to the core.
+    G^-1 is formed explicitly, as in the dense form of R, so near the
+    conditioning floor its roundoff still reaches the roundtrip defect,
+    where the caller's gate sees it.
     """
     qm = as_matrix(q)
     m = qm.shape[0]
     if m != len(seq):
         raise ValueError(f"Q is {m}x{m} but the sequence has {len(seq)} points")
     q_ext = eig_extremes(qm)
-    if q_ext.lambda_min < -PSD_REL_TOL * max(1.0, q_ext.lambda_max):
-        raise NotPSDError(f"Q has lambda_min {q_ext.lambda_min:.3e}")
+    require_psd(q_ext.lambda_min, q_ext.lambda_max, "Q")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     diag_min = float(np.real(np.diagonal(qm)).min())
@@ -328,17 +376,17 @@ def st_construct(q, seq: PointSequence, ctx: TruncationContext, delta: float) ->
             f"below {GRAM_CONDITION_FLOOR:.1e}"
         )
     g_inv, _ = psd_inverse(g)
-    middle = g_inv @ qm @ g_inv
-    r = v @ middle @ v.conj().T
-    p = psd_sqrt((r + r.conj().T) / 2.0)
-    return PositiveOperator(p, f"st(points={m},delta={delta})", "st_constructed")
+    u, s = np.linalg.qr(v)
+    core = s @ (g_inv @ qm @ g_inv) @ s.conj().T
+    root = psd_sqrt((core + core.conj().T) / 2.0)
+    return PositiveOperator(root, f"st(points={m},delta={delta})", "st_constructed", basis=u)
 
 
 def st_roundtrip_defect(op: PositiveOperator, q, seq: PointSequence, ctx: TruncationContext) -> tuple[float, float]:
     """Maximum entry deviation of the realized Grammian from Q, plus the
     smallest realized squared norm min_i ||P k~_i||^2."""
     qm = as_matrix(q)
-    w = op.array @ kernel_matrix(seq, ctx, normalize=True)
+    w = apply_operator(op, kernel_matrix(seq, ctx, normalize=True), ctx)
     realized = w.conj().T @ w
     defect = float(np.abs(realized - qm).max())
     min_norm_sq = float(np.real(np.diagonal(realized)).min())
@@ -355,7 +403,7 @@ def range_contains_phi(op: PositiveOperator, phi: InnerFunction, ctx: Truncation
     t = toeplitz_matrix(phi, ctx)
     keep = max(1, ctx.order - max(2 * ctx.buffer, 128))
     want = t[:, :keep]
-    got = op.array @ want
+    got = apply_operator(op, want, ctx)
     return float(np.abs(got - want).max()) <= tol
 
 

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import ConfigInvalidError
 from .geometry import PointSequence, carleson_constants
 from .kernels import TruncationContext, kernel_matrix, range_space_gram, image_gram, szego_gram
-from .hermitian import HermitianMatrix
 from .operators import (
     InnerFunction,
     PositiveOperator,
@@ -240,10 +239,10 @@ def check_toeplitz_covariance(cfg: SuiteConfig) -> CheckResult:
     return CheckResult("toeplitz_covariance", cfg.trials, failures, worst, witness)
 
 
-def _span_complement(columns: np.ndarray) -> np.ndarray:
-    """I minus the orthogonal projection onto the column span."""
+def _span_complement(columns: np.ndarray) -> PositiveOperator:
+    """I minus the orthogonal projection onto the column span, as I - Q Q*."""
     q, _ = np.linalg.qr(columns)
-    return np.eye(columns.shape[0], dtype=np.complex128) - q @ q.conj().T
+    return PositiveOperator(-np.eye(q.shape[1]), "span_complement", "custom", basis=q, shift=1.0)
 
 
 def _loewner_instance(rng, trial: int, ctx: TruncationContext):
@@ -265,8 +264,7 @@ def _loewner_instance(rng, trial: int, ctx: TruncationContext):
     cols = np.stack(
         [taylor_coefficients(f, ctx.order) for f in factors], axis=1
     )
-    comp = _span_complement(cols)
-    op = PositiveOperator(HermitianMatrix(comp), "span_complement", "custom")
+    op = _span_complement(cols)
     zeros = tuple(a for f in factors for a in f.zeros)
     phi = InnerFunction(zeros, 1.0, 1 + sum(f.monomial_power for f in factors))
     return op, phi, "inner_span_complement"

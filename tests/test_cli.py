@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hardyframes.cli import main
-from hardyframes.io import matrix_to_json
+from hardyframes.io import matrix_from_json, matrix_to_json
 
 
 def write_json(path, payload):
@@ -92,6 +92,21 @@ class TestGram:
     def test_point_outside_disk_is_input_error(self, tmp_path):
         pts = write_points(tmp_path, [0.5, 1.2])
         assert main(["gram", "--points", pts]) == 2
+
+    def test_nan_point_is_input_error(self, tmp_path, capsys):
+        pts = write_json(tmp_path / "points.json", [[0.5, 0.0], [float("nan"), 0.0]])
+        assert main(["gram", "--points", pts]) == 2
+        captured = capsys.readouterr()
+        assert "not a finite complex number" in captured.err
+        assert captured.out == ""
+
+    def test_nan_in_custom_operator_is_input_error(self, tmp_path, capsys):
+        pts = write_points(tmp_path, [0.5, -0.4])
+        m = matrix_to_json(np.eye(4))
+        m["entries"][5] = [float("nan"), 0.0]
+        spec = write_json(tmp_path / "op.json", {"type": "custom", "matrix": m})
+        assert main(["gram", "--points", pts, "--operator", spec, "--N", "4"]) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_degenerate_kernel_is_domain_error(self, tmp_path):
         # the operator kills the kernel at the origin: a numerical domain
@@ -196,6 +211,25 @@ class TestConstructSt:
         assert rc == 0
         assert read_json(out)["delta"] == 0.25
 
+    def test_stdout_same_with_and_without_out(self, tmp_path, capsys):
+        pts = write_points(tmp_path, ring(3, 0.6))
+        q = write_json(tmp_path / "q.json", matrix_to_json(0.5 * np.eye(3)))
+        argv = ["construct-st", "--points", pts, "--Q", q, "--N", "64"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        out = tmp_path / "op.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == plain
+        assert read_json(out)["dim"] == 64
+
+    def test_nan_in_q_is_input_error(self, tmp_path, capsys):
+        pts = write_points(tmp_path, ring(2, 0.5))
+        q = matrix_to_json(np.eye(2))
+        q["entries"][1] = [0.0, float("inf")]
+        q_path = write_json(tmp_path / "q.json", q)
+        assert main(["construct-st", "--points", pts, "--Q", q_path, "--N", "64"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_certificate_miss_is_exit_4(self, tmp_path):
         # nearly coincident points squeeze the kernel Gram matrix just above
         # the conditioning floor; the inverse amplifies roundoff past the gate
@@ -269,6 +303,13 @@ class TestVerify:
     def test_families_from_config(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {"point_families": ["uniform_disk"]})
         assert main(["verify", "--config", cfg, "--trials", "2", "--N", "128"]) == 0
+
+
+def test_matrix_from_json_rejects_non_finite_entries():
+    doc = matrix_to_json(np.eye(2))
+    doc["entries"][3] = [float("nan"), 0.0]
+    with pytest.raises(ValueError, match="entry 3 .* must be finite"):
+        matrix_from_json(doc)
 
 
 class TestPlumbing:

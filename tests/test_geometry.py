@@ -52,6 +52,11 @@ class TestDiskPoint:
         with pytest.raises(ValueError):
             PointSequence((0.1, 1.0))
 
+    @pytest.mark.parametrize("bad", [complex("nan"), complex(0.1, float("nan")), complex("inf")])
+    def test_sequence_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="not a finite complex number"):
+            PointSequence((0.1, bad))
+
     def test_sequence_needs_points(self):
         with pytest.raises(ValueError):
             PointSequence(())

@@ -93,6 +93,13 @@ class TestHermitianMatrix:
         with pytest.raises(NonHermitianError):
             HermitianMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.eye(3, dtype=np.complex128)
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            HermitianMatrix(m)
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
             HermitianMatrix(np.zeros((2, 3)))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hardyframes import (
+    DimensionMismatchError,
     DiskPoint,
     HermitianMatrix,
     IllConditionedGramError,
@@ -25,11 +26,13 @@ from hardyframes import (
     diagonal_operator,
     evaluate_inner,
     identity,
+    kernel_matrix,
     kernel_vector,
     projection_c_plus_phi,
     projection_model_space,
     projection_monomial_span,
     projection_phi_H2,
+    psd_sqrt,
     range_contains_phi,
     st_construct,
     st_roundtrip_defect,
@@ -37,6 +40,7 @@ from hardyframes import (
     taylor_coefficients,
     toeplitz_matrix,
 )
+from hardyframes.hermitian import psd_inverse
 from hardyframes.io import matrix_from_json, matrix_to_json
 from hardyframes.operators import from_spec
 
@@ -259,6 +263,10 @@ class TestDiagonalOperator:
     def test_negative_weight(self):
         with pytest.raises(NegativeWeightError):
             diagonal_operator([0.5, -0.1])
+
+    def test_non_finite_weight(self):
+        with pytest.raises(ValueError, match="finite"):
+            diagonal_operator([0.5, float("nan")])
 
 
 class TestProjectionMonomialSpan:
@@ -495,3 +503,170 @@ def test_unimodular_scalar_front_scales_series():
     phi = InnerFunction(zeros=(0.5,), unimodular=1j)
     base = taylor_coefficients(InnerFunction(zeros=(0.5,)), 8)
     assert np.allclose(taylor_coefficients(phi, 8), 1j * base, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# structured operators against dense references built here
+
+
+def dense_phi_projection(phi, order, buffer=1024):
+    """T_phi T_phi* formed at order + buffer and compressed to order x order.
+
+    T_phi is lower triangular, so the leading block of the product only
+    needs the leading ``order`` rows of T_phi.
+    """
+    c = taylor_coefficients(phi, order + buffer)
+    idx = np.subtract.outer(np.arange(order), np.arange(order + buffer))
+    rows = np.where(idx >= 0, c[np.clip(idx, 0, order + buffer - 1)], 0.0)
+    return rows @ rows.conj().T
+
+
+def dense_c_plus_phi(p):
+    """Add the constant direction left over by p, as a rank-one piece."""
+    v = -p[:, 0].copy()
+    v[0] += 1.0
+    nv = np.linalg.norm(v)
+    if nv > 1e-8:
+        v = v / nv
+        p = p + np.outer(v, v.conj())
+    return p
+
+
+def idempotency_defect(p):
+    return float(np.abs(p @ p - p).max())
+
+
+HARD_SYMBOLS = {
+    "single": InnerFunction(zeros=(0.5,)),
+    "near_boundary": InnerFunction(zeros=(0.95, -0.95j)),
+    "repeated": InnerFunction(zeros=(0.7, 0.7, 0.7)),
+    "clustered": InnerFunction(zeros=(0.8, 0.8 + 1e-7, 0.8 - 1e-7j), monomial_power=1),
+    "monomial": InnerFunction(monomial_power=3),
+    "mixed": InnerFunction(
+        zeros=(0.3 + 0.4j, -0.7, 0.2j, 0.85j, -0.5 - 0.5j), unimodular=np.exp(0.3j), monomial_power=2
+    ),
+}
+
+
+class TestStructuredProjections:
+    @pytest.mark.parametrize("order", [16, 64, 256])
+    @pytest.mark.parametrize("name", sorted(HARD_SYMBOLS))
+    def test_match_dense_reference(self, name, order):
+        phi = HARD_SYMBOLS[name]
+        ctx = TruncationContext(order)
+        ref = dense_phi_projection(phi, order)
+        if idempotency_defect(ref) > 1e-6:
+            # the window cuts off too much of the model space either way
+            with pytest.raises(TruncationTooCoarseError):
+                projection_phi_H2(phi, ctx)
+            return
+        p = projection_phi_H2(phi, ctx)
+        assert np.abs(p.array - ref).max() <= 1e-12
+        m = projection_model_space(phi, ctx)
+        assert np.abs(m.array - (np.eye(order) - ref)).max() <= 1e-12
+        ref_c = dense_c_plus_phi(ref)
+        if idempotency_defect(ref_c) > 1e-8:
+            with pytest.raises(TruncationTooCoarseError):
+                projection_c_plus_phi(phi, ctx)
+            return
+        c = projection_c_plus_phi(phi, ctx)
+        assert np.abs(c.array - ref_c).max() <= 1e-12
+        assert p.contraction and m.contraction
+        # lambda_max may sit a truncation tail above 1; the flag follows the spectrum
+        assert c.contraction == (np.linalg.eigvalsh(ref_c)[-1] <= 1.0 + 1e-10)
+
+    def test_buffer_does_not_change_projections(self):
+        phi = HARD_SYMBOLS["mixed"]
+        a = projection_phi_H2(phi, TruncationContext(128, 0)).array
+        b = projection_phi_H2(phi, TruncationContext(128, 512)).array
+        assert np.array_equal(a, b)
+
+    def test_rank_is_degree(self):
+        phi = HARD_SYMBOLS["clustered"]
+        op = projection_model_space(phi, TruncationContext(256))
+        assert op.basis.shape == (256, phi.degree)
+
+    def test_constant_symbol_gives_identity(self):
+        op = projection_phi_H2(InnerFunction(unimodular=1j), TruncationContext(32))
+        assert np.array_equal(op.array, np.eye(32))
+
+    def test_dense_matrix_is_exactly_hermitian(self):
+        p = projection_c_plus_phi(HARD_SYMBOLS["mixed"], TruncationContext(128)).array
+        assert np.abs(p - p.conj().T).max() == 0.0
+
+
+def dense_st(q, seq, ctx):
+    """The dense route: P = (V G^-1 Q G^-1 V*)^(1/2) through psd_inverse and
+    psd_sqrt, and the roundtrip defect of that P."""
+    v = kernel_matrix(seq, ctx, normalize=True)
+    g = v.conj().T @ v
+    g_inv, _ = psd_inverse((g + g.conj().T) / 2.0)
+    r = v @ (g_inv @ q @ g_inv) @ v.conj().T
+    p = psd_sqrt((r + r.conj().T) / 2.0).matrix
+    w = p @ v
+    return p, float(np.abs(w.conj().T @ w - q).max())
+
+
+class TestStructuredSt:
+    @pytest.mark.parametrize("order", [16, 64, 256])
+    @pytest.mark.parametrize("count", [3, 8])
+    def test_matches_dense_route(self, order, count):
+        rng = np.random.default_rng(100 * order + count)
+        seq = PointSequence(
+            [0.6 * np.exp(2j * np.pi * (k + 0.2 * rng.uniform()) / count) for k in range(count)]
+        )
+        ctx = TruncationContext(order)
+        a = rng.normal(size=(count, count)) + 1j * rng.normal(size=(count, count))
+        q = a @ a.conj().T
+        q = 0.8 * q / np.real(np.diagonal(q)).max() + 0.2 * np.eye(count)
+        op = st_construct(q, seq, ctx, delta=0.2)
+        assert op.basis.shape == (order, count)
+        dense, dense_defect = dense_st(q, seq, ctx)
+        assert np.abs(op.array - dense).max() <= 1e-7
+        # G^-1 carries roundoff of order eps * cond(G) into the roundtrip on
+        # both routes (cond(G) is 8 for 3 points, 1.3e3 for 8)
+        defect, _ = st_roundtrip_defect(op, q, seq, ctx)
+        assert defect <= max(1e-12, 4.0 * dense_defect)
+
+
+class TestStructuredForm:
+    def _basis(self, order=12, rank=2):
+        rng = np.random.default_rng(29)
+        q, _ = np.linalg.qr(rng.normal(size=(order, rank)) + 1j * rng.normal(size=(order, rank)))
+        return q
+
+    def test_negative_core_eigenvalue_raises(self):
+        with pytest.raises(NotPSDError):
+            PositiveOperator(np.diag([1.0, -0.5]), "x", "custom", basis=self._basis())
+
+    def test_shift_counts_toward_the_spectrum(self):
+        u = self._basis()
+        op = PositiveOperator(np.diag([-0.5, 0.0]), "x", "custom", basis=u, shift=1.0)
+        assert op.contraction
+        with pytest.raises(NotPSDError):
+            PositiveOperator(np.diag([-1.5, 0.0]), "x", "custom", basis=u, shift=1.0)
+        # the shift is an eigenvalue of its own only when the basis is not full
+        assert not PositiveOperator(-1.5 * np.eye(2), "x", "custom", basis=u, shift=2.0).contraction
+        full = self._basis(rank=12)
+        assert PositiveOperator(-1.5 * np.eye(12), "x", "custom", basis=full, shift=2.0).contraction
+
+    def test_negative_diagonal_raises(self):
+        with pytest.raises(NotPSDError):
+            PositiveOperator(np.array([1.0, -0.5]), "x", "custom")
+
+    def test_core_must_fit_basis(self):
+        with pytest.raises(DimensionMismatchError):
+            PositiveOperator(np.eye(3), "x", "custom", basis=self._basis())
+
+    def test_apply_matches_dense(self):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3))
+        u = self._basis()
+        ops = [
+            PositiveOperator(np.array([[2.0, 0.5j], [-0.5j, 1.0]]), "x", "custom", basis=u, shift=0.25),
+            PositiveOperator(rng.uniform(0.0, 1.0, size=12), "x", "diagonal"),
+            PositiveOperator(HermitianMatrix(np.eye(12) + 0.1), "x", "custom"),
+        ]
+        for op in ops:
+            assert np.abs(op.apply(x) - op.array @ x).max() < 1e-14
+            assert np.abs(op.apply(x[:, 0]) - op.array @ x[:, 0]).max() < 1e-14

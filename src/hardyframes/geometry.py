@@ -142,16 +142,31 @@ def _check_distinct(z: np.ndarray) -> None:
         seen[key] = i
 
 
+def _rho(a, b) -> np.ndarray:
+    """Elementwise |a - b| / |1 - conj(a) b|, broadcasting a against b."""
+    return np.abs(a - b) / np.abs(1.0 - np.conj(a) * b)
+
+
 def _rho_matrix(z: np.ndarray) -> np.ndarray:
     """Pairwise pseudo-hyperbolic distances with an exact unit diagonal.
 
     The diagonal is set to 1 so it contributes nothing in log space.
     """
-    diff = np.abs(z[:, None] - z[None, :])
-    denom = np.abs(1.0 - np.conj(z)[:, None] * z[None, :])
-    np.fill_diagonal(diff, 1.0)
-    np.fill_diagonal(denom, 1.0)
-    return diff / denom
+    rho = _rho(z[:, None], z[None, :])
+    np.fill_diagonal(rho, 1.0)
+    return rho
+
+
+def _rho_column(z: np.ndarray, j: int) -> np.ndarray:
+    """Column ``j`` of ``_rho_matrix(z)`` without forming the matrix.
+
+    Entry i is rho(z_i, z_j) from the same elementwise formula, so the
+    values are bitwise those of the matrix column (the matrix itself is
+    symmetric only up to rounding).
+    """
+    rho = _rho(z, z[j])
+    rho[j] = 1.0
+    return rho
 
 
 def carleson_constants(seq: PointSequence, delta: float = 0.0) -> CarlesonReport:

@@ -2,8 +2,9 @@
 
 Complex scalars serialize as [re, im] pairs, matrices as row-major pair
 arrays. CSV matrix cells use the human-readable "re+imj" form. All file
-writes go through a temp-file-plus-rename so an interrupted run never
-leaves a partial artifact behind.
+writes go through a uniquely named temp file in the target directory and a
+rename, so an interrupted run never leaves a partial artifact behind and
+concurrent writers never share a temp file.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -163,10 +165,30 @@ def suite_report_to_json(cfg, results) -> dict:
 
 
 def write_text_atomic(path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one rename.
+
+    The text goes to a ``tempfile.mkstemp`` file beside the target, which
+    is then renamed over it; on any failure the temp file is removed. The
+    final file gets the mode a plain open would give, 0o666 & ~umask,
+    rather than mkstemp's 0o600.
+    """
     target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, target)
+    fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.chmod(tmp, 0o666 & ~_umask())
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _umask() -> int:
+    # The umask can only be read by setting it; restore it at once.
+    mask = os.umask(0o22)
+    os.umask(mask)
+    return mask
 
 
 def write_json_atomic(path, payload) -> None:

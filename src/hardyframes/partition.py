@@ -1,25 +1,40 @@
 """Greedy partitioning of kernel sequences into well-separated classes.
 
-Two first-fit strategies over the input order:
+Two first-fit strategies over the input order; each point joins the first
+class it fits, or opens a new one:
 
 - ``carleson_greedy`` keeps, inside every class, each member's product of
-  pseudo-hyperbolic distances to the others at or above a target delta;
+  pseudo-hyperbolic distances to the others at or above a target delta.
+  It streams one column of log rho per point, in the greedy's order, and
+  keeps per-class running log-sums over all points (a candidate's own
+  product against each class) and each placed point's log-product within
+  its class, so a candidate is tested against every class in one
+  vectorised step: O(n^2) work and O(classes * n) memory, with no n x n
+  matrix.
 - ``spectral_greedy`` keeps the smallest eigenvalue of every class's
-  normalized Grammian block at or above a target c.
+  normalized Grammian block at or above a target c, through the equivalent
+  condition B - cI > 0. Each class carries the inverse R of the Cholesky
+  factor of B - cI and one row of Schur-complement terms
+  ||R m[class, j']||^2 for the points still to come, so a candidate is
+  tested against every class in one vectorised comparison and an
+  acceptance costs O(class size * n); no candidate is ever eigensolved.
 
-Both certify their output by recomputing the class quantities from scratch,
-and an exhaustive minimal-partition search (viable up to 12 points) is
-provided as an oracle for testing the greedy counts.
+Neither loop certifies itself: the final certificates are recomputed per
+class from scratch (``carleson_constants`` and a fresh ``eigvalsh`` of the
+class's Grammian block), and an exhaustive minimal-partition search
+(viable up to 12 points) is provided as an oracle for testing the greedy
+counts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DuplicatePointError, NotAPartitionError, TargetTooHighError
-from .geometry import PointSequence, _check_distinct, _rho_matrix, carleson_constants
+from .geometry import PointSequence, _check_distinct, _rho_column, _rho_matrix, carleson_constants
 from .kernels import Grammian, szego_gram
 
 CARLESON_GREEDY = "carleson_greedy"
@@ -28,6 +43,16 @@ SPECTRAL_GREEDY = "spectral_greedy"
 # Greedy acceptance applies this slack in log space so that certificates
 # recomputed with a different summation order still clear the target.
 _LOG_MARGIN = 1e-9
+
+# A candidate joins a spectral class only when the Schur complement of the
+# enlarged block, (m[j, j] - c) - ||R m[class, j]||^2, exceeds this, so that
+# certificates recomputed with a fresh eigensolve still clear the target.
+# Ties go to a later class: a candidate with slack <= margin is refused even
+# when its enlarged block has lambda_min >= c (then lambda_min - c <= slack
+# <= margin), where an eigensolve comparison would accept lambda_min == c.
+_SCHUR_MARGIN = 1e-9
+
+_INITIAL_CLASSES = 8
 
 _BRUTE_FORCE_CAP = 12
 
@@ -77,10 +102,14 @@ def partition_carleson(
 
     Points are consumed in input order (or by ascending modulus when
     ``sort_by_modulus`` is set; first-fit results are order-sensitive and
-    the sort is the one knob exposed for that). Each candidate insertion is
-    checked incrementally in log space; the final certificates are
-    recomputed per class with ``carleson_constants`` and a fresh eigensolve
-    of the class's Grammian block.
+    the sort is the one knob exposed for that). For each point j the column
+    log rho(z_i, z_j) over all i is computed once. Point j joins the first
+    class where its own log-product (a running per-class sum of those
+    columns) and every member's log-product plus log rho(z_i, z_j) stay at
+    or above log(delta) + ``_LOG_MARGIN``; all classes are tested in one
+    vectorised step. The final certificates are recomputed per class with
+    ``carleson_constants`` and a fresh eigensolve of the class's Grammian
+    block.
     """
     if not 0.0 < delta_target < 1.0:
         raise ValueError(f"delta target {delta_target} must lie in (0, 1)")
@@ -88,36 +117,49 @@ def partition_carleson(
     _check_distinct(z)
     n = len(z)
     order = np.argsort(np.abs(z), kind="stable") if sort_by_modulus else np.arange(n)
-
-    log_rho = np.log(_rho_matrix(z)) if n > 1 else np.zeros((1, 1))
-    np.fill_diagonal(log_rho, 0.0)
     log_target = float(np.log(delta_target)) + _LOG_MARGIN
 
-    members: list[list[int]] = []
-    log_products: list[list[float]] = []
-    for j in order:
-        placed = False
-        for c in range(len(members)):
-            cand = float(log_rho[j, members[c]].sum())
-            if cand < log_target:
-                continue
-            updated = [
-                log_products[c][k] + float(log_rho[members[c][k], j])
-                for k in range(len(members[c]))
-            ]
-            if min(updated) < log_target:
-                continue
-            members[c].append(int(j))
-            log_products[c] = updated + [cand]
-            placed = True
-            break
-        if not placed:
-            members.append([int(j)])
-            log_products.append([0.0])
+    # sums[k, i]: log-product of point i against the members of class k;
+    # log_products[i]: a placed point's log-product within its own class.
+    sums = np.zeros((_INITIAL_CLASSES, n))
+    log_products = np.zeros(n)
+    class_of = np.zeros(n, dtype=np.intp)
+    count = 0
+    for t, j in enumerate(order):
+        column = np.log(_rho_column(z, j))
+        placed = order[:t]
+        updated = log_products[placed] + column[placed]
+        worst = np.full(count, np.inf)
+        np.minimum.at(worst, class_of[placed], updated)
+        fits = np.flatnonzero((sums[:count, j] >= log_target) & (worst >= log_target))
+        if fits.size:
+            k = fits[0]
+            joined = class_of[placed] == k
+            log_products[placed[joined]] = updated[joined]
+            log_products[j] = sums[k, j]
+            sums[k] += column
+        else:
+            k = count
+            count += 1
+            sums = _room(sums, k)
+            sums[k] = column
+        class_of[j] = k
 
+    members = [[] for _ in range(count)]
+    for j in order:
+        members[class_of[j]].append(int(j))
     classes = tuple(tuple(seq.labels[i] for i in cls) for cls in members)
     certificates = tuple(_carleson_certificate(seq, cls) for cls in members)
     return Partition(classes, CARLESON_GREEDY, certificates, {"delta_target": delta_target})
+
+
+def _room(table: np.ndarray, used: int) -> np.ndarray:
+    """``table`` with a free row at index ``used``, doubling when full."""
+    if used < len(table):
+        return table
+    grown = np.zeros((2 * len(table), table.shape[1]), dtype=table.dtype)
+    grown[:used] = table
+    return grown
 
 
 def _carleson_certificate(seq: PointSequence, positions: list[int]) -> ClassCertificate:
@@ -137,9 +179,21 @@ def partition_spectral(g: Grammian, c_target: float) -> Partition:
 
     A singleton always qualifies because the Grammian is normalized, and
     interlacing makes class feasibility monotone, so the greedy pass
-    terminates with every certificate at or above the target. Each
-    candidate insertion triggers a fresh eigensolve of the enlarged block.
+    terminates with every certificate at or above the target.
+
+    lambda_min(B) >= c is tested as B - cI > 0. Class k keeps R_k, the
+    inverse of the Cholesky factor of its B_k - cI, and a row
+    ``schur[k, j'] = ||R_k m[class_k, j']||^2`` for every later point j'.
+    Point j joins the first class with Schur complement
+    (m[j, j] - c) - schur[k, j] > ``_SCHUR_MARGIN``, one vectorised
+    comparison over all classes; acceptance appends a row to R_k and adds
+    the new member's term to the class's row, O(class size * n). A
+    singleton whose own slack m[j, j] - c is within the margin (c near 1)
+    opens a class that admits nobody. Certificates are a fresh eigensolve
+    of each final class block.
     """
+    if not math.isfinite(c_target):
+        raise ValueError(f"c target {c_target} must be a finite number")
     if c_target > 1.0:
         raise TargetTooHighError(f"c target {c_target} exceeds the normalized diagonal")
     if c_target <= 0.0:
@@ -148,22 +202,47 @@ def partition_spectral(g: Grammian, c_target: float) -> Partition:
         raise ValueError("spectral partitioning expects a normalized Grammian")
     m = g.matrix.matrix
     n = m.shape[0]
+    own_slack = np.real(np.diagonal(m)) - c_target
 
-    members: list[list[int]] = []
+    schur = np.zeros((_INITIAL_CLASSES, n))
+    members: list[np.ndarray] = []
+    inv_factors: list[np.ndarray] = []
     for j in range(n):
-        placed = False
-        for cls in members:
-            block = m[np.ix_(cls + [j], cls + [j])]
-            if float(np.linalg.eigvalsh(block)[0]) >= c_target:
-                cls.append(j)
-                placed = True
-                break
-        if not placed:
-            members.append([j])
+        slack = own_slack[j] - schur[: len(members), j]
+        fits = np.flatnonzero(slack > _SCHUR_MARGIN)
+        if fits.size:
+            k = int(fits[0])
+            slack_j = slack[k]
+        else:
+            k = len(members)
+            slack_j = own_slack[j]
+            schur = _room(schur, k)
+            members.append(np.zeros(0, dtype=np.intp))
+            inv_factors.append(np.zeros((0, 0), dtype=m.dtype))
+            if slack_j <= _SCHUR_MARGIN:
+                # c within the margin of m[j, j]: a singleton that admits nobody.
+                schur[k] = np.inf
+                members[k] = np.array([j])
+                continue
+        # B - cI = L L* grows by the row [y*, d] with y = R m[cls, j] and
+        # d = sqrt(slack), so R = L^-1 grows by [-y* R / d, 1 / d].
+        cls, r = members[k], inv_factors[k]
+        size = len(cls)
+        d = math.sqrt(slack_j)
+        yr = np.conj(r @ m[cls, j]) @ r
+        w = (m[j, j + 1 :] - yr @ m[cls, j + 1 :]) / d
+        schur[k, j + 1 :] += w.real**2 + w.imag**2
+        grown = np.zeros((size + 1, size + 1), dtype=r.dtype)
+        grown[:size, :size] = r
+        grown[size, :size] = -yr / d
+        grown[size, size] = 1.0 / d
+        inv_factors[k] = grown
+        members[k] = np.append(cls, j)
 
-    classes = tuple(tuple(g.labels[i] for i in cls) for cls in members)
+    positions = [[int(i) for i in cls] for cls in members]
+    classes = tuple(tuple(g.labels[i] for i in cls) for cls in positions)
     certificates = []
-    for cls in members:
+    for cls in positions:
         block = m[np.ix_(cls, cls)]
         certificates.append(
             ClassCertificate(

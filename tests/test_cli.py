@@ -185,6 +185,44 @@ class TestPartition:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("strategy,flag", [("spectral", "--c-target"), ("carleson", "--delta-target")])
+    def test_non_finite_target_is_input_error(self, tmp_path, capsys, strategy, flag, value):
+        pts = write_points(tmp_path, [0.1, 0.5])
+        assert main(["partition", "--points", pts, "--strategy", strategy, flag, value]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_spectral_target_one_is_all_singletons(self, tmp_path):
+        pts = write_points(tmp_path, ring(5, 0.7))
+        out = tmp_path / "part.json"
+        rc = main(["partition", "--points", pts, "--strategy", "spectral", "--c-target", "1.0", "--out", str(out)])
+        assert rc == 0
+        assert read_json(out)["classes"] == [[k] for k in range(5)]
+
+    def test_spectral_target_at_a_class_lambda_min_is_not_exit_4(self, tmp_path):
+        rng = np.random.default_rng(29)
+        z = 0.9 * np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40))
+        pts = write_points(tmp_path, z)
+        out = tmp_path / "part.json"
+        argv = ["partition", "--points", pts, "--strategy", "spectral", "--out", str(out)]
+        assert main(argv + ["--c-target", "0.3"]) == 0
+        tie = min(c["lambda_min"] for c in read_json(out)["certificates"] if c["size"] > 1)
+        assert main(argv + ["--c-target", repr(tie)]) == 0
+        assert min(c["lambda_min"] for c in read_json(out)["certificates"]) >= tie
+
+    @pytest.mark.parametrize("strategy", ["carleson", "spectral"])
+    def test_reports_are_byte_identical_across_runs(self, tmp_path, strategy):
+        rng = np.random.default_rng(31)
+        z = 0.95 * np.sqrt(rng.uniform(size=60)) * np.exp(2j * np.pi * rng.uniform(size=60))
+        pts = write_points(tmp_path, z)
+        outputs = []
+        for run in range(2):
+            out, csv = tmp_path / f"part{run}.json", tmp_path / f"part{run}.csv"
+            rc = main(["partition", "--points", pts, "--strategy", strategy, "--out", str(out), "--csv", str(csv)])
+            assert rc == 0
+            outputs.append((out.read_bytes(), csv.read_bytes()))
+        assert outputs[0] == outputs[1]
+
 
 class TestConstructSt:
     def test_realizes_target(self, tmp_path, capsys):

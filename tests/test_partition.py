@@ -2,7 +2,10 @@
 
 The minimal-class search is cross-checked against a naive enumeration of
 all set partitions (Bell-number sized, fine up to 7 points), and the
-certificates against plain double-loop separation products.
+certificates against plain double-loop separation products. The greedy
+loops are compared class for class with straightforward reference loops:
+a fresh eigensolve per candidate block, and first fit over the full
+log-rho matrix.
 """
 
 import numpy as np
@@ -22,6 +25,8 @@ from hardyframes import (
     szego_gram,
     verify_partition,
 )
+from hardyframes.geometry import _rho_matrix
+from hardyframes.partition import _LOG_MARGIN
 
 
 def all_set_partitions(items):
@@ -53,6 +58,80 @@ def oracle_minimal(n, feasible):
         if len(part) < best and all(feasible(cls) for cls in part):
             best = len(part)
     return best
+
+
+def reference_spectral(m, c_target):
+    """First fit with a fresh eigensolve of every candidate block."""
+    members = []
+    for j in range(m.shape[0]):
+        for cls in members:
+            block = m[np.ix_(cls + [j], cls + [j])]
+            if float(np.linalg.eigvalsh(block)[0]) >= c_target:
+                cls.append(j)
+                break
+        else:
+            members.append([j])
+    return members
+
+
+def reference_carleson(z, delta_target, sort_by_modulus=False):
+    """First fit over the full log-rho matrix, member products as lists."""
+    n = len(z)
+    order = np.argsort(np.abs(z), kind="stable") if sort_by_modulus else np.arange(n)
+    log_rho = np.log(_rho_matrix(z))
+    log_target = float(np.log(delta_target)) + _LOG_MARGIN
+    members, log_products = [], []
+    for j in order:
+        for c in range(len(members)):
+            cand = float(log_rho[j, members[c]].sum())
+            if cand < log_target:
+                continue
+            updated = [
+                log_products[c][k] + float(log_rho[members[c][k], j])
+                for k in range(len(members[c]))
+            ]
+            if min(updated) < log_target:
+                continue
+            members[c].append(int(j))
+            log_products[c] = updated + [cand]
+            break
+        else:
+            members.append([int(j)])
+            log_products.append([0.0])
+    return members
+
+
+def uniform_points(rng, count, radius):
+    """Uniform in the disk |z| <= radius (area measure)."""
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=count))
+    return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=count))
+
+
+def boundary_clusters(rng, count, clusters=6):
+    """Tight clusters centred at radius 0.9-0.96, kept inside |z| <= 0.985."""
+    centres = rng.uniform(0.9, 0.96, size=clusters) * np.exp(
+        1j * rng.uniform(0.0, 2.0 * np.pi, size=clusters)
+    )
+    out = []
+    while len(out) < count:
+        z = centres[len(out) % clusters] + complex(*rng.normal(0.0, 0.01, size=2))
+        if abs(z) <= 0.985:
+            out.append(z)
+    return np.array(out)
+
+
+def mixed_points(rng, count):
+    """70% uniform in |z| <= 0.95 and 30% boundary clusters, shuffled."""
+    n_cluster = 3 * count // 10
+    z = np.concatenate([uniform_points(rng, count - n_cluster, 0.95), boundary_clusters(rng, n_cluster)])
+    return z[rng.permutation(count)]
+
+
+POINT_FAMILIES = {
+    "uniform": lambda rng: uniform_points(rng, 150, 0.9),
+    "boundary_clusters": lambda rng: boundary_clusters(rng, 120),
+    "mixed_70_30": lambda rng: mixed_points(rng, 300),
+}
 
 
 def random_sequence(rng, count, radius=0.85):
@@ -121,7 +200,7 @@ class TestPartitionCarleson:
 
     def test_rejects_bad_targets(self):
         seq = PointSequence([0.1, 0.5])
-        for bad in (0.0, 1.0, -0.2, 1.5):
+        for bad in (0.0, 1.0, -0.2, 1.5, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError):
                 partition_carleson(seq, bad)
 
@@ -142,6 +221,45 @@ class TestPartitionSpectral:
         g = szego_gram(PointSequence([0.5, 0.5]))
         part = partition_spectral(g, 0.5)
         assert part.classes == ((0,), (1,))
+
+    def test_duplicate_among_others_lands_in_another_class(self):
+        g = szego_gram(PointSequence([0.1, 0.5, -0.3j, 0.5, 0.7j]))
+        part = partition_spectral(g, 0.3)
+        class_of = {lab: k for k, cls in enumerate(part.classes) for lab in cls}
+        assert class_of[1] != class_of[3]
+        assert part.classes == tuple(tuple(c) for c in reference_spectral(g.matrix.matrix, 0.3))
+        assert verify_partition(g, part, 0.3).all_pass
+
+    def test_single_point(self):
+        part = partition_spectral(szego_gram(PointSequence([0.3])), 0.5)
+        assert part.classes == ((0,),)
+        assert part.certificates[0].lambda_min == pytest.approx(1.0)
+
+    def test_target_one_gives_certified_singletons(self):
+        g = szego_gram(random_sequence(np.random.default_rng(19), 7))
+        part = partition_spectral(g, 1.0)
+        assert part.classes == tuple((i,) for i in range(7))
+        assert verify_partition(g, part, 1.0).all_pass
+
+    def test_exact_tie_goes_to_a_new_class(self):
+        # For two points lambda_min = 1 - |g01|. At exactly that target the
+        # Schur complement is zero up to rounding, inside _SCHUR_MARGIN, so
+        # the second point opens a class where a fresh eigensolve
+        # comparison (lambda_min >= c) would have accepted it.
+        g = szego_gram(PointSequence([0.2, 0.6j]))
+        tie = float(np.linalg.eigvalsh(g.matrix.matrix)[0])
+        assert reference_spectral(g.matrix.matrix, tie) == [[0, 1]]
+        part = partition_spectral(g, tie)
+        assert part.classes == ((0,), (1,))
+        assert verify_partition(g, part, tie).all_pass
+
+    def test_target_at_a_class_lambda_min_still_certifies(self):
+        g = szego_gram(random_sequence(np.random.default_rng(23), 40, radius=0.9))
+        first = partition_spectral(g, 0.3)
+        tie = min(c.lambda_min for c in first.certificates if c.size > 1)
+        part = partition_spectral(g, tie)
+        assert verify_partition(g, part, tie).all_pass
+        assert min(c.lambda_min for c in part.certificates) >= tie
 
     def test_certificates_clear_target(self):
         rng = np.random.default_rng(7)
@@ -165,6 +283,12 @@ class TestPartitionSpectral:
         with pytest.raises(ValueError):
             partition_spectral(g, 0.0)
 
+    def test_rejects_non_finite_target(self):
+        g = szego_gram(PointSequence([0.1, 0.5]))
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                partition_spectral(g, bad)
+
     def test_requires_normalized(self):
         from hardyframes import image_gram, projection_monomial_span, TruncationContext
 
@@ -172,6 +296,35 @@ class TestPartitionSpectral:
         g = image_gram(projection_monomial_span([0], 32), PointSequence([0.3, 0.5]), ctx)
         with pytest.raises(ValueError):
             partition_spectral(g, 0.1)
+
+
+@pytest.mark.parametrize("sort_by_modulus", [False, True])
+@pytest.mark.parametrize("family", sorted(POINT_FAMILIES))
+class TestAgainstReferenceLoops:
+    """Class-for-class equality with the reference loops on seeded inputs."""
+
+    def _points(self, family):
+        return POINT_FAMILIES[family](np.random.default_rng(sorted(POINT_FAMILIES).index(family) + 41))
+
+    def test_spectral(self, family, sort_by_modulus):
+        z = self._points(family)
+        order = np.argsort(np.abs(z), kind="stable") if sort_by_modulus else np.arange(len(z))
+        seq = PointSequence(list(z[order]), tuple(int(i) for i in order))
+        g = szego_gram(seq)
+        for c in (0.1, 0.3, 0.6):
+            part = partition_spectral(g, c)
+            want = reference_spectral(g.matrix.matrix, c)
+            assert part.classes == tuple(tuple(seq.labels[i] for i in cls) for cls in want)
+            assert min(cert.lambda_min for cert in part.certificates) >= c
+
+    def test_carleson(self, family, sort_by_modulus):
+        z = self._points(family)
+        seq = PointSequence(list(z))
+        for delta in (0.1, 0.3):
+            part = partition_carleson(seq, delta, sort_by_modulus)
+            want = reference_carleson(z, delta, sort_by_modulus)
+            assert part.classes == tuple(tuple(cls) for cls in want)
+            assert min(cert.carleson_inf for cert in part.certificates) >= delta
 
 
 class TestVerifyPartition:

@@ -20,7 +20,7 @@ from .errors import (
     SingularDiagonalError,
     UnknownLabelError,
 )
-from .hermitian import DEFAULT_RANK_TOL, HermitianMatrix, eig_extremes
+from .hermitian import DEFAULT_RANK_TOL, HermitianMatrix, as_matrix, eig_extremes
 from .kernels import Grammian, Provenance
 
 DEFAULT_RIESZ_TOL = 1e-8
@@ -53,17 +53,9 @@ class BoundsReport:
     is_frame: bool
 
 
-def _gram_matrix(g) -> np.ndarray:
-    if isinstance(g, Grammian):
-        return g.matrix.matrix
-    if isinstance(g, HermitianMatrix):
-        return g.matrix
-    return HermitianMatrix(g).matrix
-
-
 def analyze(g, riesz_tol: float = DEFAULT_RIESZ_TOL, rank_tol: float = DEFAULT_RANK_TOL) -> BoundsReport:
     """Classify a Grammian: Bessel / bounded-below / frame / Riesz bounds."""
-    m = _gram_matrix(g)
+    m = as_matrix(g.matrix if isinstance(g, Grammian) else g)
     ext = eig_extremes(m, rank_tol)
     if ext.lambda_min < -rank_tol * max(1.0, ext.lambda_max):
         raise NotPSDError(f"Grammian has lambda_min {ext.lambda_min:.3e}")
@@ -92,7 +84,7 @@ def congruence_diag(g: Grammian, d) -> Grammian:
     most the factor spread [min |d_i|^2, max |d_i|^2]; the result stays PSD.
     """
     dv = np.asarray(d, dtype=np.complex128)
-    m = _gram_matrix(g)
+    m = as_matrix(g.matrix)
     if dv.ndim != 1 or dv.size != m.shape[0]:
         raise ValueError(f"diagonal length {dv.size} does not match Grammian dim {m.shape[0]}")
     if np.any(dv == 0.0):
@@ -122,7 +114,7 @@ def compress(g: Grammian, labels) -> Grammian:
         idx = [position[lab] for lab in wanted]
     except KeyError as exc:
         raise UnknownLabelError(f"label {exc.args[0]} not present in Grammian") from None
-    m = _gram_matrix(g)[np.ix_(idx, idx)]
+    m = as_matrix(g.matrix)[np.ix_(idx, idx)]
     prov = g.provenance
     new_prov = Provenance(
         prov.space,

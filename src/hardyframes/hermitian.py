@@ -124,11 +124,7 @@ def psd_inverse(h) -> tuple[np.ndarray, EigenExtremes]:
 
 def loewner_leq(a, b, tol: float = 0.0) -> bool:
     """Test A <= B in the Loewner order: lambda_min(B - A) >= -tol."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatchError(f"shapes {ma.shape} and {mb.shape} differ")
-    w = np.linalg.eigvalsh(mb - ma)
-    return float(w[0]) >= -tol
+    return loewner_defect(a, b) <= tol
 
 
 def loewner_defect(a, b) -> float:

@@ -1,10 +1,18 @@
 """JSON / CSV serialization and atomic file writes.
 
 Complex scalars serialize as [re, im] pairs, matrices as row-major pair
-arrays. CSV matrix cells use the human-readable "re+imj" form. All file
-writes go through a uniquely named temp file in the target directory and a
-rename, so an interrupted run never leaves a partial artifact behind and
-concurrent writers never share a temp file.
+arrays. CSV matrix cells use the human-readable "re+imj" form.
+
+Reports are written as one line of JSON with compact separators: with
+``indent`` set, CPython's ``json`` falls back from its C encoder to the
+pure-Python one, which made writing an N=256 operator report most of a
+command's run time. Numbers (shortest round-trip ``repr``), keys and their
+order are the same either way; ``python -m json.tool`` indents a report
+for reading.
+
+All file writes go through a uniquely named temp file in the target
+directory and a rename, so an interrupted run never leaves a partial
+artifact behind and concurrent writers never share a temp file.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ def matrix_to_json(m) -> dict:
     a = np.asarray(getattr(m, "matrix", m), dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return {"dim": int(a.shape[0]), "entries": [pair(v) for v in a.ravel()]}
+    return {"dim": int(a.shape[0]), "entries": np.stack((a.real, a.imag), -1).reshape(-1, 2).tolist()}
 
 
 def matrix_from_json(d) -> np.ndarray:
@@ -50,10 +58,9 @@ def matrix_from_json(d) -> np.ndarray:
 
 def matrix_csv_lines(m) -> list[str]:
     a = np.asarray(getattr(m, "matrix", m), dtype=np.complex128)
-    return [
-        ",".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row)
-        for row in a
-    ]
+    row_format = ",".join(["%.17g%+.17gj"] * a.shape[1])
+    rows = np.stack((a.real, a.imag), -1).reshape(a.shape[0], -1).tolist()
+    return [row_format % tuple(row) for row in rows]
 
 
 def points_to_json(seq: PointSequence) -> dict:
@@ -192,7 +199,7 @@ def _umask() -> int:
 
 
 def write_json_atomic(path, payload) -> None:
-    write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
+    write_text_atomic(path, json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 def write_csv_atomic(path, lines) -> None:

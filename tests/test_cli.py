@@ -346,6 +346,80 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--trials", "2", "--N", "128"]) == 0
 
 
+def key_paths(doc, prefix=""):
+    """Every key of a JSON document as a dotted path, in document order.
+
+    The items of a list share one ``[]`` path, so a list of records
+    contributes its record's keys once.
+    """
+    paths = []
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            path = f"{prefix}.{key}" if prefix else key
+            paths.append(path)
+            paths.extend(key_paths(value, path))
+    elif isinstance(doc, list):
+        for item in doc:
+            paths.extend(p for p in key_paths(item, prefix + "[]") if p not in paths)
+    return paths
+
+
+PARTITION_KEYS = [
+    "strategy", "targets", "targets.{target}", "class_count", "classes", "certificates",
+    "certificates[].labels", "certificates[].size", "certificates[].lambda_min",
+    "certificates[].carleson_inf",
+]
+
+
+class TestReportSchema:
+    """Reports keep their keys, nesting and key order, on one line ending in one newline."""
+
+    def read_report(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        return key_paths(json.loads(text))
+
+    def test_gram(self, tmp_path):
+        pts = write_points(tmp_path, [0.0, 0.6, 0.3 + 0.4j])
+        out = tmp_path / "gram.json"
+        assert main(["gram", "--points", pts, "--out", str(out)]) == 0
+        assert self.read_report(out) == [
+            "grammian", "grammian.matrix", "grammian.matrix.dim", "grammian.matrix.entries",
+            "grammian.normalized", "grammian.provenance", "grammian.provenance.space",
+            "grammian.provenance.operator_id", "grammian.provenance.points",
+            "grammian.provenance.labels", "grammian.provenance.truncation_error",
+            "grammian.provenance.transform",
+            "bounds", "bounds.bessel_B", "bounds.riesz_c", "bounds.frame_A",
+            "bounds.lower_norm_delta", "bounds.riesz_tol", "bounds.rank_tol", "bounds.is_bessel",
+            "bounds.is_bounded_below", "bounds.is_riesz", "bounds.is_frame",
+        ]
+
+    def test_construct_st(self, tmp_path):
+        pts = write_points(tmp_path, ring(3, 0.6))
+        q = write_json(tmp_path / "q.json", matrix_to_json(0.5 * np.eye(3)))
+        out = tmp_path / "op.json"
+        assert main(["construct-st", "--points", pts, "--Q", q, "--N", "64", "--out", str(out)]) == 0
+        assert self.read_report(out) == [
+            "dim", "entries", "id", "kind", "contraction", "roundtrip_defect", "min_norm_sq", "delta",
+        ]
+
+    @pytest.mark.parametrize("strategy,target", [("carleson", "delta_target"), ("spectral", "c_target")])
+    def test_partition(self, tmp_path, strategy, target):
+        pts = write_points(tmp_path, ring(5, 0.7))
+        out = tmp_path / "part.json"
+        assert main(["partition", "--points", pts, "--strategy", strategy, "--out", str(out)]) == 0
+        assert self.read_report(out) == [k.format(target=target) for k in PARTITION_KEYS]
+
+    def test_verify(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--seed", "3", "--trials", "1", "--N", "64", "--out", str(out)]) == 0
+        assert self.read_report(out) == [
+            "config", "config.seed", "config.trials", "config.order", "config.point_families",
+            "config.tolerances", "results", "results[].check_id", "results[].trials",
+            "results[].failures", "results[].worst_violation", "results[].witness", "passed",
+        ]
+
+
 def test_matrix_from_json_rejects_non_finite_entries():
     doc = matrix_to_json(np.eye(2))
     doc["entries"][3] = [float("nan"), 0.0]

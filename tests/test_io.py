@@ -1,10 +1,19 @@
-"""Atomic file writes: unique temp files, cleanup on failure, final mode."""
+"""Atomic file writes and exact matrix serialization."""
 
+import json
 import os
 
+import numpy as np
 import pytest
 
 from hardyframes import io
+
+MAX = 1.7976931348623157e308
+# Signed zeros, the smallest subnormal, extremes of range and integral values.
+SPECIALS = [
+    complex(-0.0, -0.0), complex(0.0, -0.0), complex(5e-324, -5e-324), complex(1e-300, -1e-300),
+    complex(MAX, -MAX), complex(-MAX, MAX), complex(1.0, 3.0), complex(-2.0, 0.0),
+]
 
 
 def current_umask():
@@ -64,3 +73,58 @@ def test_failed_write_removes_temp_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         io.write_text_atomic(target, "\ud800")
     assert list(tmp_path.iterdir()) == []
+
+
+def seeded_matrix(n):
+    """A seeded n x n complex matrix over many magnitudes, led by ``SPECIALS``."""
+    rng = np.random.default_rng(1000 + n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a *= 10.0 ** rng.integers(-300, 300, size=(n, n))
+    k = min(a.size, len(SPECIALS))
+    a.flat[:k] = SPECIALS[:k]
+    return a
+
+
+def specials_matrix():
+    return np.array(SPECIALS + [complex(0.1, 0.2)]).reshape(3, 3)
+
+
+def reference_csv_lines(a):
+    """The per-entry formatter the vectorized one must reproduce byte for byte."""
+    return [",".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row) for row in a]
+
+
+MATRICES = [pytest.param(seeded_matrix(n), id=f"n={n}") for n in (1, 2, 7, 200)]
+MATRICES.append(pytest.param(specials_matrix(), id="specials"))
+
+
+@pytest.mark.parametrize("a", MATRICES)
+def test_matrix_json_roundtrip_is_bitwise_exact(tmp_path, a):
+    target = tmp_path / "matrix.json"
+    io.write_json_atomic(target, io.matrix_to_json(a))
+    with open(target, "r", encoding="utf-8") as fh:
+        back = io.matrix_from_json(json.load(fh))
+    assert back.shape == a.shape
+    assert back.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("a", MATRICES)
+def test_matrix_csv_lines_match_per_entry_formatter(a):
+    assert io.matrix_csv_lines(a) == reference_csv_lines(a)
+
+
+def test_matrix_entries_are_plain_row_major_pairs():
+    doc = io.matrix_to_json(specials_matrix())
+    assert doc["dim"] == 3
+    assert doc["entries"] == [io.pair(v) for v in specials_matrix().ravel()]
+    assert all(type(x) is float for p in doc["entries"] for x in p)
+
+
+def test_json_report_is_one_line(tmp_path):
+    target = tmp_path / "report.json"
+    payload = {"matrix": io.matrix_to_json(np.eye(2)), "label": "x", "flag": True}
+    io.write_json_atomic(target, payload)
+    text = target.read_text(encoding="utf-8")
+    assert text == json.dumps(payload, separators=(",", ":")) + "\n"
+    assert text.count("\n") == 1
+    assert json.loads(text) == payload

@@ -6,7 +6,6 @@ from .errors import (
     DegenerateKernelError,
     DimensionMismatchError,
     DuplicatePointError,
-    EmptySubsetError,
     HardyFramesError,
     IllConditionedGramError,
     IndexOutOfRangeError,
@@ -14,43 +13,21 @@ from .errors import (
     NonHermitianError,
     NotAPartitionError,
     NotPSDError,
-    SingletonSequenceError,
     SingularDiagonalError,
     TargetTooHighError,
     TruncationTooCoarseError,
-    UnknownLabelError,
-    WeightOutOfRangeError,
 )
-from .geometry import (
-    CarlesonReport,
-    DiskPoint,
-    PointSequence,
-    blaschke_condition_sum,
-    carleson_constants,
-    mobius,
-    pseudo_hyperbolic,
-    separation_constant,
-)
-from .hermitian import (
-    EigenExtremes,
-    HermitianMatrix,
-    eig_extremes,
-    loewner_defect,
-    loewner_leq,
-    psd_sqrt,
-)
+from .geometry import CarlesonReport, PointSequence, carleson_constants, pseudo_hyperbolic
+from .hermitian import EigenExtremes, HermitianMatrix, eig_extremes, psd_sqrt
 from .kernels import (
     Grammian,
-    KernelVector,
     Provenance,
     TruncationContext,
     image_gram,
     kernel_matrix,
-    kernel_vector,
     normalized_gram,
     range_space_gram,
     szego_gram,
-    weighted_hardy_kernel,
 )
 from .operators import (
     InnerFunction,
@@ -62,13 +39,11 @@ from .operators import (
     projection_model_space,
     projection_monomial_span,
     projection_phi_H2,
-    range_contains_phi,
     st_construct,
     st_roundtrip_defect,
     taylor_coefficients,
-    toeplitz_matrix,
 )
-from .frames import BoundsReport, analyze, compress, congruence_diag
+from .frames import BoundsReport, analyze, congruence_diag
 from .partition import (
     Partition,
     PartitionCheck,

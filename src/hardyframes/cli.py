@@ -23,9 +23,9 @@ import numpy as np
 from . import io
 from .errors import ConfigInvalidError, HardyFramesError
 from .frames import analyze
-from .kernels import TruncationContext, range_space_gram, szego_gram
+from .kernels import TruncationContext, check_buffer, range_space_gram, szego_gram
 from .operators import from_spec, st_construct, st_roundtrip_defect
-from .partition import partition_carleson, partition_spectral, verify_partition
+from .partition import partition_carleson, partition_spectral
 from .verify import SuiteConfig, run_suite, suite_passed
 
 ROUNDTRIP_GATE = 1e-6
@@ -60,7 +60,6 @@ def cmd_gram(args) -> int:
     if points_path is None:
         raise ValueError("gram requires --points")
     seq = io.load_points(points_path)
-    buffer = int(opt.get("buffer", 64))
 
     operator_path = opt.get("operator")
     if operator_path is None:
@@ -71,10 +70,9 @@ def cmd_gram(args) -> int:
         if order_flag is not None:
             spec["N"] = int(order_flag)
         spec.setdefault("N", 256)
-        spec.setdefault("buffer", buffer)
+        check_buffer(opt.get("buffer", 0))
         op = from_spec(spec, matrix_from_json=io.matrix_from_json)
-        ctx = TruncationContext(op.dim, buffer)
-        gram = range_space_gram(op, seq, ctx)
+        gram = range_space_gram(op, seq, TruncationContext(op.dim))
 
     riesz_tol = float(opt.get("riesz_tol", 1e-8))
     bounds = analyze(gram, riesz_tol=riesz_tol)
@@ -113,7 +111,7 @@ def cmd_partition(args) -> int:
         c_target = float(opt.get("c_target", 0.1))
         gram = szego_gram(seq)
         part = partition_spectral(gram, c_target)
-        met = verify_partition(gram, part, c_target).all_pass
+        met = all(c.lambda_min >= c_target for c in part.certificates)
         target_text = f"c={c_target}"
 
     out = opt.get("out")
@@ -138,8 +136,8 @@ def cmd_construct_st(args) -> int:
     seq = io.load_points(points_path)
     qm = io.matrix_from_json(io.load_json(q_path))
     order = int(opt.get("N", 256))
-    buffer = int(opt.get("buffer", 64))
-    ctx = TruncationContext(order, buffer)
+    check_buffer(opt.get("buffer", 0))
+    ctx = TruncationContext(order)
     delta_raw = opt.get("delta_target")
     delta = float(delta_raw) if delta_raw is not None else float(np.real(np.diagonal(qm)).min())
 
@@ -197,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file; explicit flags override it")
         sp.add_argument("--out", help="write the JSON report here (atomic)")
         sp.add_argument("--N", type=int, default=None, help="truncation order")
-        sp.add_argument("--buffer", type=int, default=None, help="product buffer")
+        sp.add_argument("--buffer", type=int, default=None, help="ignored (a negative value exits 2)")
 
     sp = sub.add_parser("gram", help="Grammian and frame bounds for a point file")
     common(sp)

@@ -14,10 +14,6 @@ class DuplicatePointError(HardyFramesError):
     """Two points of a sequence coincide exactly."""
 
 
-class SingletonSequenceError(HardyFramesError):
-    """An operation needing at least two points got fewer."""
-
-
 class NonHermitianError(HardyFramesError):
     """Matrix is too far from Hermitian to symmetrize away."""
 
@@ -42,10 +38,6 @@ class NegativeWeightError(HardyFramesError):
     """Diagonal operator weights must be nonnegative."""
 
 
-class WeightOutOfRangeError(HardyFramesError):
-    """Kernel weights must lie in [0, 1]."""
-
-
 class DegenerateKernelError(HardyFramesError):
     """A kernel image has numerically zero norm and cannot be normalized."""
 
@@ -61,14 +53,6 @@ class IllConditionedGramError(HardyFramesError):
 
 class SingularDiagonalError(HardyFramesError):
     """Diagonal congruence requires all entries nonzero."""
-
-
-class EmptySubsetError(HardyFramesError):
-    """Compression to an empty label set is undefined."""
-
-
-class UnknownLabelError(HardyFramesError):
-    """A requested label is not present in the Grammian."""
 
 
 class TargetTooHighError(HardyFramesError):

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptySubsetError,
-    NotPSDError,
-    SingularDiagonalError,
-    UnknownLabelError,
-)
+from .errors import NotPSDError, SingularDiagonalError
 from .hermitian import DEFAULT_RANK_TOL, HermitianMatrix, as_matrix, eig_extremes
 from .kernels import Grammian, Provenance
 
@@ -102,26 +97,3 @@ def congruence_diag(g: Grammian, d) -> Grammian:
         transform="diag_congruence" if prov.transform is None else prov.transform + ";diag_congruence",
     )
     return Grammian(HermitianMatrix(out), new_prov, normalized=still_unit)
-
-
-def compress(g: Grammian, labels) -> Grammian:
-    """Principal submatrix of a Grammian selected by labels; labels survive."""
-    wanted = list(labels)
-    if not wanted:
-        raise EmptySubsetError("cannot compress to an empty label set")
-    position = {lab: i for i, lab in enumerate(g.labels)}
-    try:
-        idx = [position[lab] for lab in wanted]
-    except KeyError as exc:
-        raise UnknownLabelError(f"label {exc.args[0]} not present in Grammian") from None
-    m = as_matrix(g.matrix)[np.ix_(idx, idx)]
-    prov = g.provenance
-    new_prov = Provenance(
-        prov.space,
-        prov.operator_id,
-        tuple(prov.points[i] for i in idx),
-        tuple(prov.labels[i] for i in idx),
-        prov.truncation_error,
-        prov.transform,
-    )
-    return Grammian(HermitianMatrix(m), new_prov, normalized=g.normalized)

@@ -1,8 +1,7 @@
 """Geometry of the open unit disk.
 
-Pseudo-hyperbolic distances, disk automorphisms, and the separation
-quantities attached to a finite point sequence: the weak separation
-constant, the Blaschke sum, and the per-point products
+Pseudo-hyperbolic distances and the separation quantities attached to a
+finite point sequence: the per-point products
 
     prod_{i != j} rho(z_i, z_j)
 
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicatePointError, SingletonSequenceError
+from .errors import DuplicatePointError
 
 # Log-products below this are reported as exact zeros; exp() underflows
 # to subnormal territory around -708 anyway.
@@ -34,34 +33,11 @@ def _require_in_disk(z: complex) -> complex:
 
 
 @dataclass(frozen=True)
-class DiskPoint:
-    """A point strictly inside the open unit disk."""
-
-    value: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _require_in_disk(self.value))
-
-    @property
-    def modulus(self) -> float:
-        return abs(self.value)
-
-    def __complex__(self) -> complex:
-        return self.value
-
-
-def _coerce(z) -> complex:
-    if isinstance(z, DiskPoint):
-        return z.value
-    return _require_in_disk(z)
-
-
-@dataclass(frozen=True)
 class PointSequence:
     """A finite ordered tuple of disk points with stable integer labels.
 
     Order matters: greedy partitioning consumes points in sequence order.
-    Labels default to positions 0..n-1 and survive compression, so reports
+    Labels default to positions 0..n-1 and survive ``subsequence``, so reports
     can always be traced back to the original input.
     """
 
@@ -69,7 +45,7 @@ class PointSequence:
     labels: tuple[int, ...] = ()
 
     def __post_init__(self):
-        pts = tuple(_coerce(p) for p in self.points)
+        pts = tuple(_require_in_disk(p) for p in self.points)
         if not pts:
             raise ValueError("a point sequence must contain at least one point")
         labels = tuple(int(l) for l in self.labels) if self.labels else tuple(range(len(pts)))
@@ -119,18 +95,8 @@ class CarlesonReport:
 
 def pseudo_hyperbolic(z, w) -> float:
     """Pseudo-hyperbolic distance |z - w| / |1 - conj(z) w|."""
-    zc, wc = _coerce(z), _coerce(w)
+    zc, wc = _require_in_disk(z), _require_in_disk(w)
     return abs(zc - wc) / abs(1.0 - zc.conjugate() * wc)
-
-
-def mobius(a, u) -> complex:
-    """Disk automorphism phi_a(u) = (a - u) / (1 - conj(a) u).
-
-    Involutive: phi_a(phi_a(u)) == u. The pseudo-hyperbolic metric is
-    invariant under every phi_a.
-    """
-    ac, uc = _coerce(a), _coerce(u)
-    return (ac - uc) / (1.0 - ac.conjugate() * uc)
 
 
 def _check_distinct(z: np.ndarray) -> None:
@@ -193,18 +159,3 @@ def carleson_constants(seq: PointSequence, delta: float = 0.0) -> CarlesonReport
         satisfied_at=delta,
         clamped=clamped,
     )
-
-
-def blaschke_condition_sum(seq: PointSequence) -> float:
-    """Sum of (1 - |z_i|); finiteness is automatic for finite input."""
-    return float(np.sum(1.0 - np.abs(seq.values())))
-
-
-def separation_constant(seq: PointSequence) -> float:
-    """Smallest pairwise pseudo-hyperbolic distance (weak separation)."""
-    if len(seq) < 2:
-        raise SingletonSequenceError("separation needs at least two points")
-    z = seq.values()
-    rho = _rho_matrix(z)
-    mask = ~np.eye(len(z), dtype=bool)
-    return float(rho[mask].min())

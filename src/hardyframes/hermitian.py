@@ -1,8 +1,8 @@
 """Dense Hermitian numerics behind every Grammian computation.
 
 Thin, deterministic wrappers around LAPACK's Hermitian eigensolver: extreme
-eigenvalues with a rank cutoff, positive-semidefinite square roots and
-inverses, and Loewner-order comparison. Matrices here are small (a few
+eigenvalues with a rank cutoff and positive-semidefinite square roots and
+inverses. Matrices here are small (a few
 hundred rows), so full dense eigendecomposition is the reference path and
 no iterative machinery is used.
 """
@@ -120,21 +120,3 @@ def psd_inverse(h) -> tuple[np.ndarray, EigenExtremes]:
         raise NotPSDError(f"cannot invert: lambda_min = {ext.lambda_min:.3e}")
     inv = (q / w) @ q.conj().T
     return inv, ext
-
-
-def loewner_leq(a, b, tol: float = 0.0) -> bool:
-    """Test A <= B in the Loewner order: lambda_min(B - A) >= -tol."""
-    return loewner_defect(a, b) <= tol
-
-
-def loewner_defect(a, b) -> float:
-    """Magnitude of the worst violation of A <= B: max(0-ish, -lambda_min(B-A)).
-
-    Negative values mean strict ordering with margin; callers compare the
-    raw value against their own tolerance.
-    """
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatchError(f"shapes {ma.shape} and {mb.shape} differ")
-    w = np.linalg.eigvalsh(mb - ma)
-    return -float(w[0])

@@ -63,10 +63,6 @@ def matrix_csv_lines(m) -> list[str]:
     return [row_format % tuple(row) for row in rows]
 
 
-def points_to_json(seq: PointSequence) -> dict:
-    return {"points": [pair(z) for z in seq.points], "labels": list(seq.labels)}
-
-
 def points_from_json(data) -> PointSequence:
     """Accept either a bare array of [re, im] pairs or a labeled wrapper."""
     if isinstance(data, dict):

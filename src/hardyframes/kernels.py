@@ -14,16 +14,26 @@ P^(1/2) k_z / ||P^(1/2) k_z||.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import DegenerateKernelError, DimensionMismatchError, WeightOutOfRangeError
-from .geometry import PointSequence, _coerce
+from .errors import DegenerateKernelError, DimensionMismatchError
+from .geometry import PointSequence
 from .hermitian import HermitianMatrix, as_matrix, eig_extremes, require_psd
 
 DEGENERATE_NORM_TOL = 1e-12
 UNIT_DIAG_TOL = 1e-10
+
+
+def check_buffer(value) -> None:
+    """Validate a legacy ``buffer`` setting, which is accepted and ignored.
+
+    No operator needs working space past the truncation window, so the
+    value has no effect; a negative one is still rejected as bad input.
+    """
+    if int(value) < 0:
+        raise ValueError("buffer must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -32,35 +42,24 @@ class TruncationContext:
 
     Operators act on the first ``order`` Taylor coefficients. Projections
     are built from the truncated model-space basis, which needs no working
-    space past the window, so no operator depends on ``buffer``. It is
-    accepted and validated for callers and config files that pass it, and
-    ``range_contains_phi`` uses it to pick a margin.
+    space past the window. A second argument ``buffer`` is accepted for
+    older callers, checked by ``check_buffer`` and not stored.
     """
 
     order: int = 256
-    buffer: int = 64
+    buffer: InitVar[int | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, buffer):
         if self.order < 1:
             raise ValueError("truncation order must be at least 1")
-        if self.buffer < 0:
-            raise ValueError("buffer must be nonnegative")
+        if buffer is not None:
+            check_buffer(buffer)
 
     def tail_bound(self, radius: float) -> float:
         """Crude tail estimate |z|^N / (1 - |z|^2) for a point of given modulus."""
         if not 0.0 <= radius < 1.0:
             raise ValueError("radius must lie in [0, 1)")
         return float(radius**self.order / (1.0 - radius * radius))
-
-
-@dataclass(frozen=True)
-class KernelVector:
-    """Truncated coefficient vector of a (possibly normalized) kernel."""
-
-    coeffs: np.ndarray
-    point: complex
-    normalized: bool
-    truncation_error: float
 
 
 @dataclass(frozen=True)
@@ -107,18 +106,6 @@ class Grammian:
     @property
     def labels(self) -> tuple[int, ...]:
         return self.provenance.labels
-
-
-def kernel_vector(w, ctx: TruncationContext, normalize: bool = False) -> KernelVector:
-    """Coefficients (1, conj(w), conj(w)^2, ...) up to the truncation order."""
-    wc = _coerce(w)
-    coeffs = np.empty(ctx.order, dtype=np.complex128)
-    coeffs[0] = 1.0
-    if ctx.order > 1:
-        coeffs[1:] = np.cumprod(np.full(ctx.order - 1, np.conj(wc)))
-    if normalize:
-        coeffs = coeffs / np.linalg.norm(coeffs)
-    return KernelVector(coeffs, wc, normalize, ctx.tail_bound(abs(wc)))
 
 
 def kernel_matrix(seq: PointSequence, ctx: TruncationContext, normalize: bool = False) -> np.ndarray:
@@ -216,24 +203,3 @@ def normalized_gram(seq: PointSequence, ctx: TruncationContext) -> Grammian:
         truncation_error=ctx.tail_bound(seq.max_modulus()),
     )
     return Grammian(HermitianMatrix(g), prov, normalized=True)
-
-
-def weighted_hardy_kernel(weights, z, w) -> complex:
-    """Kernel sum_n p_n (z conj(w))^n of a diagonally weighted Hardy space.
-
-    Weights must lie in [0, 1] so the weighted space sits inside the
-    unweighted one contractively.
-    """
-    p = np.asarray(weights, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("weights must be a nonempty 1-d sequence")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        bad = int(np.nonzero((p < 0.0) | (p > 1.0))[0][0])
-        raise WeightOutOfRangeError(f"weight p[{bad}] = {p[bad]} outside [0, 1]")
-    zc, wc = _coerce(z), _coerce(w)
-    x = zc * np.conj(wc)
-    powers = np.empty(p.size, dtype=np.complex128)
-    powers[0] = 1.0
-    if p.size > 1:
-        powers[1:] = np.cumprod(np.full(p.size - 1, x))
-    return complex(np.dot(p, powers))

@@ -4,20 +4,21 @@ Inner functions here are finite Blaschke products
 
     phi(z) = u * z^m * prod_k (|a_k| / a_k) (a_k - z) / (1 - conj(a_k) z),
 
-the only inner class with exact coefficient recurrences, so truncated
-Toeplitz matrices can be formed without quadrature. The factory produces
-multiplication-range projections T_phi T_phi*, their model-space
-complements, monomial coordinate projections, the rank-one extension by
-constants, diagonal weight operators, and the inverse construction that
-realizes a prescribed PSD matrix as the Grammian of projected kernels.
+the only inner class with exact coefficient recurrences, so Taylor
+coefficients and model-space bases can be formed without quadrature. The
+factory produces multiplication-range projections T_phi T_phi*, their
+model-space complements, monomial coordinate projections, the rank-one
+extension by constants, diagonal weight operators, and the inverse
+construction that realizes a prescribed PSD matrix as the Grammian of
+projected kernels.
 
 Operators are held in structured form (see ``PositiveOperator``). The
 projections built from phi use the Takenaka-Malmquist-Walsh basis of the
 model space: the compression of T_phi T_phi* to the first N coefficients
 is exactly I_N - E E* with E of size N x deg(phi), so building one costs
 O(N log N) per zero plus O(N deg(phi)^2) for the orthonormalization, and
-needs no working buffer past the window. The inverse
-construction is low rank: rank n for n points.
+needs nothing past the window. The inverse construction is low rank:
+rank n for n points.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .geometry import PointSequence
 from .hermitian import HermitianMatrix, as_matrix, eig_extremes, psd_inverse, psd_sqrt, require_psd
-from .kernels import TruncationContext, apply_operator, kernel_matrix
+from .kernels import TruncationContext, apply_operator, check_buffer, kernel_matrix
 
 OPERATOR_KINDS = frozenset(
     {
@@ -99,7 +100,7 @@ def evaluate_inner(phi: InnerFunction, z) -> complex:
     Accepts the closed disk: on |z| = 1 the result has modulus one, which
     is what makes phi inner in the first place.
     """
-    zc = complex(getattr(z, "value", z))
+    zc = complex(z)
     if abs(zc) > 1.0 + 1e-12:
         raise ValueError(f"point {zc} lies outside the closed unit disk")
     out = phi.unimodular * zc**phi.monomial_power
@@ -134,17 +135,6 @@ def taylor_coefficients(phi: InnerFunction, count: int) -> np.ndarray:
             shifted[phi.monomial_power:] = coeffs[: count - phi.monomial_power]
         coeffs = shifted
     return phi.unimodular * coeffs
-
-
-def toeplitz_matrix(phi: InnerFunction, ctx: TruncationContext) -> np.ndarray:
-    """Truncated analytic Toeplitz matrix of phi: entry (m, n) = c_{m-n}.
-
-    For an analytic symbol the leading N-by-N block of T_phi only involves
-    the first N coefficients, so the block is exact.
-    """
-    c = taylor_coefficients(phi, ctx.order)
-    idx = np.subtract.outer(np.arange(ctx.order), np.arange(ctx.order))
-    return np.where(idx >= 0, c[np.clip(idx, 0, ctx.order - 1)], 0.0).astype(np.complex128)
 
 
 class PositiveOperator:
@@ -256,7 +246,8 @@ def _model_space_basis(phi: InnerFunction, ctx: TruncationContext) -> tuple[np.n
     phi H^2 is then exactly I_N - E E*. Columns that lie wholly past the
     window are exactly zero and are left out. If truncation cost the
     columns norm, so that max |E*E - I| exceeds ``ORTHONORMALITY_GATE``,
-    ``TruncationTooCoarseError`` is raised.
+    ``TruncationTooCoarseError`` is raised: only a larger ``ctx.order``
+    helps, since the basis is built inside the window alone.
     """
     order = ctx.order
     heads = min(phi.monomial_power, order)
@@ -393,32 +384,18 @@ def st_roundtrip_defect(op: PositiveOperator, q, seq: PointSequence, ctx: Trunca
     return defect, min_norm_sq
 
 
-def range_contains_phi(op: PositiveOperator, phi: InnerFunction, ctx: TruncationContext, tol: float = 1e-6) -> bool:
-    """Test phi H^2 inside the fixed space of ``op`` on the truncated model.
-
-    Columns of T_phi are the truncations of z^n phi; only columns whose
-    tail has safely left the window are checked, so the answer reflects the
-    operators rather than truncation dust.
-    """
-    t = toeplitz_matrix(phi, ctx)
-    keep = max(1, ctx.order - max(2 * ctx.buffer, 128))
-    want = t[:, :keep]
-    got = apply_operator(op, want, ctx)
-    return float(np.abs(got - want).max()) <= tol
-
-
 def from_spec(spec: dict, matrix_from_json=None) -> PositiveOperator:
     """Build an operator from its JSON description.
 
-    The ``type`` field selects the factory; ``N`` and optional ``buffer``
-    fix the truncation. Kept here so the CLI and the verifier share one
-    dispatch table.
+    The ``type`` field selects the factory and ``N`` fixes the truncation
+    order. A ``buffer`` field is accepted and ignored (``check_buffer``).
     """
     if "type" not in spec:
         raise ValueError("operator spec needs a 'type' field")
     kind = spec["type"]
     order = int(spec.get("N", 256))
-    ctx = TruncationContext(order, int(spec.get("buffer", 64)))
+    check_buffer(spec.get("buffer", 0))
+    ctx = TruncationContext(order)
 
     def inner_from(d) -> InnerFunction:
         zeros = tuple(complex(re, im) for re, im in d.get("zeros", []))

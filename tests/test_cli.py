@@ -454,6 +454,36 @@ class TestPlumbing:
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.json"
         assert main(["gram", "--points", pts, "--out", str(missing_dir)]) == 2
 
+    def test_buffer_is_ignored_and_negative_buffer_is_input_error(self, tmp_path, capsys):
+        pts = write_points(tmp_path, ring(4, 0.6))
+        inner = {"zeros": [[0.5, 0.0], [0.0, -0.4]], "m": 1}
+        spec = {"type": "projection_phiH2", "N": 64, "inner": inner}
+        op = write_json(tmp_path / "op.json", spec)
+        q = write_json(tmp_path / "q.json", matrix_to_json(0.5 * np.eye(4)))
+        gram = ["gram", "--points", pts, "--N", "64"]
+        st = ["construct-st", "--points", pts, "--Q", q, "--N", "64"]
+
+        def report(argv, name):
+            out = tmp_path / name
+            assert main(argv + ["--out", str(out)]) == 0
+            return out.read_bytes()
+
+        assert report(gram + ["--operator", op, "--buffer", "7"], "g7.json") == report(
+            gram + ["--operator", op], "g.json"
+        )
+        spec7 = write_json(tmp_path / "op7.json", {**spec, "buffer": 7})
+        assert report(gram + ["--operator", spec7], "s7.json") == report(
+            gram + ["--operator", op], "g.json"
+        )
+        assert report(st + ["--buffer", "7"], "st7.json") == report(st, "st.json")
+
+        negative = write_json(tmp_path / "neg.json", {**spec, "buffer": -1})
+        capsys.readouterr()
+        assert main(gram + ["--operator", op, "--buffer", "-1"]) == 2
+        assert main(gram + ["--operator", negative]) == 2
+        assert main(st + ["--buffer", "-1"]) == 2
+        assert capsys.readouterr().err.count("buffer must be nonnegative") == 3
+
     def test_console_script_installed(self):
         """Run the declared `hardyframes` entry point from the checkout,
         and the installed script too when one is on PATH."""

@@ -1,17 +1,14 @@
-"""Frame constant classification, diagonal congruence, and compression."""
+"""Frame constant classification and diagonal congruence."""
 
 import numpy as np
 import pytest
 
 from hardyframes import (
     BoundsReport,
-    EmptySubsetError,
     NotPSDError,
     PointSequence,
     SingularDiagonalError,
-    UnknownLabelError,
     analyze,
-    compress,
     congruence_diag,
     eig_extremes,
     szego_gram,
@@ -120,10 +117,13 @@ class TestCongruenceDiag:
 
 
 class TestCompress:
+    """The Grammian of a subsequence is the principal block of the full
+    Grammian, with labels and points carried along."""
+
     def test_selects_principal_block(self):
         seq = PointSequence([0.1, 0.4, -0.3j], labels=(7, 8, 9))
         g = szego_gram(seq)
-        sub = compress(g, [9, 7])
+        sub = szego_gram(seq.subsequence([2, 0]))
         assert sub.labels == (9, 7)
         assert sub.provenance.points == (-0.3j, 0.1)
         full = g.matrix.matrix
@@ -132,30 +132,19 @@ class TestCompress:
     def test_interlacing(self):
         # eigenvalues of a principal block sit inside the full spread
         seq = PointSequence([0.1, 0.4, -0.3j, 0.6, 0.2 + 0.5j])
-        g = szego_gram(seq)
-        full = eig_extremes(g.matrix)
-        sub = eig_extremes(compress(g, [0, 2, 4]).matrix)
+        full = eig_extremes(szego_gram(seq).matrix)
+        sub = eig_extremes(szego_gram(seq.subsequence([0, 2, 4])).matrix)
         assert sub.lambda_min >= full.lambda_min - 1e-12
         assert sub.lambda_max <= full.lambda_max + 1e-12
 
     def test_bounds_never_worsen_under_compression(self):
         seq = PointSequence([0.3, -0.5, 0.2j, 0.7])
-        g = szego_gram(seq)
-        rep_full = analyze(g)
-        rep_sub = analyze(compress(g, [0, 3]))
+        rep_full = analyze(szego_gram(seq))
+        rep_sub = analyze(szego_gram(seq.subsequence([0, 3])))
         assert rep_sub.riesz_c >= rep_full.riesz_c - 1e-12
         assert rep_sub.bessel_B <= rep_full.bessel_B + 1e-12
 
     def test_empty_selection(self):
-        g = szego_gram(PointSequence([0.2, 0.5]))
-        with pytest.raises(EmptySubsetError):
-            compress(g, [])
-
-    def test_unknown_label(self):
-        g = szego_gram(PointSequence([0.2, 0.5]))
-        with pytest.raises(UnknownLabelError):
-            compress(g, [0, 17])
-
-    def test_preserves_normalized_flag(self):
-        g = szego_gram(PointSequence([0.2, 0.5, 0.7j]))
-        assert compress(g, [1]).normalized
+        seq = PointSequence([0.2, 0.5])
+        with pytest.raises(ValueError, match="at least one point"):
+            seq.subsequence([])

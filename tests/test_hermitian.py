@@ -15,8 +15,6 @@ from hardyframes import (
     NonHermitianError,
     NotPSDError,
     eig_extremes,
-    loewner_defect,
-    loewner_leq,
     psd_sqrt,
 )
 
@@ -183,36 +181,6 @@ class TestPsdSqrt:
             sa = psd_sqrt(np.diag(a)).matrix
             sb = psd_sqrt(np.diag(b)).matrix
             assert float(np.linalg.eigvalsh(sb - sa)[0]) >= -1e-12
-
-
-class TestLoewner:
-    def test_ordering(self):
-        a = np.diag([1.0, 1.0])
-        b = np.diag([2.0, 3.0])
-        assert loewner_leq(a, b)
-        assert not loewner_leq(b, a)
-        assert loewner_leq(b, a, tol=2.5)
-
-    def test_defect_sign(self):
-        a = np.diag([1.0, 1.0])
-        b = np.diag([2.0, 3.0])
-        assert loewner_defect(a, b) == pytest.approx(-1.0)
-        assert loewner_defect(b, a) == pytest.approx(2.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            loewner_leq(np.eye(2), np.eye(3))
-
-    def test_congruence_transport(self):
-        # X* A X <= X* B X whenever A <= B
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            n = 4
-            a = random_hermitian(rng, n)
-            bump = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            b = a + bump @ bump.conj().T
-            x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            assert loewner_leq(x.conj().T @ a @ x, x.conj().T @ b @ x, tol=1e-10)
 
 
 def test_principal_submatrix_interlacing():

@@ -5,6 +5,7 @@ product term by term, with no vectorization and no shared helpers, so the
 closed-form and matrix routes are checked independently.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,17 +20,15 @@ from hardyframes import (
     PointSequence,
     Provenance,
     TruncationContext,
-    WeightOutOfRangeError,
+    diagonal_operator,
     eig_extremes,
     identity,
     image_gram,
     kernel_matrix,
-    kernel_vector,
     normalized_gram,
     projection_monomial_span,
     range_space_gram,
     szego_gram,
-    weighted_hardy_kernel,
 )
 
 
@@ -67,7 +66,9 @@ class TestTruncationContext:
     def test_defaults(self):
         ctx = TruncationContext()
         assert ctx.order == 256
-        assert ctx.buffer == 64
+        # a legacy second argument is accepted and not stored
+        assert TruncationContext(256, 64) == ctx
+        assert [f.name for f in dataclasses.fields(ctx)] == ["order"]
 
     def test_tail_bound_formula(self):
         ctx = TruncationContext(order=10)
@@ -86,26 +87,29 @@ class TestTruncationContext:
             TruncationContext(order=8, buffer=-1)
 
 
+def kernel_column(w, ctx, normalize=False):
+    """The truncated kernel vector at w: column 0 of ``kernel_matrix``."""
+    return kernel_matrix(PointSequence([w]), ctx, normalize=normalize)[:, 0]
+
+
 class TestKernelVector:
     def test_entries_are_conjugate_powers(self):
         w = 0.3 + 0.4j
-        kv = kernel_vector(w, TruncationContext(order=6))
+        k = kernel_column(w, TruncationContext(order=6))
         expected = [complex(w).conjugate() ** n for n in range(6)]
-        assert np.allclose(kv.coeffs, expected, rtol=0, atol=1e-15)
-        assert kv.point == w
-        assert not kv.normalized
+        assert np.allclose(k, expected, rtol=0, atol=1e-15)
 
     def test_normalized_has_unit_norm(self):
-        kv = kernel_vector(0.7j, TruncationContext(order=64), normalize=True)
-        assert np.linalg.norm(kv.coeffs) == pytest.approx(1.0, abs=1e-14)
+        k = kernel_column(0.7j, TruncationContext(order=64), normalize=True)
+        assert np.linalg.norm(k) == pytest.approx(1.0, abs=1e-14)
 
     def test_truncated_norm_matches_closed_form(self):
         # ||k_w||^2 = (1 - |w|^{2N}) / (1 - |w|^2)
         w = 0.6
         n = 40
-        kv = kernel_vector(w, TruncationContext(order=n))
+        k = kernel_column(w, TruncationContext(order=n))
         expected = (1 - w ** (2 * n)) / (1 - w**2)
-        assert np.linalg.norm(kv.coeffs) ** 2 == pytest.approx(expected, rel=1e-13)
+        assert np.linalg.norm(k) ** 2 == pytest.approx(expected, rel=1e-13)
 
     def test_reproducing_on_polynomials(self):
         # <p, k_w> = p(w) for any polynomial inside the truncation order
@@ -115,8 +119,8 @@ class TestKernelVector:
             deg = int(rng.integers(0, 8))
             coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
             w = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-            kv = kernel_vector(w, ctx)
-            pairing = complex(np.dot(np.conj(kv.coeffs[: deg + 1]), coeffs))
+            k = kernel_column(w, ctx)
+            pairing = complex(np.dot(np.conj(k[: deg + 1]), coeffs))
             value = complex(np.polyval(coeffs[::-1], w))
             assert pairing == pytest.approx(value, abs=1e-12)
 
@@ -127,7 +131,7 @@ class TestKernelMatrix:
         ctx = TruncationContext(order=20)
         v = kernel_matrix(seq, ctx)
         for j, w in enumerate(seq.values()):
-            assert np.allclose(v[:, j], kernel_vector(w, ctx).coeffs, atol=1e-15)
+            assert np.allclose(v[:, j], np.conj(w) ** np.arange(ctx.order), atol=1e-15)
 
     def test_normalized_columns(self):
         seq = PointSequence([0.8, -0.8j])
@@ -266,24 +270,31 @@ class TestImageGram:
         assert np.all(d < 0.999)
 
 
+def weighted_kernel(weights, z, w):
+    """sum_n p_n (z conj(w))^n as <diag(p) k_w, k_z> on the truncated kernels."""
+    p = np.asarray(weights, dtype=np.float64)
+    v = kernel_matrix(PointSequence([z, w]), TruncationContext(p.size))
+    return complex(np.conj(v[:, 0]) @ diagonal_operator(p).apply(v[:, 1]))
+
+
 class TestWeightedHardyKernel:
     def test_all_ones_is_szego_partial_sum(self):
         z, w = 0.5, 0.25 + 0.1j
         n = 1200
-        val = weighted_hardy_kernel(np.ones(n), z, w)
+        val = weighted_kernel(np.ones(n), z, w)
         assert val == pytest.approx(1.0 / (1.0 - z * np.conj(w)), abs=1e-13)
 
     def test_geometric_weights_closed_form(self):
         # p_n = s^n gives the kernel 1 / (1 - s z conj(w))
         s = 0.5
         z, w = 0.6, 0.4 - 0.3j
-        val = weighted_hardy_kernel(s ** np.arange(800), z, w)
+        val = weighted_kernel(s ** np.arange(800), z, w)
         assert val == pytest.approx(1.0 / (1.0 - s * z * np.conj(w)), abs=1e-13)
 
     def test_zero_weights_edge(self):
         # s = 0 keeps only the constant term, including at z = w = 0
-        assert weighted_hardy_kernel([1.0, 0.0, 0.0], 0.0, 0.0) == 1.0
-        assert weighted_hardy_kernel([1.0], 0.3, 0.7j) == 1.0
+        assert weighted_kernel([1.0, 0.0, 0.0], 0.0, 0.0) == 1.0
+        assert weighted_kernel([1.0], 0.3, 0.7j) == 1.0
 
     def test_series_oracle(self):
         rng = np.random.default_rng(29)
@@ -295,17 +306,11 @@ class TestWeightedHardyKernel:
             acc = 0.0 + 0.0j
             for k in range(n):
                 acc += p[k] * (z * np.conj(w)) ** k
-            assert weighted_hardy_kernel(p, z, w) == pytest.approx(complex(acc), abs=1e-13)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(WeightOutOfRangeError):
-            weighted_hardy_kernel([1.0, 1.5], 0.1, 0.1)
-        with pytest.raises(WeightOutOfRangeError):
-            weighted_hardy_kernel([-0.1], 0.1, 0.1)
+            assert weighted_kernel(p, z, w) == pytest.approx(complex(acc), abs=1e-13)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            weighted_hardy_kernel([], 0.1, 0.1)
+            diagonal_operator([])
 
 
 def test_contractive_weights_shrink_gram():
@@ -314,7 +319,7 @@ def test_contractive_weights_shrink_gram():
     pts = [complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(4)]
     n = 600
     p = rng.uniform(0.0, 1.0, size=n)
-    gw = np.array([[weighted_hardy_kernel(p, a, b) for b in pts] for a in pts])
-    gs = np.array([[weighted_hardy_kernel(np.ones(n), a, b) for b in pts] for a in pts])
+    gw = np.array([[weighted_kernel(p, a, b) for b in pts] for a in pts])
+    gs = np.array([[weighted_kernel(np.ones(n), a, b) for b in pts] for a in pts])
     diff = gs - gw
     assert float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0]) >= -1e-11

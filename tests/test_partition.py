@@ -273,6 +273,21 @@ class TestPartitionSpectral:
             check = verify_partition(g, part, c)
             assert check.all_pass
 
+    def test_certificates_equal_verify_partition(self):
+        # the CLI reads certified= off the certificates; verify_partition
+        # eigensolves the same blocks in the same order, so they agree bitwise
+        g = szego_gram(random_sequence(np.random.default_rng(29), 60, radius=0.95))
+        for c in (0.1, 0.3, 0.6):
+            part = partition_spectral(g, c)
+            check = verify_partition(g, part, c)
+            assert [cert.lambda_min for cert in part.certificates] == [
+                cls.lambda_min for cls in check.per_class
+            ]
+            tie = min(cert.lambda_min for cert in part.certificates)
+            for level in (c, tie, np.nextafter(tie, 2.0)):
+                met = all(cert.lambda_min >= level for cert in part.certificates)
+                assert met == verify_partition(g, part, level).all_pass
+
     def test_rejects_target_above_one(self):
         g = szego_gram(PointSequence([0.1, 0.5]))
         with pytest.raises(TargetTooHighError):

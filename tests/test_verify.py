@@ -25,7 +25,7 @@ from hardyframes.verify import (
     CHECK_IDS,
     DEFAULT_TOLERANCES,
     POINT_FAMILIES,
-    check_weighted_hardy,
+    _CHECKS,
     sample_carleson_separated,
     sample_clustered,
     sample_radial_geometric,
@@ -33,6 +33,20 @@ from hardyframes.verify import (
 )
 
 SMALL = SuiteConfig(seed=42, trials=4, order=128)
+
+# Witness keys per check, in report order: "trial", the check's own fields, "defect".
+WITNESS_KEYS = {
+    "toeplitz_covariance": ["trial", "family", "points", "zeros", "monomial_power", "defect"],
+    "loewner_chain": [
+        "trial", "construction", "points", "zeros", "monomial_power",
+        "chain_lower", "chain_upper", "norm_sandwich", "defect",
+    ],
+    "st_roundtrip": ["trial", "points", "q", "delta", "roundtrip", "min_norm_sq", "defect"],
+    "diag_sandwich": [
+        "trial", "family", "alpha", "beta", "points", "quad_violation", "gram_violation", "defect",
+    ],
+    "weighted_hardy": ["trial", "family", "ratio", "points", "defect"],
+}
 
 
 class TestSuiteConfig:
@@ -103,19 +117,36 @@ class TestRunSuite:
         with pytest.raises(ConfigInvalidError):
             run_suite(SuiteConfig(trials=0))
 
-    def test_zero_tolerance_produces_failure_and_witness(self):
+    @pytest.mark.parametrize("check_id", CHECK_IDS)
+    def test_zero_tolerance_produces_failure_and_witness(self, check_id):
         cfg = SuiteConfig(
             seed=42, trials=3, order=128,
-            tolerances={"toeplitz_covariance": 0.0},
+            tolerances={key: 0.0 for key in DEFAULT_TOLERANCES},
         )
-        results = run_suite(cfg)
-        assert not suite_passed(results)
-        bad = results[CHECK_IDS.index("toeplitz_covariance")]
+        bad = _CHECKS[check_id](cfg)
+        assert bad.check_id == check_id
         assert bad.failures > 0
         assert not bad.passed
-        assert bad.witness is not None
-        for key in ("trial", "family", "points", "zeros", "defect"):
-            assert key in bad.witness
+        assert list(bad.witness) == WITNESS_KEYS[check_id]
+        assert 0 <= bad.witness["trial"] < cfg.trials
+        assert bad.witness["defect"] == bad.worst_violation
+
+    def test_check_table_is_read_at_call_time(self, monkeypatch):
+        # timing wrappers replace entries of _CHECKS; run_suite must run them
+        assert CHECK_IDS == tuple(_CHECKS)
+        cfg = SuiteConfig(seed=42, trials=1, order=128)
+        stub = CheckResult("st_roundtrip", cfg.trials, 0, -1.0)
+        calls = []
+
+        def stand_in(arg):
+            calls.append(arg)
+            return stub
+
+        monkeypatch.setitem(_CHECKS, "st_roundtrip", stand_in)
+        results = run_suite(cfg)
+        assert calls == [cfg]
+        assert results[CHECK_IDS.index("st_roundtrip")] is stub
+        assert tuple(r.check_id for r in results) == CHECK_IDS
 
     def test_witness_replays(self):
         # a recorded witness carries everything needed to rerun the trial
@@ -131,7 +162,7 @@ class TestRunSuite:
             1.0,
             wit["monomial_power"],
         )
-        ctx = TruncationContext(cfg.order, 64)
+        ctx = TruncationContext(cfg.order)
         lhs = image_gram(projection_phi_H2(phi, ctx), seq, ctx).matrix.matrix
         values = np.array([evaluate_inner(phi, z) for z in seq.points])
         rhs = szego_gram(seq).matrix.matrix * np.outer(values, np.conj(values))
@@ -141,7 +172,7 @@ class TestRunSuite:
     def test_weighted_zero_ratio_trial_runs(self):
         # every tenth trial pins the weight ratio to zero (rank-one kernel)
         cfg = SuiteConfig(seed=42, trials=10, order=128)
-        result = check_weighted_hardy(cfg)
+        result = _CHECKS["weighted_hardy"](cfg)
         assert result.passed
         assert result.trials == 10
 

@@ -23,6 +23,7 @@ import numpy as np
 from . import io
 from .errors import ConfigInvalidError, HardyFramesError
 from .frames import analyze
+from .hermitian import HermitianMatrix
 from .kernels import TruncationContext, check_buffer, range_space_gram, szego_gram
 from .operators import from_spec, st_construct, st_roundtrip_defect
 from .partition import partition_carleson, partition_spectral
@@ -37,7 +38,10 @@ def _err(exc) -> None:
 
 
 class _Options:
-    """Config-file values overlaid by any explicitly passed flags."""
+    """Config-file values overlaid by any explicitly passed flags.
+
+    The ignored ``buffer`` setting is checked here, once for every subcommand.
+    """
 
     def __init__(self, args):
         self.args = args
@@ -46,6 +50,7 @@ class _Options:
             self.cfg = io.load_json(args.config)
             if not isinstance(self.cfg, dict):
                 raise ValueError("config file must contain a JSON object")
+        check_buffer(self.get("buffer", 0))
 
     def get(self, key, default=None):
         value = getattr(self.args, key, None)
@@ -70,7 +75,6 @@ def cmd_gram(args) -> int:
         if order_flag is not None:
             spec["N"] = int(order_flag)
         spec.setdefault("N", 256)
-        check_buffer(opt.get("buffer", 0))
         op = from_spec(spec, matrix_from_json=io.matrix_from_json)
         gram = range_space_gram(op, seq, TruncationContext(op.dim))
 
@@ -136,13 +140,13 @@ def cmd_construct_st(args) -> int:
     seq = io.load_points(points_path)
     qm = io.matrix_from_json(io.load_json(q_path))
     order = int(opt.get("N", 256))
-    check_buffer(opt.get("buffer", 0))
     ctx = TruncationContext(order)
     delta_raw = opt.get("delta_target")
     delta = float(delta_raw) if delta_raw is not None else float(np.real(np.diagonal(qm)).min())
 
-    op = st_construct(qm, seq, ctx, delta)
-    defect, min_norm_sq = st_roundtrip_defect(op, qm, seq, ctx)
+    q = HermitianMatrix(qm)
+    op = st_construct(q, seq, ctx, delta)
+    defect, min_norm_sq = st_roundtrip_defect(op, q, seq, ctx)
 
     out = opt.get("out")
     if out:
@@ -242,7 +246,7 @@ def main(argv=None) -> int:
     except ConfigInvalidError as exc:
         _err(exc)
         return 2
-    except HardyFramesError as exc:
+    except (HardyFramesError, np.linalg.LinAlgError) as exc:
         _err(exc)
         return 3
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPSDError, SingularDiagonalError
-from .hermitian import DEFAULT_RANK_TOL, HermitianMatrix, as_matrix, eig_extremes
+from .hermitian import DEFAULT_RANK_TOL, HermitianMatrix, as_hermitian, eig_extremes
 from .kernels import Grammian, Provenance
 
 DEFAULT_RIESZ_TOL = 1e-8
@@ -49,15 +49,17 @@ class BoundsReport:
 
 
 def analyze(g, riesz_tol: float = DEFAULT_RIESZ_TOL, rank_tol: float = DEFAULT_RANK_TOL) -> BoundsReport:
-    """Classify a Grammian: Bessel / bounded-below / frame / Riesz bounds."""
-    m = as_matrix(g.matrix if isinstance(g, Grammian) else g)
-    ext = eig_extremes(m, rank_tol)
+    """Classify a Grammian: Bessel / bounded-below / frame / Riesz bounds.
+
+    This is the one PSD check a Grammian gets (``NotPSDError``)."""
+    h = as_hermitian(g.matrix if isinstance(g, Grammian) else g)
+    ext = eig_extremes(h, rank_tol)
     if ext.lambda_min < -rank_tol * max(1.0, ext.lambda_max):
         raise NotPSDError(f"Grammian has lambda_min {ext.lambda_min:.3e}")
     bessel = max(ext.lambda_max, 0.0)
     riesz = max(ext.lambda_min, 0.0)
     frame = max(ext.smallest_above, 0.0)
-    delta = float(np.sqrt(np.clip(np.real(np.diagonal(m)), 0.0, None).min()))
+    delta = float(np.sqrt(np.clip(np.real(np.diagonal(h.matrix)), 0.0, None).min()))
     return BoundsReport(
         bessel_B=bessel,
         riesz_c=riesz,
@@ -79,7 +81,7 @@ def congruence_diag(g: Grammian, d) -> Grammian:
     most the factor spread [min |d_i|^2, max |d_i|^2]; the result stays PSD.
     """
     dv = np.asarray(d, dtype=np.complex128)
-    m = as_matrix(g.matrix)
+    m = g.matrix.matrix
     if dv.ndim != 1 or dv.size != m.shape[0]:
         raise ValueError(f"diagonal length {dv.size} does not match Grammian dim {m.shape[0]}")
     if np.any(dv == 0.0):

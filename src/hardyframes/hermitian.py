@@ -2,9 +2,11 @@
 
 Thin, deterministic wrappers around LAPACK's Hermitian eigensolver: extreme
 eigenvalues with a rank cutoff and positive-semidefinite square roots and
-inverses. Matrices here are small (a few
-hundred rows), so full dense eigendecomposition is the reference path and
-no iterative machinery is used.
+inverses. Matrices here are small (a few hundred rows), so full dense
+eigendecomposition is the reference path and no iterative machinery is used.
+
+``HermitianMatrix`` checks finiteness and symmetry only; PSD needs an
+eigensolve, so it is checked where one is made anyway.
 """
 
 from __future__ import annotations
@@ -53,11 +55,9 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim})"
 
 
-def as_matrix(h) -> np.ndarray:
-    """Accept a HermitianMatrix or raw array; always return the symmetrized array."""
-    if isinstance(h, HermitianMatrix):
-        return h.matrix
-    return HermitianMatrix(h).matrix
+def as_hermitian(h) -> HermitianMatrix:
+    """``h`` itself when it is a HermitianMatrix, else ``HermitianMatrix(h)``."""
+    return h if isinstance(h, HermitianMatrix) else HermitianMatrix(h)
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def require_psd(lambda_min: float, lambda_max: float, what: str) -> None:
 
 
 def eig_extremes(h, rank_tol: float = DEFAULT_RANK_TOL) -> EigenExtremes:
-    m = as_matrix(h)
+    m = as_hermitian(h).matrix
     w = np.linalg.eigvalsh(m)
     lam_min, lam_max = float(w[0]), float(w[-1])
     cutoff = rank_tol * lam_max
@@ -98,7 +98,7 @@ def psd_sqrt(h, tol: float = DEFAULT_RANK_TOL) -> HermitianMatrix:
     Eigenvalues in [-tol * lambda_max, 0) are treated as rounding noise and
     clipped to zero; anything lower raises ``NotPSDError``.
     """
-    m = as_matrix(h)
+    m = as_hermitian(h).matrix
     w, q = np.linalg.eigh(m)
     lam_max = float(w[-1])
     if float(w[0]) < -tol * lam_max:
@@ -113,7 +113,7 @@ def psd_inverse(h) -> tuple[np.ndarray, EigenExtremes]:
     The caller is expected to inspect ``extremes.lambda_min`` before trusting
     the inverse; a nonpositive minimum raises ``NotPSDError`` outright.
     """
-    m = as_matrix(h)
+    m = as_hermitian(h).matrix
     w, q = np.linalg.eigh(m)
     ext = EigenExtremes(float(w[0]), float(w[-1]), float(w[0]), 0.0)
     if ext.lambda_min <= 0.0:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateKernelError, DimensionMismatchError
 from .geometry import PointSequence
-from .hermitian import HermitianMatrix, as_matrix, eig_extremes, require_psd
+from .hermitian import HermitianMatrix
 
 DEGENERATE_NORM_TOL = 1e-12
 UNIT_DIAG_TOL = 1e-10
@@ -76,12 +76,12 @@ class Provenance:
 
 @dataclass(frozen=True)
 class Grammian:
-    """A PSD Grammian with provenance.
+    """A Grammian with provenance.
 
     Entry (i, j) is the inner product of the j-th sequence member against
-    the i-th, so the matrix is the Gram matrix F F* of the synthesis map.
-    Construction enforces positive semidefiniteness up to a relative
-    tolerance and, for normalized families, a unit diagonal.
+    the i-th, so the matrix is the Gram matrix F F* of the synthesis map,
+    PSD by construction. Construction checks the label count and, for
+    normalized families, a unit diagonal; ``frames.analyze`` checks PSD.
     """
 
     matrix: HermitianMatrix
@@ -92,8 +92,6 @@ class Grammian:
         m = self.matrix.matrix
         if m.shape[0] != len(self.provenance.labels):
             raise DimensionMismatchError("matrix size disagrees with provenance labels")
-        ext = eig_extremes(self.matrix)
-        require_psd(ext.lambda_min, ext.lambda_max, "Grammian")
         if self.normalized:
             diag_defect = float(np.abs(np.diagonal(m) - 1.0).max())
             if diag_defect > UNIT_DIAG_TOL:
@@ -133,18 +131,13 @@ def szego_gram(seq: PointSequence) -> Grammian:
 
 
 def apply_operator(op, x: np.ndarray, ctx: TruncationContext) -> np.ndarray:
-    """P @ x for an operator of the truncation order.
-
-    A ``PositiveOperator`` applies its structured form, at O(N * cols * rank)
-    cost; a plain or ``HermitianMatrix`` operand is multiplied densely.
-    """
-    dense = None if hasattr(op, "apply") else as_matrix(op)
-    dim = op.dim if dense is None else dense.shape[0]
-    if dim != ctx.order:
+    """P @ x for a ``PositiveOperator`` of the truncation order, through its
+    structured form at O(N * cols * rank) cost."""
+    if op.dim != ctx.order:
         raise DimensionMismatchError(
-            f"operator dimension {dim} disagrees with truncation order {ctx.order}"
+            f"operator dimension {op.dim} disagrees with truncation order {ctx.order}"
         )
-    return op.apply(x) if dense is None else dense @ x
+    return op.apply(x)
 
 
 def range_space_gram(op, seq: PointSequence, ctx: TruncationContext) -> Grammian:

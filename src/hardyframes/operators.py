@@ -35,7 +35,7 @@ from .errors import (
     TruncationTooCoarseError,
 )
 from .geometry import PointSequence
-from .hermitian import HermitianMatrix, as_matrix, eig_extremes, psd_inverse, psd_sqrt, require_psd
+from .hermitian import HermitianMatrix, as_hermitian, eig_extremes, psd_inverse, psd_sqrt, require_psd
 from .kernels import TruncationContext, apply_operator, check_buffer, kernel_matrix
 
 OPERATOR_KINDS = frozenset(
@@ -164,7 +164,7 @@ class PositiveOperator:
             if not np.isfinite(core).all():
                 raise ValueError("diagonal entries must be finite (found NaN or infinity)")
         else:
-            hermitian = core if isinstance(core, HermitianMatrix) else HermitianMatrix(core)
+            hermitian = as_hermitian(core)
             if basis is None:
                 self._dense = hermitian
             core = hermitian.matrix
@@ -345,21 +345,20 @@ def st_construct(q, seq: PointSequence, ctx: TruncationContext, delta: float) ->
     conditioning floor its roundoff still reaches the roundtrip defect,
     where the caller's gate sees it.
     """
-    qm = as_matrix(q)
-    m = qm.shape[0]
+    q = as_hermitian(q)
+    m = q.dim
     if m != len(seq):
         raise ValueError(f"Q is {m}x{m} but the sequence has {len(seq)} points")
-    q_ext = eig_extremes(qm)
+    q_ext = eig_extremes(q)
     require_psd(q_ext.lambda_min, q_ext.lambda_max, "Q")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    diag_min = float(np.real(np.diagonal(qm)).min())
+    diag_min = float(np.real(np.diagonal(q.matrix)).min())
     if diag_min < delta - 1e-12:
         raise ValueError(f"diagonal minimum {diag_min:.6f} below delta {delta}")
 
     v = kernel_matrix(seq, ctx, normalize=True)
-    g = v.conj().T @ v
-    g = (g + g.conj().T) / 2.0
+    g = HermitianMatrix(v.conj().T @ v)
     g_ext = eig_extremes(g)
     if g_ext.lambda_min < GRAM_CONDITION_FLOOR:
         raise IllConditionedGramError(
@@ -368,7 +367,7 @@ def st_construct(q, seq: PointSequence, ctx: TruncationContext, delta: float) ->
         )
     g_inv, _ = psd_inverse(g)
     u, s = np.linalg.qr(v)
-    core = s @ (g_inv @ qm @ g_inv) @ s.conj().T
+    core = s @ (g_inv @ q.matrix @ g_inv) @ s.conj().T
     root = psd_sqrt((core + core.conj().T) / 2.0)
     return PositiveOperator(root, f"st(points={m},delta={delta})", "st_constructed", basis=u)
 
@@ -376,7 +375,7 @@ def st_construct(q, seq: PointSequence, ctx: TruncationContext, delta: float) ->
 def st_roundtrip_defect(op: PositiveOperator, q, seq: PointSequence, ctx: TruncationContext) -> tuple[float, float]:
     """Maximum entry deviation of the realized Grammian from Q, plus the
     smallest realized squared norm min_i ||P k~_i||^2."""
-    qm = as_matrix(q)
+    qm = as_hermitian(q).matrix
     w = apply_operator(op, kernel_matrix(seq, ctx, normalize=True), ctx)
     realized = w.conj().T @ w
     defect = float(np.abs(realized - qm).max())

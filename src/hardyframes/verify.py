@@ -61,6 +61,12 @@ DEFAULT_TOLERANCES = {
     "weighted_hardy": 1e-8,
 }
 
+# Points reach |z| = 0.9, and the closed-form checks allow no truncation
+# tail, so a kernel inner product truncated at order N is off by up to
+# 0.81^N / (1 - 0.81). That is 1.0e-11 at N = 128, well under the 1e-8
+# closed-form tolerance; at N = 64 it is 7.3e-6, and correct programs fail.
+MIN_SUITE_ORDER = 128
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -75,8 +81,10 @@ class SuiteConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ConfigInvalidError(f"trials must be >= 1, got {self.trials}")
-        if self.order < 8:
-            raise ConfigInvalidError(f"truncation order {self.order} is too small to test")
+        if self.order < MIN_SUITE_ORDER:
+            raise ConfigInvalidError(
+                f"truncation order {self.order} is too small to test (need >= {MIN_SUITE_ORDER})"
+            )
         if not self.point_families:
             raise ConfigInvalidError("at least one point family is required")
         for fam in self.point_families:

@@ -120,6 +120,43 @@ class TestGram:
         )
         assert main(["gram", "--points", pts, "--operator", spec, "--N", "32"]) == 3
 
+    def test_linalg_error_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, but it is not an input problem
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        pts = write_points(tmp_path, [0.0, 0.6])
+        assert main(["gram", "--points", pts]) == 3
+        assert "did not converge" in capsys.readouterr().err
+
+
+class TestValidateOnce:
+    """Grammians are PSD by construction; each command eigensolves what it reports."""
+
+    def test_gram_makes_one_solve(self, tmp_path, eigensolves):
+        pts = write_points(tmp_path, ring(5, 0.6))
+        assert main(["gram", "--points", pts]) == 0
+        assert eigensolves == [(5, 5)]
+
+    def test_gram_with_operator_makes_one_n_by_n_solve(self, tmp_path, eigensolves):
+        # the operator's own PSD check solves its 3x3 core, not an N x N matrix
+        pts = write_points(tmp_path, ring(5, 0.6))
+        inner = {"zeros": [[0.5, 0.0], [0.0, -0.4]], "m": 1}
+        spec = write_json(tmp_path / "op.json", {"type": "projection_phiH2", "N": 64, "inner": inner})
+        assert main(["gram", "--points", pts, "--operator", spec]) == 0
+        assert eigensolves == [(3, 3), (5, 5)]
+
+    def test_carleson_partition_solves_once_per_class(self, tmp_path, eigensolves):
+        rng = np.random.default_rng(8)
+        pts = write_points(tmp_path, [complex(*p) for p in rng.uniform(-0.6, 0.6, size=(12, 2))])
+        out = tmp_path / "part.json"
+        argv = ["partition", "--points", pts, "--strategy", "carleson", "--delta-target", "0.3"]
+        assert main(argv + ["--out", str(out)]) == 0
+        classes = read_json(out)["classes"]
+        assert len(classes) > 1
+        assert sorted(eigensolves) == sorted((len(c), len(c)) for c in classes)
+
 
 class TestPartition:
     def test_carleson_writes_report_and_csv(self, tmp_path, capsys):
@@ -340,6 +377,7 @@ class TestVerify:
 
     def test_bad_config_exit_2(self):
         assert main(["verify", "--trials", "0"]) == 2
+        assert main(["verify", "--trials", "1", "--N", "127"]) == 2
 
     def test_families_from_config(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {"point_families": ["uniform_disk"]})
@@ -412,7 +450,7 @@ class TestReportSchema:
 
     def test_verify(self, tmp_path):
         out = tmp_path / "report.json"
-        assert main(["verify", "--seed", "3", "--trials", "1", "--N", "64", "--out", str(out)]) == 0
+        assert main(["verify", "--seed", "3", "--trials", "1", "--N", "128", "--out", str(out)]) == 0
         assert self.read_report(out) == [
             "config", "config.seed", "config.trials", "config.order", "config.point_families",
             "config.tolerances", "results", "results[].check_id", "results[].trials",
@@ -478,11 +516,22 @@ class TestPlumbing:
         assert report(st + ["--buffer", "7"], "st7.json") == report(st, "st.json")
 
         negative = write_json(tmp_path / "neg.json", {**spec, "buffer": -1})
+        negative_cfg = write_json(tmp_path / "neg_cfg.json", {"buffer": -1})
+        rejected = [
+            gram + ["--operator", op, "--buffer", "-1"],
+            gram + ["--operator", negative],
+            gram + ["--buffer", "-1"],
+            gram + ["--config", negative_cfg],
+            st + ["--buffer", "-1"],
+            ["partition", "--points", pts, "--strategy", "carleson", "--buffer", "-1"],
+            ["partition", "--points", pts, "--strategy", "spectral", "--config", negative_cfg],
+            ["verify", "--trials", "1", "--N", "128", "--buffer", "-1"],
+            ["verify", "--trials", "1", "--N", "128", "--config", negative_cfg],
+        ]
         capsys.readouterr()
-        assert main(gram + ["--operator", op, "--buffer", "-1"]) == 2
-        assert main(gram + ["--operator", negative]) == 2
-        assert main(st + ["--buffer", "-1"]) == 2
-        assert capsys.readouterr().err.count("buffer must be nonnegative") == 3
+        for argv in rejected:
+            assert main(argv) == 2, argv
+        assert capsys.readouterr().err.count("buffer must be nonnegative") == len(rejected)
 
     def test_console_script_installed(self):
         """Run the declared `hardyframes` entry point from the checkout,

@@ -20,6 +20,8 @@ from hardyframes import (
     PointSequence,
     Provenance,
     TruncationContext,
+    analyze,
+    congruence_diag,
     diagonal_operator,
     eig_extremes,
     identity,
@@ -183,9 +185,11 @@ class TestGrammianValidation:
         return Provenance("H2", None, tuple([0.1 * k for k in range(n)]), tuple(range(n)))
 
     def test_rejects_indefinite(self):
+        # Construction checks only O(n) facts; analyze is the PSD gate.
         m = HermitianMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        g = Grammian(m, self._prov(2), normalized=False)
         with pytest.raises(NotPSDError):
-            Grammian(m, self._prov(2), normalized=False)
+            analyze(g)
 
     def test_rejects_bad_diagonal_when_normalized(self):
         m = HermitianMatrix(np.diag([1.0, 2.0]))
@@ -196,6 +200,21 @@ class TestGrammianValidation:
         m = HermitianMatrix(np.eye(3))
         with pytest.raises(DimensionMismatchError):
             Grammian(m, self._prov(2))
+
+
+class TestNoEigensolveInProducers:
+    """Producers form Gram matrices, PSD by construction, and check only O(n) facts."""
+
+    def test_producers_make_no_eigensolve(self, eigensolves):
+        seq = PointSequence([0.3, -0.4j, 0.2 + 0.2j, 0.7])
+        ctx = TruncationContext(order=64)
+        op = projection_monomial_span([0, 2], ctx.order)
+        eigensolves.clear()
+        g = szego_gram(seq)
+        range_space_gram(op, seq, ctx)
+        image_gram(op, seq, ctx)
+        congruence_diag(g, [1.0, 2.0, 0.5j, 1.0])
+        assert eigensolves == []
 
 
 class TestRangeSpaceGram:

@@ -24,6 +24,7 @@ from hardyframes.io import suite_report_to_json
 from hardyframes.verify import (
     CHECK_IDS,
     DEFAULT_TOLERANCES,
+    MIN_SUITE_ORDER,
     POINT_FAMILIES,
     _CHECKS,
     sample_carleson_separated,
@@ -58,8 +59,10 @@ class TestSuiteConfig:
             SuiteConfig(trials=0).validate()
 
     def test_rejects_tiny_order(self):
-        with pytest.raises(ConfigInvalidError):
-            SuiteConfig(order=4).validate()
+        for order in (4, 64, MIN_SUITE_ORDER - 1):
+            with pytest.raises(ConfigInvalidError):
+                SuiteConfig(order=order).validate()
+        SuiteConfig(order=MIN_SUITE_ORDER).validate()
 
     def test_rejects_empty_families(self):
         with pytest.raises(ConfigInvalidError):

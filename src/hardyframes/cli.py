@@ -40,6 +40,8 @@ def _err(exc) -> None:
 class _Options:
     """Config-file values overlaid by any explicitly passed flags.
 
+    A config value of ``null`` counts as not given, like an omitted key.
+
     The ignored ``buffer`` setting is checked here, once for every subcommand.
     """
 
@@ -56,7 +58,7 @@ class _Options:
         value = getattr(self.args, key, None)
         if value is not None:
             return value
-        return self.cfg.get(key, default)
+        return default if self.cfg.get(key) is None else self.cfg[key]
 
 
 def cmd_gram(args) -> int:

@@ -383,6 +383,16 @@ class TestVerify:
         cfg = write_json(tmp_path / "cfg.json", {"point_families": ["uniform_disk"]})
         assert main(["verify", "--config", cfg, "--trials", "2", "--N", "128"]) == 0
 
+    def test_null_config_values_count_as_not_given(self, tmp_path, capsys):
+        # {"N": null} falls back to the default order, as an omitted key does
+        cfg = write_json(tmp_path / "cfg.json", {"N": None, "trials": 1})
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        assert read_json(out)["config"]["order"] == 256
+        pts = write_points(tmp_path, ring(3, 0.5))
+        gram_cfg = write_json(tmp_path / "gram_cfg.json", {"buffer": None})
+        assert main(["gram", "--points", pts, "--config", gram_cfg]) == 0
+
 
 def key_paths(doc, prefix=""):
     """Every key of a JSON document as a dotted path, in document order.

@@ -1,6 +1,7 @@
 """Seeded verification suite: reproducibility, witnesses, samplers, config."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from hardyframes import (
     carleson_constants,
     evaluate_inner,
     image_gram,
+    kernel_matrix,
     projection_phi_H2,
     run_suite,
     suite_passed,
     szego_gram,
 )
+from hardyframes import verify
 from hardyframes.io import suite_report_to_json
 from hardyframes.verify import (
     CHECK_IDS,
@@ -27,6 +30,8 @@ from hardyframes.verify import (
     MIN_SUITE_ORDER,
     POINT_FAMILIES,
     _CHECKS,
+    _SANDWICH_RANK,
+    _sandwich,
     sample_carleson_separated,
     sample_clustered,
     sample_radial_geometric,
@@ -178,6 +183,78 @@ class TestRunSuite:
         result = _CHECKS["weighted_hardy"](cfg)
         assert result.passed
         assert result.trials == 10
+
+
+class TestDiagSandwich:
+    """The sandwich check on M = alpha I + U C U*, never formed as an N x N matrix."""
+
+    @staticmethod
+    def instance(rng, order=128):
+        basis, _ = np.linalg.qr(
+            rng.normal(size=(order, _SANDWICH_RANK)) + 1j * rng.normal(size=(order, _SANDWICH_RANK))
+        )
+        weights = rng.uniform(0.3, 1.0, size=order)
+        vectors = rng.normal(size=(order, 16)) + 1j * rng.normal(size=(order, 16))
+        seq = PointSequence((0.3, 0.5j, -0.6 + 0.2j, 0.8))
+        v = kernel_matrix(seq, TruncationContext(order), normalize=True)
+        return basis, weights, vectors, v
+
+    @pytest.mark.parametrize("end", ["top", "bottom"])
+    def test_spectrum_outside_the_bounds_fails(self, end):
+        # an eigenvalue of M 1e-3 past beta (or below alpha) is a real
+        # violation, far above roundoff
+        rng = np.random.default_rng(0)
+        alpha, beta = 0.5, 1.5
+        basis, weights, vectors, v = self.instance(rng)
+        core = rng.uniform(0.0, beta - alpha, size=_SANDWICH_RANK)
+        if end == "top":
+            core[-1] = beta - alpha + 1e-3
+        else:
+            core[0] = -1e-3
+        out = _sandwich(alpha, beta, weights, basis, core, vectors, v)
+        assert out.spectrum_violation == pytest.approx(1e-3, abs=1e-12)
+        assert max(out.spectrum_violation, out.quad_violation, out.gram_violation) >= 1e-4
+
+    def test_structured_products_match_dense_operator(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            out = _sandwich(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(verify, "_sandwich", spy)
+        cfg = SuiteConfig(seed=42, trials=1, order=128)
+        assert _CHECKS["diag_sandwich"](cfg).passed
+        (args, out), = calls
+        alpha, beta, weights, basis, core, vectors, v = args
+        assert basis.shape == (cfg.order, _SANDWICH_RANK)
+        # both ends of [alpha, beta] are eigenvalues of M
+        assert core.min() == 0.0
+        assert core.max() == pytest.approx(beta - alpha, abs=1e-15)
+
+        mid = alpha * np.eye(cfg.order) + (basis * core) @ basis.conj().T
+        d_half = np.sqrt(weights)
+        p = d_half[:, None] * mid * d_half[None, :]
+        forms = np.real(np.einsum("ij,ij->j", np.conj(vectors), p @ vectors))
+        np.testing.assert_allclose(out.forms, forms, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(out.gram, v.conj().T @ p @ v, rtol=0.0, atol=1e-12)
+
+    def test_no_eigensolve_larger_than_the_rank(self, eigensolves):
+        assert suite_passed(run_suite(SuiteConfig(seed=42, trials=4, order=256)))
+        assert eigensolves
+        assert max(max(shape) for shape in eigensolves) <= _SANDWICH_RANK
+
+    def test_large_order_runs_in_small_memory(self):
+        # one dense 4096 x 4096 complex matrix alone would be 268 MB
+        tracemalloc.start()
+        try:
+            results = run_suite(SuiteConfig(seed=42, trials=1, order=4096))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert suite_passed(results)
+        assert peak < 32e6
 
 
 class TestSamplers:

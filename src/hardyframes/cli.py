@@ -24,7 +24,7 @@ from . import io
 from .errors import ConfigInvalidError, HardyFramesError
 from .frames import analyze
 from .hermitian import HermitianMatrix
-from .kernels import TruncationContext, check_buffer, range_space_gram, szego_gram
+from .kernels import DEFAULT_ORDER, TruncationContext, check_buffer, range_space_gram, szego_gram
 from .operators import from_spec, st_construct, st_roundtrip_defect
 from .partition import partition_carleson, partition_spectral
 from .verify import SuiteConfig, run_suite, suite_passed
@@ -76,8 +76,7 @@ def cmd_gram(args) -> int:
         order_flag = opt.get("N")
         if order_flag is not None:
             spec["N"] = int(order_flag)
-        spec.setdefault("N", 256)
-        op = from_spec(spec, matrix_from_json=io.matrix_from_json)
+        op = from_spec(spec)
         gram = range_space_gram(op, seq, TruncationContext(op.dim))
 
     riesz_tol = float(opt.get("riesz_tol", 1e-8))
@@ -141,7 +140,7 @@ def cmd_construct_st(args) -> int:
         raise ValueError("construct-st requires --points and --Q")
     seq = io.load_points(points_path)
     qm = io.matrix_from_json(io.load_json(q_path))
-    order = int(opt.get("N", 256))
+    order = int(opt.get("N", DEFAULT_ORDER))
     ctx = TruncationContext(order)
     delta_raw = opt.get("delta_target")
     delta = float(delta_raw) if delta_raw is not None else float(np.real(np.diagonal(qm)).min())
@@ -176,7 +175,7 @@ def cmd_verify(args) -> int:
     cfg = SuiteConfig(
         seed=int(opt.get("seed", 42)),
         trials=int(opt.get("trials", 20)),
-        order=int(opt.get("N", 256)),
+        order=int(opt.get("N", DEFAULT_ORDER)),
         tolerances={k: float(v) for k, v in tolerances.items()},
         **kwargs,
     )

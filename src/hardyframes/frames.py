@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPSDError, SingularDiagonalError
-from .hermitian import DEFAULT_RANK_TOL, HermitianMatrix, as_hermitian, eig_extremes
+from .errors import SingularDiagonalError
+from .hermitian import DEFAULT_RANK_TOL, HermitianMatrix, as_hermitian, eig_extremes, require_psd
 from .kernels import Grammian, Provenance
 
 DEFAULT_RIESZ_TOL = 1e-8
@@ -54,8 +54,7 @@ def analyze(g, riesz_tol: float = DEFAULT_RIESZ_TOL, rank_tol: float = DEFAULT_R
     This is the one PSD check a Grammian gets (``NotPSDError``)."""
     h = as_hermitian(g.matrix if isinstance(g, Grammian) else g)
     ext = eig_extremes(h, rank_tol)
-    if ext.lambda_min < -rank_tol * max(1.0, ext.lambda_max):
-        raise NotPSDError(f"Grammian has lambda_min {ext.lambda_min:.3e}")
+    require_psd(ext.lambda_min, ext.lambda_max, "Grammian")
     bessel = max(ext.lambda_max, 0.0)
     riesz = max(ext.lambda_min, 0.0)
     frame = max(ext.smallest_above, 0.0)

@@ -27,25 +27,32 @@ class HermitianMatrix:
     """A square complex matrix symmetrized on construction.
 
     The stored matrix is (H + H*) / 2. Non-finite entries raise
-    ``ValueError``. If the anti-Hermitian part exceeds ``tol`` relative to
-    the entry scale the input is rejected instead of silently symmetrized.
+    ``ValueError``. If the anti-Hermitian part exceeds ``HERMITIAN_TOL``
+    relative to the entry scale the input is rejected instead of silently
+    symmetrized. This takes one copy of the input and one n x n buffer.
     """
 
     __slots__ = ("matrix",)
 
-    def __init__(self, entries, tol: float = HERMITIAN_TOL):
+    def __init__(self, entries):
         m = np.array(entries, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite (found NaN or infinity)")
-        scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-        defect = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-        if defect > tol * scale:
+        scale = max(1.0, float(np.abs(m).max(initial=0.0)))
+        h = np.conj(m.T)
+        np.subtract(m, h, out=h)
+        defect = float(np.abs(h).max(initial=0.0))
+        if defect > HERMITIAN_TOL * scale:
             raise NonHermitianError(
-                f"anti-Hermitian defect {defect:.3e} exceeds {tol:.1e} * scale {scale:.3e}"
+                f"anti-Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e} * scale {scale:.3e}"
             )
-        self.matrix = (m + m.conj().T) / 2.0
+        # (m + m*) / 2.0 in place, bit for bit; m *= 0.5 would flip the sign of some zeros
+        np.conjugate(m.T, out=h)
+        m += h
+        m /= 2.0
+        self.matrix = m
 
     @property
     def dim(self) -> int:
@@ -92,17 +99,15 @@ def eig_extremes(h, rank_tol: float = DEFAULT_RANK_TOL) -> EigenExtremes:
     return EigenExtremes(lam_min, lam_max, smallest_above, rank_tol)
 
 
-def psd_sqrt(h, tol: float = DEFAULT_RANK_TOL) -> HermitianMatrix:
+def psd_sqrt(h) -> HermitianMatrix:
     """Principal square root of a positive-semidefinite matrix.
 
-    Eigenvalues in [-tol * lambda_max, 0) are treated as rounding noise and
-    clipped to zero; anything lower raises ``NotPSDError``.
+    Eigenvalues that ``require_psd`` accepts as rounding noise are clipped
+    to zero; anything lower raises ``NotPSDError``.
     """
     m = as_hermitian(h).matrix
     w, q = np.linalg.eigh(m)
-    lam_max = float(w[-1])
-    if float(w[0]) < -tol * lam_max:
-        raise NotPSDError(f"lambda_min {w[0]:.3e} below -{tol:.1e} * lambda_max {lam_max:.3e}")
+    require_psd(float(w[0]), float(w[-1]), "matrix")
     s = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.conj().T
     return HermitianMatrix(s)
 

@@ -1,7 +1,8 @@
 """JSON / CSV serialization and atomic file writes.
 
 Complex scalars serialize as [re, im] pairs, matrices as row-major pair
-arrays. CSV matrix cells use the human-readable "re+imj" form.
+arrays, all through the one codec ``to_pairs``/``from_pairs``. CSV matrix
+cells use the human-readable "re+imj" form.
 
 Reports are written as one line of JSON with compact separators: with
 ``indent`` set, CPython's ``json`` falls back from its C encoder to the
@@ -28,20 +29,34 @@ import numpy as np
 from .geometry import PointSequence
 
 
-def pair(z) -> list[float]:
-    zc = complex(z)
-    return [float(zc.real), float(zc.imag)]
+def to_pairs(values) -> list:
+    """[re, im] float pairs of complex values of any shape; a matrix gives rows of pairs."""
+    a = np.asarray(values, dtype=np.complex128)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
-def from_pair(p) -> complex:
-    return complex(float(p[0]), float(p[1]))
+def from_pairs(raw) -> np.ndarray:
+    """Complex vector of a list of [re, im] pairs, each exactly two finite
+    numbers, else ``ValueError``; an empty list gives an empty vector. Entry
+    k is bitwise ``complex(float(re), float(im))``, signed zeros included."""
+    try:
+        a = np.ascontiguousarray(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"expected a list of [re, im] pairs of numbers: {exc}") from None
+    if a.shape != (0,) and (a.ndim != 2 or a.shape[1] != 2):
+        raise ValueError(f"expected a list of [re, im] pairs, got an array of shape {a.shape}")
+    z = a.reshape(-1, 2).view(np.complex128)[:, 0]
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        raise ValueError(f"entry {int(bad[0])} is {z[bad[0]]}, not a finite complex number; pairs must be finite")
+    return z
 
 
 def matrix_to_json(m) -> dict:
     a = np.asarray(getattr(m, "matrix", m), dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return {"dim": int(a.shape[0]), "entries": np.stack((a.real, a.imag), -1).reshape(-1, 2).tolist()}
+    return {"dim": int(a.shape[0]), "entries": to_pairs(a.ravel())}
 
 
 def matrix_from_json(d) -> np.ndarray:
@@ -49,11 +64,7 @@ def matrix_from_json(d) -> np.ndarray:
     entries = d["entries"]
     if len(entries) != n * n:
         raise ValueError(f"matrix of dim {n} needs {n * n} entries, got {len(entries)}")
-    flat = np.array([from_pair(p) for p in entries], dtype=np.complex128)
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise ValueError(f"matrix entry {int(bad[0])} is {flat[bad[0]]}; entries must be finite")
-    return flat.reshape(n, n)
+    return from_pairs(entries).reshape(n, n)
 
 
 def matrix_csv_lines(m) -> list[str]:
@@ -70,10 +81,7 @@ def points_from_json(data) -> PointSequence:
         labels = tuple(int(l) for l in data.get("labels", ()))
     else:
         raw, labels = data, ()
-    pts = tuple(from_pair(p) for p in raw)
-    if not pts:
-        raise ValueError("point file contains no points")
-    return PointSequence(pts, labels)
+    return PointSequence(from_pairs(raw), labels)
 
 
 def load_points(path) -> PointSequence:
@@ -94,7 +102,7 @@ def grammian_to_json(g) -> dict:
         "provenance": {
             "space": prov.space,
             "operator_id": prov.operator_id,
-            "points": [pair(z) for z in prov.points],
+            "points": to_pairs(prov.points),
             "labels": list(prov.labels),
             "truncation_error": float(prov.truncation_error),
             "transform": prov.transform,

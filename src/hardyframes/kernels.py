@@ -24,6 +24,7 @@ from .hermitian import HermitianMatrix
 
 DEGENERATE_NORM_TOL = 1e-12
 UNIT_DIAG_TOL = 1e-10
+DEFAULT_ORDER = 256
 
 
 def check_buffer(value) -> None:
@@ -46,7 +47,7 @@ class TruncationContext:
     older callers, checked by ``check_buffer`` and not stored.
     """
 
-    order: int = 256
+    order: int = DEFAULT_ORDER
     buffer: InitVar[int | None] = None
 
     def __post_init__(self, buffer):

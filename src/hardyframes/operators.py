@@ -36,20 +36,8 @@ from .errors import (
 )
 from .geometry import PointSequence
 from .hermitian import HermitianMatrix, as_hermitian, eig_extremes, psd_inverse, psd_sqrt, require_psd
-from .kernels import TruncationContext, apply_operator, check_buffer, kernel_matrix
-
-OPERATOR_KINDS = frozenset(
-    {
-        "identity",
-        "diagonal",
-        "projection_phiH2",
-        "projection_model",
-        "projection_monomial",
-        "projection_c_plus_phi",
-        "st_constructed",
-        "custom",
-    }
-)
+from .io import from_pairs, matrix_from_json
+from .kernels import DEFAULT_ORDER, TruncationContext, apply_operator, check_buffer, kernel_matrix
 
 ORTHONORMALITY_GATE = 1e-6
 GRAM_CONDITION_FLOOR = 1e-8
@@ -368,7 +356,7 @@ def st_construct(q, seq: PointSequence, ctx: TruncationContext, delta: float) ->
     g_inv, _ = psd_inverse(g)
     u, s = np.linalg.qr(v)
     core = s @ (g_inv @ q.matrix @ g_inv) @ s.conj().T
-    root = psd_sqrt((core + core.conj().T) / 2.0)
+    root = psd_sqrt(core)
     return PositiveOperator(root, f"st(points={m},delta={delta})", "st_constructed", basis=u)
 
 
@@ -383,44 +371,48 @@ def st_roundtrip_defect(op: PositiveOperator, q, seq: PointSequence, ctx: Trunca
     return defect, min_norm_sq
 
 
-def from_spec(spec: dict, matrix_from_json=None) -> PositiveOperator:
+def _inner_from_spec(d) -> InnerFunction:
+    zeros = from_pairs(d.get("zeros", []))
+    u = d.get("unimodular")
+    uc = from_pairs([u])[0] if u is not None else 1.0 + 0.0j
+    return InnerFunction(zeros, uc, int(d.get("m", 0)))
+
+
+def _st_from_spec(spec: dict, ctx: TruncationContext) -> PositiveOperator:
+    qm = matrix_from_json(spec["Q"])
+    pts = PointSequence(from_pairs(spec["points"]))
+    delta = float(spec.get("delta", np.real(np.diagonal(qm)).min()))
+    return st_construct(qm, pts, ctx, delta)
+
+
+# Spec ``type`` -> factory. Factories are looked up when called, so wrappers
+# installed on this module see every call.
+_SPEC_FACTORIES = {
+    "identity": lambda spec, ctx: identity(ctx.order),
+    "diagonal": lambda spec, ctx: diagonal_operator(spec["weights"]),
+    "projection_phiH2": lambda spec, ctx: projection_phi_H2(_inner_from_spec(spec["inner"]), ctx),
+    "projection_model": lambda spec, ctx: projection_model_space(_inner_from_spec(spec["inner"]), ctx),
+    "projection_monomial": lambda spec, ctx: projection_monomial_span(spec["excluded"], ctx.order),
+    "projection_c_plus_phi": lambda spec, ctx: projection_c_plus_phi(_inner_from_spec(spec["inner"]), ctx),
+    "st_constructed": _st_from_spec,
+    "custom": lambda spec, ctx: PositiveOperator(matrix_from_json(spec["matrix"]), "custom", "custom"),
+}
+OPERATOR_KINDS = frozenset(_SPEC_FACTORIES)
+_LEGACY_SPEC_TYPES = {"c_plus_phi": "projection_c_plus_phi", "st": "st_constructed"}
+
+
+def from_spec(spec: dict) -> PositiveOperator:
     """Build an operator from its JSON description.
 
-    The ``type`` field selects the factory and ``N`` fixes the truncation
-    order. A ``buffer`` field is accepted and ignored (``check_buffer``).
+    The ``type`` field is one of ``OPERATOR_KINDS`` or a legacy spelling in
+    ``_LEGACY_SPEC_TYPES``, and ``N`` fixes the truncation order. A
+    ``buffer`` field is accepted and ignored (``check_buffer``).
     """
     if "type" not in spec:
         raise ValueError("operator spec needs a 'type' field")
-    kind = spec["type"]
-    order = int(spec.get("N", 256))
+    kind = _LEGACY_SPEC_TYPES.get(spec["type"], spec["type"])
+    if kind not in _SPEC_FACTORIES:
+        raise ValueError(f"unknown operator type {spec['type']!r}")
+    order = int(spec.get("N", DEFAULT_ORDER))
     check_buffer(spec.get("buffer", 0))
-    ctx = TruncationContext(order)
-
-    def inner_from(d) -> InnerFunction:
-        zeros = tuple(complex(re, im) for re, im in d.get("zeros", []))
-        u = d.get("unimodular")
-        uc = complex(u[0], u[1]) if u is not None else 1.0 + 0.0j
-        return InnerFunction(zeros, uc, int(d.get("m", 0)))
-
-    if kind == "diagonal":
-        return diagonal_operator(spec["weights"])
-    if kind == "projection_phiH2":
-        return projection_phi_H2(inner_from(spec["inner"]), ctx)
-    if kind == "projection_model":
-        return projection_model_space(inner_from(spec["inner"]), ctx)
-    if kind == "projection_monomial":
-        return projection_monomial_span(spec["excluded"], order)
-    if kind == "c_plus_phi":
-        return projection_c_plus_phi(inner_from(spec["inner"]), ctx)
-    if kind == "st":
-        if matrix_from_json is None:
-            raise ValueError("st spec requires a matrix parser")
-        qm = matrix_from_json(spec["Q"])
-        pts = PointSequence(tuple(complex(re, im) for re, im in spec["points"]))
-        delta = float(spec.get("delta", np.real(np.diagonal(qm)).min()))
-        return st_construct(qm, pts, ctx, delta)
-    if kind == "custom":
-        if matrix_from_json is None:
-            raise ValueError("custom spec requires a matrix parser")
-        return PositiveOperator(HermitianMatrix(matrix_from_json(spec["matrix"])), "custom", "custom")
-    raise ValueError(f"unknown operator type {kind!r}")
+    return _SPEC_FACTORIES[kind](spec, TruncationContext(order))

@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import ConfigInvalidError
 from .geometry import PointSequence, carleson_constants
-from .kernels import TruncationContext, kernel_matrix, range_space_gram, image_gram, szego_gram
+from .io import to_pairs
+from .kernels import DEFAULT_ORDER, TruncationContext, kernel_matrix, range_space_gram, image_gram, szego_gram
 from .operators import (
     InnerFunction,
     PositiveOperator,
@@ -78,7 +79,7 @@ class SuiteConfig:
 
     seed: int = 42
     trials: int = 20
-    order: int = 256
+    order: int = DEFAULT_ORDER
     point_families: tuple[str, ...] = POINT_FAMILIES
     tolerances: dict = field(default_factory=dict)
 
@@ -207,12 +208,6 @@ def _random_blaschke(rng, max_zeros: int = 5, max_radius: float = 0.8, allow_pow
     return InnerFunction(tuple(zeros), 1.0, power)
 
 
-def _pairs(values) -> list:
-    """[re, im] float pairs of a vector, or rows of them for a matrix."""
-    a = np.asarray(values, dtype=np.complex128)
-    return np.stack((a.real, a.imag), -1).tolist()
-
-
 # ---------------------------------------------------------------------------
 # individual checks
 #
@@ -233,8 +228,8 @@ def _toeplitz_covariance_trial(cfg: SuiteConfig, rng, trial: int, ctx: Truncatio
     defect = float(np.abs(lhs - rhs).max())
     fields = {
         "family": fam,
-        "points": _pairs(seq.points),
-        "zeros": _pairs(phi.zeros),
+        "points": to_pairs(seq.points),
+        "zeros": to_pairs(phi.zeros),
         "monomial_power": phi.monomial_power,
     }
     return defect, defect > cfg.tol("toeplitz_covariance"), fields
@@ -293,8 +288,8 @@ def _loewner_chain_trial(cfg: SuiteConfig, rng, trial: int, ctx: TruncationConte
     failed = lower > tol_chain or upper > tol_chain or sandwich > cfg.tol("norm_sandwich")
     fields = {
         "construction": tag,
-        "points": _pairs(seq.points),
-        "zeros": _pairs(phi.zeros),
+        "points": to_pairs(seq.points),
+        "zeros": to_pairs(phi.zeros),
         "monomial_power": phi.monomial_power,
         "chain_lower": lower,
         "chain_upper": upper,
@@ -319,8 +314,8 @@ def _st_roundtrip_trial(cfg: SuiteConfig, rng, trial: int, ctx: TruncationContex
     floor_violation = (delta - cfg.tol("st_norm_floor")) - min_norm_sq
     failed = defect > cfg.tol("st_roundtrip") or floor_violation > 0.0
     fields = {
-        "points": _pairs(seq.points),
-        "q": _pairs(q),
+        "points": to_pairs(seq.points),
+        "q": to_pairs(q),
         "delta": delta,
         "roundtrip": defect,
         "min_norm_sq": min_norm_sq,
@@ -407,7 +402,7 @@ def _diag_sandwich_trial(cfg: SuiteConfig, rng, trial: int, ctx: TruncationConte
         "family": fam,
         "alpha": alpha,
         "beta": beta,
-        "points": _pairs(seq.points),
+        "points": to_pairs(seq.points),
         "quad_violation": out.quad_violation,
         "gram_violation": out.gram_violation,
     }
@@ -430,7 +425,7 @@ def _weighted_hardy_trial(cfg: SuiteConfig, rng, trial: int, ctx: TruncationCont
     norms = np.sqrt(np.real(np.diagonal(closed)))
     rhs = closed / np.outer(norms, norms)
     defect = float(np.abs(lhs - rhs).max())
-    fields = {"family": fam, "ratio": s, "points": _pairs(seq.points)}
+    fields = {"family": fam, "ratio": s, "points": to_pairs(seq.points)}
     return defect, defect > cfg.tol("weighted_hardy"), fields
 
 

@@ -475,6 +475,57 @@ def test_matrix_from_json_rejects_non_finite_entries():
         matrix_from_json(doc)
 
 
+def _malformed_points(tmp_path, pair):
+    pts = write_json(tmp_path / "points.json", [[0.5, 0.0], pair])
+    return ["gram", "--points", pts]
+
+
+def _malformed_q(tmp_path, pair):
+    q = matrix_to_json(np.eye(2))
+    q["entries"][1] = pair
+    q_path = write_json(tmp_path / "q.json", q)
+    return ["construct-st", "--points", write_points(tmp_path, ring(2, 0.5)), "--Q", q_path, "--N", "64"]
+
+
+def _malformed_spec(tmp_path, spec):
+    op = write_json(tmp_path / "op.json", spec)
+    return ["gram", "--points", write_points(tmp_path, ring(2, 0.5)), "--operator", op, "--N", "64"]
+
+
+def _custom_matrix(pair):
+    m = matrix_to_json(np.eye(64))
+    m["entries"][1] = pair
+    return {"type": "custom", "matrix": m}
+
+
+ST_SPEC = {"type": "st", "points": [[0.5, 0.0], [-0.5, 0.0]], "Q": matrix_to_json(np.eye(2))}
+
+MALFORMED_PAIRS = {
+    "points-short": lambda t: _malformed_points(t, [0.3]),
+    "points-long": lambda t: _malformed_points(t, [0.3, 0.0, 5.0]),
+    "points-overflow": lambda t: _malformed_points(t, [10**400, 0.0]),
+    "q-short": lambda t: _malformed_q(t, [0.3]),
+    "q-long": lambda t: _malformed_q(t, [0.0, 0.0, 5.0]),
+    "custom-short": lambda t: _malformed_spec(t, _custom_matrix([0.3])),
+    "custom-long": lambda t: _malformed_spec(t, _custom_matrix([0.0, 0.0, 5.0])),
+    "unimodular-short": lambda t: _malformed_spec(
+        t, {"type": "projection_phiH2", "inner": {"zeros": [[0.5, 0.0]], "unimodular": [1.0]}}
+    ),
+    "zero-long": lambda t: _malformed_spec(t, {"type": "projection_model", "inner": {"zeros": [[0.5, 0.0, 1.0]]}}),
+    "st-point-short": lambda t: _malformed_spec(t, {**ST_SPEC, "points": [[0.5, 0.0], [-0.5]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PAIRS))
+def test_malformed_pair_is_input_error(tmp_path, capsys, case):
+    """A pair is exactly two finite numbers, wherever the CLI reads one."""
+    argv = MALFORMED_PAIRS[case](tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 class TestPlumbing:
     def test_no_subcommand_exits_2(self):
         assert main([]) == 2

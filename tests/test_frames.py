@@ -62,6 +62,10 @@ class TestAnalyze:
         with pytest.raises(NotPSDError):
             analyze(np.diag([1.0, -0.5]))
 
+    def test_rank_tol_does_not_loosen_the_psd_gate(self):
+        with pytest.raises(NotPSDError):
+            analyze(np.diag([1.0, -1e-8]), rank_tol=1e-6)
+
     def test_report_carries_tolerances(self):
         rep = analyze(np.eye(2), riesz_tol=1e-5, rank_tol=1e-9)
         assert isinstance(rep, BoundsReport)

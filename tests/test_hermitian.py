@@ -5,6 +5,8 @@ H - x I, counted via the pivots of plain Gaussian elimination (Sylvester's
 law). It shares no code path with the LAPACK-backed implementation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,36 @@ class TestHermitianMatrix:
         m = np.array([[1.0, 0.5 + 1e-10j], [0.5, 2.0]])
         h = HermitianMatrix(m)
         assert np.abs(h.matrix - h.matrix.conj().T).max() == 0.0
+
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_stores_exactly_half_the_sum_with_its_adjoint(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m = a @ a.conj().T
+        m += 1e-12 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        # signed zeros and subnormals on the diagonal and in mirrored pairs
+        signs = (-0.0, 0.0, 5e-324, -1e-310)
+        tiny = [complex(re, im) for re in signs for im in signs]
+        m[np.diag_indices(n)] = (tiny * n)[:n]
+        upper = zip(*np.triu_indices(n, 1))
+        for (i, j), (s, t) in zip(upper, ((s, t) for s in tiny for t in tiny)):
+            m[i, j], m[j, i] = s, t
+        h = HermitianMatrix(m).matrix
+        assert h.tobytes() == np.ascontiguousarray((m + m.conj().T) / 2.0).tobytes()
+        assert h.flags.c_contiguous
+
+    def test_construction_memory_peak(self):
+        n = 600
+        rng = np.random.default_rng(600)
+        a = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+        m = a @ a.conj().T
+        tracemalloc.start()
+        try:
+            HermitianMatrix(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * m.nbytes
 
     def test_rejects_large_defect(self):
         with pytest.raises(NonHermitianError):

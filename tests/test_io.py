@@ -1,4 +1,4 @@
-"""Atomic file writes and exact matrix serialization."""
+"""Atomic file writes and exact [re, im] serialization of matrices and points."""
 
 import json
 import os
@@ -108,15 +108,51 @@ def test_matrix_json_roundtrip_is_bitwise_exact(tmp_path, a):
     assert back.tobytes() == a.tobytes()
 
 
+POINT_SETS = [
+    pytest.param(SPECIALS[:4] + [complex(0.5, -0.0), complex(-0.0, 0.9)], id="specials"),
+    pytest.param(list(0.99 * np.exp(2j * np.pi * np.random.default_rng(5).uniform(size=50))), id="n=50"),
+]
+
+
+@pytest.mark.parametrize("pts", POINT_SETS)
+def test_points_json_roundtrip_is_bitwise_exact(tmp_path, pts):
+    target = tmp_path / "points.json"
+    io.write_json_atomic(target, io.to_pairs(pts))
+    back = io.load_points(target).points
+    assert np.array(back).tobytes() == np.array(pts, dtype=np.complex128).tobytes()
+    # and exactly what a per-pair decoder gives
+    raw = json.loads(target.read_text(encoding="utf-8"))
+    assert np.array(back).tobytes() == np.array([complex(float(re), float(im)) for re, im in raw]).tobytes()
+
+
+@pytest.mark.parametrize("raw", [[[0.3]], [[1.0, 0.0, 5.0]], [[10**400, 0.0]], [[float("inf"), 0.0]],
+                                 [[None, 0.0]], [[0.1, 0.2], [0.3]], [0.1, 0.2], [[]], {"re": 1}])
+def test_from_pairs_rejects_anything_but_two_finite_numbers(raw):
+    with pytest.raises(ValueError):
+        io.from_pairs(raw)
+
+
+def test_from_pairs_accepts_the_empty_list():
+    z = io.from_pairs([])
+    assert z.shape == (0,) and z.dtype == np.complex128
+    assert io.to_pairs(z) == []
+
+
 @pytest.mark.parametrize("a", MATRICES)
 def test_matrix_csv_lines_match_per_entry_formatter(a):
     assert io.matrix_csv_lines(a) == reference_csv_lines(a)
 
 
+def reference_pair(z):
+    """The per-entry encoder the vectorized one must reproduce."""
+    zc = complex(z)
+    return [float(zc.real), float(zc.imag)]
+
+
 def test_matrix_entries_are_plain_row_major_pairs():
     doc = io.matrix_to_json(specials_matrix())
     assert doc["dim"] == 3
-    assert doc["entries"] == [io.pair(v) for v in specials_matrix().ravel()]
+    assert doc["entries"] == [reference_pair(v) for v in specials_matrix().ravel()]
     assert all(type(x) is float for p in doc["entries"] for x in p)
 
 

@@ -37,8 +37,8 @@ from hardyframes import (
     taylor_coefficients,
 )
 from hardyframes.hermitian import psd_inverse
-from hardyframes.io import matrix_from_json, matrix_to_json
-from hardyframes.operators import from_spec
+from hardyframes.io import matrix_to_json
+from hardyframes.operators import OPERATOR_KINDS, from_spec
 
 
 def oracle_taylor(phi, count):
@@ -477,18 +477,48 @@ class TestFromSpec:
         pts = [[0.6, 0.0], [-0.6, 0.0], [0.0, 0.6]]
         q = matrix_to_json(0.5 * np.eye(3))
         spec = {"type": "st", "N": 128, "points": pts, "Q": q}
-        op = from_spec(spec, matrix_from_json=matrix_from_json)
+        op = from_spec(spec)
         assert op.kind == "st_constructed"
         assert "delta=0.5" in op.id
 
-    def test_st_requires_parser(self):
-        with pytest.raises(ValueError):
-            from_spec({"type": "st", "points": [], "Q": {}})
+    @pytest.mark.parametrize(
+        "kind, legacy, fields",
+        [
+            ("projection_c_plus_phi", "c_plus_phi", {"inner": {"zeros": [[0.5, 0.0], [0.0, -0.4]]}}),
+            (
+                "st_constructed",
+                "st",
+                {"points": [[0.6, 0.0], [-0.6, 0.0], [0.0, 0.6]], "Q": matrix_to_json(0.5 * np.eye(3))},
+            ),
+        ],
+    )
+    def test_legacy_spelling_builds_the_same_operator(self, kind, legacy, fields):
+        op = from_spec({"type": kind, "N": 64, **fields})
+        old = from_spec({"type": legacy, "N": 64, **fields})
+        assert op.kind == old.kind == kind
+        assert op.id == old.id
+        assert op.array.tobytes() == old.array.tobytes()
+
+    def test_every_operator_kind_is_a_spec_type(self):
+        weights = list(np.linspace(1.0, 0.0, 32))
+        fields = {
+            "diagonal": {"weights": weights},
+            "projection_phiH2": {"inner": {"zeros": [[0.5, 0.0]]}},
+            "projection_model": {"inner": {"zeros": [[0.5, 0.0]]}},
+            "projection_monomial": {"excluded": [1]},
+            "projection_c_plus_phi": {"inner": {"zeros": [[0.5, 0.0]]}},
+            "st_constructed": {"points": [[0.3, 0.0], [-0.3, 0.0]], "Q": matrix_to_json(np.eye(2))},
+            "custom": {"matrix": matrix_to_json(np.diag(weights))},
+        }
+        for kind in sorted(OPERATOR_KINDS):
+            op = from_spec({"type": kind, "N": 32, **fields.get(kind, {})})
+            assert op.kind == kind
+            assert op.dim == 32
 
     def test_custom_round_trip(self):
         m = np.array([[2.0, 1.0], [1.0, 2.0]])
         spec = {"type": "custom", "matrix": matrix_to_json(m)}
-        op = from_spec(spec, matrix_from_json=matrix_from_json)
+        op = from_spec(spec)
         assert np.allclose(op.array, m)
         assert not op.contraction
 

@@ -4,6 +4,8 @@ Thin, deterministic wrappers around LAPACK's Hermitian eigensolver: extreme
 eigenvalues with a rank cutoff and positive-semidefinite square roots and
 inverses. Matrices here are small (a few hundred rows), so full dense
 eigendecomposition is the reference path and no iterative machinery is used.
+``psd_sqrt`` and ``psd_inverse`` have no production caller; they remain as
+the dense route that tests check the ST construction against.
 
 ``HermitianMatrix`` checks finiteness and symmetry only; PSD needs an
 eigensolve, so it is checked where one is made anyway.
@@ -112,16 +114,9 @@ def psd_sqrt(h) -> HermitianMatrix:
     return HermitianMatrix(s)
 
 
-def psd_inverse(h) -> tuple[np.ndarray, EigenExtremes]:
-    """Inverse via eigendecomposition, with the spectrum for conditioning checks.
-
-    The caller is expected to inspect ``extremes.lambda_min`` before trusting
-    the inverse; a nonpositive minimum raises ``NotPSDError`` outright.
-    """
-    m = as_hermitian(h).matrix
-    w, q = np.linalg.eigh(m)
-    ext = EigenExtremes(float(w[0]), float(w[-1]), float(w[0]), 0.0)
-    if ext.lambda_min <= 0.0:
-        raise NotPSDError(f"cannot invert: lambda_min = {ext.lambda_min:.3e}")
-    inv = (q / w) @ q.conj().T
-    return inv, ext
+def psd_inverse(h) -> np.ndarray:
+    """Inverse via eigendecomposition; a nonpositive lambda_min raises ``NotPSDError``."""
+    w, q = np.linalg.eigh(as_hermitian(h).matrix)
+    if w[0] <= 0.0:
+        raise NotPSDError(f"cannot invert: lambda_min = {w[0]:.3e}")
+    return (q / w) @ q.conj().T

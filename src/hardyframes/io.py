@@ -22,6 +22,7 @@ import dataclasses
 import json
 import os
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,14 +38,17 @@ def to_pairs(values) -> list:
 
 def from_pairs(raw) -> np.ndarray:
     """Complex vector of a list of [re, im] pairs, each exactly two finite
-    numbers, else ``ValueError``; an empty list gives an empty vector. Entry
-    k is bitwise ``complex(float(re), float(im))``, signed zeros included."""
+    JSON numbers (no strings or booleans, which numpy would convert), else
+    ``ValueError``; an empty list gives an empty vector. Entry k is bitwise
+    ``complex(float(re), float(im))``, signed zeros included."""
     try:
         a = np.ascontiguousarray(raw, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"expected a list of [re, im] pairs of numbers: {exc}") from None
     if a.shape != (0,) and (a.ndim != 2 or a.shape[1] != 2):
         raise ValueError(f"expected a list of [re, im] pairs, got an array of shape {a.shape}")
+    if not {float, int}.issuperset(map(type, chain.from_iterable(raw))):
+        raise ValueError("pairs must hold JSON numbers, not strings or booleans")
     z = a.reshape(-1, 2).view(np.complex128)[:, 0]
     bad = np.flatnonzero(~np.isfinite(z))
     if bad.size:

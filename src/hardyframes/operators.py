@@ -17,8 +17,9 @@ projections built from phi use the Takenaka-Malmquist-Walsh basis of the
 model space: the compression of T_phi T_phi* to the first N coefficients
 is exactly I_N - E E* with E of size N x deg(phi), so building one costs
 O(N log N) per zero plus O(N deg(phi)^2) for the orthonormalization, and
-needs nothing past the window. The inverse construction is low rank:
-rank n for n points.
+needs nothing past the window. The inverse construction has rank n for n
+points and is read off the thin QR factor of the n kernel vectors, with no
+Gram matrix or inverse formed.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     TruncationTooCoarseError,
 )
 from .geometry import PointSequence
-from .hermitian import HermitianMatrix, as_hermitian, eig_extremes, psd_inverse, psd_sqrt, require_psd
+from .hermitian import HermitianMatrix, as_hermitian, require_psd
 from .io import from_pairs, matrix_from_json
 from .kernels import DEFAULT_ORDER, TruncationContext, apply_operator, check_buffer, kernel_matrix
 
@@ -316,48 +317,40 @@ def st_construct(q, seq: PointSequence, ctx: TruncationContext, delta: float) ->
     """Build a positive operator whose projected-kernel Grammian equals a
     prescribed PSD matrix.
 
-    With V the matrix of normalized truncated kernel vectors and
-    G = V* V their Gram matrix, the operator
+    With V = U S the thin QR factorization of the normalized truncated
+    kernel vectors and Q = L L* from Q's eigendecomposition, the operator
+    P = U (M M*)^(1/2) U* with M = S^-* L satisfies
+    (<P k~_j, P k~_i>)_ij = V* P^2 V = S* M M* S = Q up to truncation.
+    Q must be PSD with diagonal at least ``delta`` (that floor becomes the
+    lower norm bound ||P k~_i||^2 >= delta); eigenvalues that ``require_psd``
+    accepts as rounding noise are clipped to zero. The kernel Gram matrix
+    V* V = S* S must be invertible at the 1e-8 level, read as sigma_min(S)^2.
 
-        R = V G^-1 Q G^-1 V*,   P = R^(1/2)
-
-    satisfies (<P k~_j, P k~_i>)_ij = Q up to truncation, since
-    V* R V = Q exactly. Q must be PSD with diagonal at least ``delta``
-    (that floor becomes the lower norm bound ||P k~_i||^2 >= delta), and
-    the kernel Gram matrix must be invertible at the 1e-8 level.
-
-    R has rank n: with the thin QR factorization V = U S it is
-    U (S G^-1 Q G^-1 S*) U*, so P is U times the square root of that n-by-n
-    core times U*, with ``psd_sqrt``'s clipping rule applied to the core.
-    G^-1 is formed explicitly, as in the dense form of R, so near the
-    conditioning floor its roundoff still reaches the roundtrip defect,
-    where the caller's gate sees it.
+    M takes one solve with S* and no inverse. Its SVD X diag(sigma) Y*
+    gives P as the diagonal sigma in the basis U X, with roundoff
+    eps * ||M|| where an eigensolve of M M* would leave eps * ||M||^2.
     """
     q = as_hermitian(q)
     m = q.dim
     if m != len(seq):
         raise ValueError(f"Q is {m}x{m} but the sequence has {len(seq)} points")
-    q_ext = eig_extremes(q)
-    require_psd(q_ext.lambda_min, q_ext.lambda_max, "Q")
+    lam, vecs = np.linalg.eigh(q.matrix)
+    require_psd(float(lam[0]), float(lam[-1]), "Q")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     diag_min = float(np.real(np.diagonal(q.matrix)).min())
     if diag_min < delta - 1e-12:
         raise ValueError(f"diagonal minimum {diag_min:.6f} below delta {delta}")
 
-    v = kernel_matrix(seq, ctx, normalize=True)
-    g = HermitianMatrix(v.conj().T @ v)
-    g_ext = eig_extremes(g)
-    if g_ext.lambda_min < GRAM_CONDITION_FLOOR:
+    u, s = np.linalg.qr(kernel_matrix(seq, ctx, normalize=True))
+    gram_min = float(np.linalg.svd(s, compute_uv=False)[-1]) ** 2
+    if gram_min < GRAM_CONDITION_FLOOR:
         raise IllConditionedGramError(
-            f"kernel Gram matrix has lambda_min {g_ext.lambda_min:.3e} "
-            f"below {GRAM_CONDITION_FLOOR:.1e}"
+            f"kernel Gram matrix has lambda_min {gram_min:.3e} below {GRAM_CONDITION_FLOOR:.1e}"
         )
-    g_inv, _ = psd_inverse(g)
-    u, s = np.linalg.qr(v)
-    core = s @ (g_inv @ q.matrix @ g_inv) @ s.conj().T
-    root = psd_sqrt(core)
-    return PositiveOperator(root, f"st(points={m},delta={delta})", "st_constructed", basis=u)
+    factor = np.linalg.solve(s.conj().T, vecs * np.sqrt(np.clip(lam, 0.0, None)))
+    x, sigma, _ = np.linalg.svd(factor)
+    return PositiveOperator(sigma, f"st(points={m},delta={delta})", "st_constructed", basis=u @ x)
 
 
 def st_roundtrip_defect(op: PositiveOperator, q, seq: PointSequence, ctx: TruncationContext) -> tuple[float, float]:
@@ -371,11 +364,19 @@ def st_roundtrip_defect(op: PositiveOperator, q, seq: PointSequence, ctx: Trunca
     return defect, min_norm_sq
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what!r} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _inner_from_spec(d) -> InnerFunction:
+    if not isinstance(d, dict):
+        raise ValueError(f"'inner' must be a JSON object, got {d!r}")
     zeros = from_pairs(d.get("zeros", []))
     u = d.get("unimodular")
     uc = from_pairs([u])[0] if u is not None else 1.0 + 0.0j
-    return InnerFunction(zeros, uc, int(d.get("m", 0)))
+    return InnerFunction(zeros, uc, _json_int(d.get("m", 0), "inner.m"))
 
 
 def _st_from_spec(spec: dict, ctx: TruncationContext) -> PositiveOperator:
@@ -405,14 +406,14 @@ def from_spec(spec: dict) -> PositiveOperator:
     """Build an operator from its JSON description.
 
     The ``type`` field is one of ``OPERATOR_KINDS`` or a legacy spelling in
-    ``_LEGACY_SPEC_TYPES``, and ``N`` fixes the truncation order. A
-    ``buffer`` field is accepted and ignored (``check_buffer``).
+    ``_LEGACY_SPEC_TYPES``, and the JSON integer ``N`` fixes the truncation
+    order. A ``buffer`` field is accepted and ignored (``check_buffer``).
     """
     if "type" not in spec:
         raise ValueError("operator spec needs a 'type' field")
     kind = _LEGACY_SPEC_TYPES.get(spec["type"], spec["type"])
     if kind not in _SPEC_FACTORIES:
         raise ValueError(f"unknown operator type {spec['type']!r}")
-    order = int(spec.get("N", DEFAULT_ORDER))
+    order = _json_int(spec.get("N", DEFAULT_ORDER), "N")
     check_buffer(spec.get("buffer", 0))
     return _SPEC_FACTORIES[kind](spec, TruncationContext(order))

@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hardyframes import cli
 from hardyframes.cli import main
 from hardyframes.io import matrix_from_json, matrix_to_json
+from hardyframes.operators import PositiveOperator, st_construct
 
 
 def write_json(path, payload):
@@ -308,13 +310,27 @@ class TestConstructSt:
         assert main(["construct-st", "--points", pts, "--Q", q_path, "--N", "64"]) == 2
         assert "must be finite" in capsys.readouterr().err
 
-    def test_certificate_miss_is_exit_4(self, tmp_path):
-        # nearly coincident points squeeze the kernel Gram matrix just above
-        # the conditioning floor; the inverse amplifies roundoff past the gate
+    def test_nearly_coincident_points_construct(self, tmp_path):
+        # the kernel Gram matrix sits just above the conditioning floor
+        # (lambda_min 1.2e-8); the construction stays accurate there
         pts = write_points(tmp_path, [0.5, 0.5 + 3.4e-4])
         q = write_json(tmp_path / "q.json", matrix_to_json(np.eye(2)))
-        rc = main(["construct-st", "--points", pts, "--Q", q, "--N", "128"])
-        assert rc == 4
+        out = tmp_path / "op.json"
+        assert main(["construct-st", "--points", pts, "--Q", q, "--N", "128", "--out", str(out)]) == 0
+        assert read_json(out)["roundtrip_defect"] < 1e-10
+
+    def test_certificate_miss_is_exit_4(self, tmp_path, monkeypatch, capsys):
+        # the certificate recomputes the Grammian from the operator alone, so
+        # a construction that is off by a factor is caught
+        def scaled(q, seq, ctx, delta):
+            op = st_construct(q, seq, ctx, delta)
+            return PositiveOperator(0.9 * op.core, op.id, op.kind, basis=op.basis)
+
+        monkeypatch.setattr(cli, "st_construct", scaled)
+        pts = write_points(tmp_path, ring(3, 0.6))
+        q = write_json(tmp_path / "q.json", matrix_to_json(0.5 * np.eye(3)))
+        assert main(["construct-st", "--points", pts, "--Q", q, "--N", "64"]) == 4
+        assert "construction certificate failed" in capsys.readouterr().err
 
     def test_fully_coincident_points_is_domain_error(self, tmp_path):
         pts = write_points(tmp_path, [0.5, 0.5 + 1e-9])
@@ -504,14 +520,17 @@ MALFORMED_PAIRS = {
     "points-short": lambda t: _malformed_points(t, [0.3]),
     "points-long": lambda t: _malformed_points(t, [0.3, 0.0, 5.0]),
     "points-overflow": lambda t: _malformed_points(t, [10**400, 0.0]),
+    "points-string": lambda t: _malformed_points(t, ["0.5", 0.0]),
     "q-short": lambda t: _malformed_q(t, [0.3]),
     "q-long": lambda t: _malformed_q(t, [0.0, 0.0, 5.0]),
+    "q-bool": lambda t: _malformed_q(t, [False, 0.0]),
     "custom-short": lambda t: _malformed_spec(t, _custom_matrix([0.3])),
     "custom-long": lambda t: _malformed_spec(t, _custom_matrix([0.0, 0.0, 5.0])),
     "unimodular-short": lambda t: _malformed_spec(
         t, {"type": "projection_phiH2", "inner": {"zeros": [[0.5, 0.0]], "unimodular": [1.0]}}
     ),
     "zero-long": lambda t: _malformed_spec(t, {"type": "projection_model", "inner": {"zeros": [[0.5, 0.0, 1.0]]}}),
+    "zero-string-bool": lambda t: _malformed_spec(t, {"type": "projection_model", "inner": {"zeros": [["0.5", False]]}}),
     "st-point-short": lambda t: _malformed_spec(t, {**ST_SPEC, "points": [[0.5, 0.0], [-0.5]]}),
 }
 
@@ -521,6 +540,27 @@ def test_malformed_pair_is_input_error(tmp_path, capsys, case):
     """A pair is exactly two finite numbers, wherever the CLI reads one."""
     argv = MALFORMED_PAIRS[case](tmp_path)
     assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+PHI_SPEC = {"type": "projection_phiH2", "inner": {"zeros": [[0.5, 0.0]], "m": 1}, "N": 64}
+
+WRONG_SPEC_TYPES = {
+    "inner-list": {**PHI_SPEC, "inner": [0.5, 0.0]},
+    "m-float": {**PHI_SPEC, "inner": {"zeros": [[0.5, 0.0]], "m": 1.7}},
+    "m-bool": {**PHI_SPEC, "inner": {"zeros": [[0.5, 0.0]], "m": True}},
+    "N-float": {**PHI_SPEC, "N": 64.9},
+    "N-bool": {**PHI_SPEC, "N": True},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SPEC_TYPES))
+def test_spec_field_of_wrong_type_is_input_error(tmp_path, capsys, case):
+    """``inner`` is a JSON object, ``N`` and ``inner.m`` are JSON integers."""
+    op = write_json(tmp_path / "op.json", WRONG_SPEC_TYPES[case])
+    assert main(["gram", "--points", write_points(tmp_path, ring(2, 0.5)), "--operator", op]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err

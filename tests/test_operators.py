@@ -624,7 +624,7 @@ def dense_st(q, seq, ctx):
     psd_sqrt, and the roundtrip defect of that P."""
     v = kernel_matrix(seq, ctx, normalize=True)
     g = v.conj().T @ v
-    g_inv, _ = psd_inverse((g + g.conj().T) / 2.0)
+    g_inv = psd_inverse((g + g.conj().T) / 2.0)
     r = v @ (g_inv @ q @ g_inv) @ v.conj().T
     p = psd_sqrt((r + r.conj().T) / 2.0).matrix
     w = p @ v
@@ -647,10 +647,66 @@ class TestStructuredSt:
         assert op.basis.shape == (order, count)
         dense, dense_defect = dense_st(q, seq, ctx)
         assert np.abs(op.array - dense).max() <= 1e-7
-        # G^-1 carries roundoff of order eps * cond(G) into the roundtrip on
-        # both routes (cond(G) is 8 for 3 points, 1.3e3 for 8)
+        # the dense route's explicit G^-1 carries roundoff of order
+        # eps * cond(G) into its roundtrip (cond(G) is 8 for 3 points, 1.3e3
+        # for 8); the QR route forms no inverse and stays within a few times that
         defect, _ = st_roundtrip_defect(op, q, seq, ctx)
         assert defect <= max(1e-12, 4.0 * dense_defect)
+
+    def test_decomposes_only_n_by_n_matrices(self, eigensolves, monkeypatch):
+        # Q's eigendecomposition (PSD gate and square-root factor) is the one
+        # Hermitian eigensolve; S and the core's factor get one SVD each, and
+        # neither the N x N operator nor the kernel Gram matrix is decomposed
+        svds = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            svds.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        count = 6
+        seq = PointSequence([0.6 * np.exp(2j * np.pi * k / count) for k in range(count)])
+        q = 0.5 * np.eye(count) + 0.1
+        op = st_construct(q, seq, TruncationContext(256), delta=0.6)
+        assert eigensolves == [(count, count)]
+        assert svds == [(count, count), (count, count)]
+        assert op.core.ndim == 1 and op.basis.shape == (256, count)
+
+    @pytest.mark.parametrize("family", ["clustered", "radial"])
+    def test_hard_families_stay_accurate(self, family):
+        # kernel Gram matrices reach the 1e-8 conditioning floor here; an
+        # eigensolve of the core S^-* Q S^-1, in place of the SVD of its
+        # factor, gives defects up to 1.4e-8 on the radial seed
+        rng = np.random.default_rng({"clustered": 41, "radial": 43}[family])
+        ctx = TruncationContext(256)
+        built = 0
+        for _ in range(100):
+            count = int(rng.integers(2, 13))
+            if family == "clustered":
+                center = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+                spread = 10.0 ** rng.uniform(-4.0, -1.0)
+                z = center + spread * (rng.normal(size=count) + 1j * rng.normal(size=count))
+            else:
+                angle = 2.0 * np.pi * rng.uniform() + 1e-3 * rng.normal(size=count)
+                z = np.sort(rng.uniform(0.0, 0.97, size=count)) * np.exp(1j * angle)
+            rank = int(rng.integers(1, count + 1))
+            a = rng.normal(size=(count, rank)) + 1j * rng.normal(size=(count, rank))
+            q = a @ a.conj().T
+            scale = np.sqrt(np.real(np.diagonal(q)))
+            q = q / np.outer(scale, scale)
+            if np.abs(z).max() >= 0.999:
+                continue
+            seq = PointSequence(list(z))
+            try:
+                op = st_construct(q, seq, ctx, delta=1.0 - 1e-12)
+            except IllConditionedGramError:
+                continue
+            built += 1
+            defect, min_norm_sq = st_roundtrip_defect(op, q, seq, ctx)
+            assert defect <= 1e-8
+            assert min_norm_sq >= 1.0 - 1e-8
+        assert built >= 10
 
 
 class TestStructuredForm:

@@ -8,8 +8,13 @@ randomized identity suite).
 
 Exit codes: 0 success, 2 unusable input, 3 numerical or domain failure,
 4 a produced certificate missed its target, 5 verification found
-violations. A single JSON config file can predefine any flag; explicit
-flags win.
+violations.
+
+Each option's type, default and choices are declared once, in its
+``add_argument`` call. A JSON ``--config`` object can predefine any flag:
+``main`` checks each value against that declaration, makes the checked
+values the subcommand's defaults and parses argv again, so explicit flags
+win. A ``null`` value, or a key the subcommand does not declare, is ignored.
 """
 
 from __future__ import annotations
@@ -17,12 +22,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import io
 from .errors import ConfigInvalidError, HardyFramesError
-from .frames import analyze
+from .frames import DEFAULT_RIESZ_TOL, analyze
 from .hermitian import HermitianMatrix
 from .kernels import DEFAULT_ORDER, TruncationContext, check_buffer, range_space_gram, szego_gram
 from .operators import from_spec, st_construct, st_roundtrip_defect
@@ -37,58 +43,32 @@ def _err(exc) -> None:
     print(f"error: {exc}", file=sys.stderr)
 
 
-class _Options:
-    """Config-file values overlaid by any explicitly passed flags.
-
-    A config value of ``null`` counts as not given, like an omitted key.
-
-    The ignored ``buffer`` setting is checked here, once for every subcommand.
-    """
-
-    def __init__(self, args):
-        self.args = args
-        self.cfg = {}
-        if getattr(args, "config", None):
-            self.cfg = io.load_json(args.config)
-            if not isinstance(self.cfg, dict):
-                raise ValueError("config file must contain a JSON object")
-        check_buffer(self.get("buffer", 0))
-
-    def get(self, key, default=None):
-        value = getattr(self.args, key, None)
-        if value is not None:
-            return value
-        return default if self.cfg.get(key) is None else self.cfg[key]
+def _finite_float(text: str) -> float:
+    """The argparse type of every number flag: a float that is neither NaN nor infinite."""
+    if not np.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def cmd_gram(args) -> int:
-    opt = _Options(args)
-    points_path = opt.get("points")
-    if points_path is None:
+    if args.points is None:
         raise ValueError("gram requires --points")
-    seq = io.load_points(points_path)
+    seq = io.load_points(args.points)
 
-    operator_path = opt.get("operator")
-    if operator_path is None:
+    if args.operator is None:
         gram = szego_gram(seq)
     else:
-        spec = io.load_json(operator_path)
-        order_flag = opt.get("N")
-        if order_flag is not None:
-            spec["N"] = int(order_flag)
+        spec = io.load_json(args.operator)
+        if args.N is not None:
+            spec["N"] = args.N
         op = from_spec(spec)
         gram = range_space_gram(op, seq, TruncationContext(op.dim))
 
-    riesz_tol = float(opt.get("riesz_tol", 1e-8))
-    bounds = analyze(gram, riesz_tol=riesz_tol)
-    payload = {"grammian": io.grammian_to_json(gram), "bounds": io.bounds_to_json(bounds)}
-
-    out = opt.get("out")
-    if out:
-        io.write_json_atomic(out, payload)
-    csv = opt.get("csv")
-    if csv:
-        io.write_csv_atomic(csv, io.matrix_csv_lines(gram.matrix))
+    bounds = analyze(gram, riesz_tol=args.riesz_tol)
+    if args.out:
+        io.write_json_atomic(args.out, {"grammian": io.grammian_to_json(gram), "bounds": io.bounds_to_json(bounds)})
+    if args.csv:
+        io.write_csv_atomic(args.csv, io.matrix_csv_lines(gram.matrix))
     print(
         f"gram dim={gram.dim} space={gram.provenance.space} "
         f"B={bounds.bessel_B:.6g} A={bounds.frame_A:.6g} c={bounds.riesz_c:.6g} "
@@ -98,33 +78,24 @@ def cmd_gram(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    opt = _Options(args)
-    points_path = opt.get("points")
-    if points_path is None:
-        raise ValueError("partition requires --points")
-    seq = io.load_points(points_path)
-    strategy = opt.get("strategy")
-    if strategy not in ("carleson", "spectral"):
-        raise ValueError(f"strategy must be carleson or spectral, got {strategy!r}")
+    if args.points is None or args.strategy is None:
+        raise ValueError("partition requires --points and --strategy")
+    seq = io.load_points(args.points)
 
-    if strategy == "carleson":
-        delta = float(opt.get("delta_target", 0.1))
-        part = partition_carleson(seq, delta, bool(opt.get("sort_by_modulus", False)))
+    if args.strategy == "carleson":
+        delta = args.delta_target
+        part = partition_carleson(seq, delta, args.sort_by_modulus)
         met = all(c.carleson_inf is not None and c.carleson_inf >= delta for c in part.certificates)
         target_text = f"delta={delta}"
     else:
-        c_target = float(opt.get("c_target", 0.1))
-        gram = szego_gram(seq)
-        part = partition_spectral(gram, c_target)
-        met = all(c.lambda_min >= c_target for c in part.certificates)
-        target_text = f"c={c_target}"
+        part = partition_spectral(szego_gram(seq), args.c_target)
+        met = all(c.lambda_min >= args.c_target for c in part.certificates)
+        target_text = f"c={args.c_target}"
 
-    out = opt.get("out")
-    if out:
-        io.write_json_atomic(out, io.partition_to_json(part))
-    csv = opt.get("csv")
-    if csv:
-        io.write_csv_atomic(csv, io.partition_csv_lines(seq, part))
+    if args.out:
+        io.write_json_atomic(args.out, io.partition_to_json(part))
+    if args.csv:
+        io.write_csv_atomic(args.csv, io.partition_csv_lines(seq, part))
     print(f"partition strategy={part.strategy} {target_text} classes={part.class_count} certified={met}")
     if not met:
         _err("a class certificate fell below its target")
@@ -133,29 +104,20 @@ def cmd_partition(args) -> int:
 
 
 def cmd_construct_st(args) -> int:
-    opt = _Options(args)
-    points_path = opt.get("points")
-    q_path = opt.get("Q")
-    if points_path is None or q_path is None:
+    if args.points is None or args.Q is None:
         raise ValueError("construct-st requires --points and --Q")
-    seq = io.load_points(points_path)
-    qm = io.matrix_from_json(io.load_json(q_path))
-    order = int(opt.get("N", DEFAULT_ORDER))
-    ctx = TruncationContext(order)
-    delta_raw = opt.get("delta_target")
-    delta = float(delta_raw) if delta_raw is not None else float(np.real(np.diagonal(qm)).min())
+    seq = io.load_points(args.points)
+    qm = io.matrix_from_json(io.load_json(args.Q))
+    ctx = TruncationContext(args.N)
+    delta = float(np.real(np.diagonal(qm)).min()) if args.delta_target is None else args.delta_target
 
     q = HermitianMatrix(qm)
     op = st_construct(q, seq, ctx, delta)
     defect, min_norm_sq = st_roundtrip_defect(op, q, seq, ctx)
 
-    out = opt.get("out")
-    if out:
-        payload = io.operator_to_json(op)
-        payload["roundtrip_defect"] = defect
-        payload["min_norm_sq"] = min_norm_sq
-        payload["delta"] = delta
-        io.write_json_atomic(out, payload)
+    if args.out:
+        extra = {"roundtrip_defect": defect, "min_norm_sq": min_norm_sq, "delta": delta}
+        io.write_json_atomic(args.out, {**io.operator_to_json(op), **extra})
     print(f"construct-st dim={op.dim} roundtrip={defect:.3e} min_norm_sq={min_norm_sq:.6f} delta={delta}")
     if defect > ROUNDTRIP_GATE or min_norm_sq < delta - NORM_FLOOR_SLACK:
         _err("construction certificate failed (roundtrip or norm floor)")
@@ -164,28 +126,13 @@ def cmd_construct_st(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    opt = _Options(args)
-    tolerances = opt.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ValueError("tolerances must be a JSON object")
-    families = opt.get("point_families")
-    kwargs = {}
-    if families:
-        kwargs["point_families"] = tuple(families)
-    cfg = SuiteConfig(
-        seed=int(opt.get("seed", 42)),
-        trials=int(opt.get("trials", 20)),
-        order=int(opt.get("N", DEFAULT_ORDER)),
-        tolerances={k: float(v) for k, v in tolerances.items()},
-        **kwargs,
-    )
+    cfg = SuiteConfig(args.seed, args.trials, args.N, args.point_families, args.tolerances)
     results = run_suite(cfg)
     for r in results:
         status = "PASS" if r.failures == 0 else "FAIL"
         print(f"{r.check_id}: {status} failures={r.failures}/{r.trials} worst={r.worst_violation:.3e}")
-    out = opt.get("out")
-    if out:
-        io.write_json_atomic(out, io.suite_report_to_json(cfg, results))
+    if args.out:
+        io.write_json_atomic(args.out, io.suite_report_to_json(cfg, results))
     return 0 if suite_passed(results) else 5
 
 
@@ -196,27 +143,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, order=DEFAULT_ORDER):
         sp.add_argument("--config", help="JSON config file; explicit flags override it")
         sp.add_argument("--out", help="write the JSON report here (atomic)")
-        sp.add_argument("--N", type=int, default=None, help="truncation order")
-        sp.add_argument("--buffer", type=int, default=None, help="ignored (a negative value exits 2)")
+        sp.add_argument("--N", type=int, default=order, help="truncation order")
+        sp.add_argument("--buffer", type=int, default=0, help="ignored (a negative value exits 2)")
 
     sp = sub.add_parser("gram", help="Grammian and frame bounds for a point file")
-    common(sp)
+    common(sp, order=None)  # an operator spec's own N applies unless --N is given
     sp.add_argument("--points", help="JSON file of [re, im] pairs")
     sp.add_argument("--operator", help="operator spec JSON; switches to the range-space Grammian")
     sp.add_argument("--csv", help="also dump the matrix as CSV")
-    sp.add_argument("--riesz-tol", type=float, default=None, dest="riesz_tol")
+    sp.add_argument("--riesz-tol", type=_finite_float, default=DEFAULT_RIESZ_TOL, dest="riesz_tol")
     sp.set_defaults(func=cmd_gram)
 
     sp = sub.add_parser("partition", help="greedy separation partition with certificates")
     common(sp)
     sp.add_argument("--points")
     sp.add_argument("--strategy", choices=("carleson", "spectral"))
-    sp.add_argument("--delta-target", type=float, default=None, dest="delta_target")
-    sp.add_argument("--c-target", type=float, default=None, dest="c_target")
-    sp.add_argument("--sort-by-modulus", action="store_true", default=None, dest="sort_by_modulus")
+    sp.add_argument("--delta-target", type=_finite_float, default=0.1, dest="delta_target")
+    sp.add_argument("--c-target", type=_finite_float, default=0.1, dest="c_target")
+    sp.add_argument("--sort-by-modulus", action="store_true", dest="sort_by_modulus")
     sp.add_argument("--csv", help="per-point class assignments for plotting")
     sp.set_defaults(func=cmd_partition)
 
@@ -224,16 +171,55 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--points")
     sp.add_argument("--Q", dest="Q", help="matrix JSON file with the target Grammian")
-    sp.add_argument("--delta-target", type=float, default=None, dest="delta_target")
+    sp.add_argument("--delta-target", type=_finite_float, default=None, dest="delta_target")
     sp.set_defaults(func=cmd_construct_st)
 
+    suite = SuiteConfig()
     sp = sub.add_parser("verify", help="run the randomized identity suite")
     common(sp)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.set_defaults(func=cmd_verify)
+    sp.add_argument("--seed", type=int, default=suite.seed)
+    sp.add_argument("--trials", type=int, default=suite.trials)
+    sp.set_defaults(func=cmd_verify, tolerances=suite.tolerances, point_families=suite.point_families)
 
     return parser
+
+
+def _tolerances(value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"'tolerances' must be a JSON object, got {value!r}")
+    return {key: io.json_number(v, f"tolerances.{key}") for key, v in value.items()}
+
+
+def _point_families(value) -> tuple:
+    if not isinstance(value, list) or not all(type(f) is str for f in value):
+        raise ValueError(f"'point_families' must be a JSON list of strings, got {value!r}")
+    return tuple(value)
+
+
+# Config keys that no flag declares, checked where the subcommand defaults them.
+_CONFIG_ONLY = {"tolerances": _tolerances, "point_families": _point_families}
+_SCALAR_CHECKS = {int: io.json_int, _finite_float: io.json_number}
+
+
+def _config_value(action: argparse.Action, value):
+    """``value`` checked against the flag it predefines: a JSON integer, a finite JSON
+    number, a JSON boolean for a switch, else a JSON string among any choices."""
+    if action.type in _SCALAR_CHECKS:
+        return _SCALAR_CHECKS[action.type](value, action.dest)
+    want, kind = (bool, "boolean") if action.nargs == 0 else (str, "string")
+    if type(value) is not want or value not in (action.choices or [value]):
+        among = f" among {list(action.choices)}" if action.choices else ""
+        raise ValueError(f"{action.dest!r} must be a JSON {kind}{among}, got {value!r}")
+    return value
+
+
+def _config_defaults(sp: argparse.ArgumentParser, cfg) -> dict:
+    """The checked non-null values of config object ``cfg`` that ``sp`` declares."""
+    if not isinstance(cfg, dict):
+        raise ValueError("config file must contain a JSON object")
+    checks = {a.dest: partial(_config_value, a) for a in sp._actions if a.dest not in ("help", "config")}
+    checks.update((key, check) for key, check in _CONFIG_ONLY.items() if sp.get_default(key) is not None)
+    return {key: checks[key](value) for key, value in cfg.items() if key in checks and value is not None}
 
 
 def main(argv=None) -> int:
@@ -243,13 +229,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (None, 0) else 2
     try:
+        if args.config:
+            (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            sp = sub.choices[args.command]
+            sp.set_defaults(**_config_defaults(sp, io.load_json(args.config)))
+            args = parser.parse_args(argv)
+        check_buffer(args.buffer)
         return args.func(args)
-    except ConfigInvalidError as exc:
-        _err(exc)
-        return 2
     except (HardyFramesError, np.linalg.LinAlgError) as exc:
         _err(exc)
-        return 3
+        return 2 if isinstance(exc, ConfigInvalidError) else 3
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         _err(exc)
         return 2

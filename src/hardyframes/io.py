@@ -2,7 +2,8 @@
 
 Complex scalars serialize as [re, im] pairs, matrices as row-major pair
 arrays, all through the one codec ``to_pairs``/``from_pairs``. CSV matrix
-cells use the human-readable "re+imj" form.
+cells use the human-readable "re+imj" form. Every other scalar read from a
+file goes through ``json_int`` or ``json_number``, which never convert types.
 
 Reports are written as one line of JSON with compact separators: with
 ``indent`` set, CPython's ``json`` falls back from its C encoder to the
@@ -21,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 import tempfile
 from itertools import chain
 from pathlib import Path
@@ -28,6 +30,26 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import PointSequence
+
+
+def _is_number_type(t: type) -> bool:
+    # bool subclasses int but is not a JSON number; numpy's float64 subclasses float
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (not a float or boolean), else ``ValueError`` naming ``what``."""
+    if type(value) is not int:
+        raise ValueError(f"{what!r} must be a JSON integer, got {value!r}")
+    return value
+
+
+def json_number(value, what: str) -> float:
+    """``value`` as a float if it is a finite JSON number (an int or float, not a
+    string or boolean; NaN, infinities and huge ints fail the bound), else ``ValueError``."""
+    if _is_number_type(type(value)) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{what!r} must be a finite JSON number, got {value!r}")
 
 
 def to_pairs(values) -> list:
@@ -47,7 +69,7 @@ def from_pairs(raw) -> np.ndarray:
         raise ValueError(f"expected a list of [re, im] pairs of numbers: {exc}") from None
     if a.shape != (0,) and (a.ndim != 2 or a.shape[1] != 2):
         raise ValueError(f"expected a list of [re, im] pairs, got an array of shape {a.shape}")
-    if not {float, int}.issuperset(map(type, chain.from_iterable(raw))):
+    if not all(map(_is_number_type, set(map(type, chain.from_iterable(raw))))):
         raise ValueError("pairs must hold JSON numbers, not strings or booleans")
     z = a.reshape(-1, 2).view(np.complex128)[:, 0]
     bad = np.flatnonzero(~np.isfinite(z))
@@ -64,7 +86,7 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(d) -> np.ndarray:
-    n = int(d["dim"])
+    n = json_int(d["dim"], "dim")
     entries = d["entries"]
     if len(entries) != n * n:
         raise ValueError(f"matrix of dim {n} needs {n * n} entries, got {len(entries)}")
@@ -82,7 +104,7 @@ def points_from_json(data) -> PointSequence:
     """Accept either a bare array of [re, im] pairs or a labeled wrapper."""
     if isinstance(data, dict):
         raw = data["points"]
-        labels = tuple(int(l) for l in data.get("labels", ()))
+        labels = tuple(json_int(l, "labels") for l in data.get("labels", ()))
     else:
         raw, labels = data, ()
     return PointSequence(from_pairs(raw), labels)

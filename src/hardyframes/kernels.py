@@ -33,7 +33,7 @@ def check_buffer(value) -> None:
     No operator needs working space past the truncation window, so the
     value has no effect; a negative one is still rejected as bad input.
     """
-    if int(value) < 0:
+    if value < 0:
         raise ValueError("buffer must be nonnegative")
 
 
@@ -131,16 +131,6 @@ def szego_gram(seq: PointSequence) -> Grammian:
     return Grammian(HermitianMatrix(g), prov, normalized=True)
 
 
-def apply_operator(op, x: np.ndarray, ctx: TruncationContext) -> np.ndarray:
-    """P @ x for a ``PositiveOperator`` of the truncation order, through its
-    structured form at O(N * cols * rank) cost."""
-    if op.dim != ctx.order:
-        raise DimensionMismatchError(
-            f"operator dimension {op.dim} disagrees with truncation order {ctx.order}"
-        )
-    return op.apply(x)
-
-
 def range_space_gram(op, seq: PointSequence, ctx: TruncationContext) -> Grammian:
     """Grammian of normalized kernels of the range space of a positive operator.
 
@@ -150,7 +140,7 @@ def range_space_gram(op, seq: PointSequence, ctx: TruncationContext) -> Grammian
     ``DEGENERATE_NORM_TOL`` raises ``DegenerateKernelError``.
     """
     v = kernel_matrix(seq, ctx)
-    m = v.conj().T @ apply_operator(op, v, ctx)
+    m = v.conj().T @ op.apply(v)
     m = (m + m.conj().T) / 2.0
     norms_sq = np.clip(np.real(np.diagonal(m)).copy(), 0.0, None)
     norms = np.sqrt(norms_sq)
@@ -174,7 +164,7 @@ def image_gram(op, seq: PointSequence, ctx: TruncationContext) -> Grammian:
     diagonal carries ||P k~_z||^2. This is the matrix that sits inside the
     monotone comparison chains.
     """
-    w = apply_operator(op, kernel_matrix(seq, ctx, normalize=True), ctx)
+    w = op.apply(kernel_matrix(seq, ctx, normalize=True))
     g = w.conj().T @ w
     op_id = getattr(op, "id", None)
     prov = Provenance(

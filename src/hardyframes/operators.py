@@ -37,8 +37,8 @@ from .errors import (
 )
 from .geometry import PointSequence
 from .hermitian import HermitianMatrix, as_hermitian, require_psd
-from .io import from_pairs, matrix_from_json
-from .kernels import DEFAULT_ORDER, TruncationContext, apply_operator, check_buffer, kernel_matrix
+from .io import from_pairs, json_int, json_number, matrix_from_json
+from .kernels import DEFAULT_ORDER, TruncationContext, check_buffer, kernel_matrix
 
 ORTHONORMALITY_GATE = 1e-6
 GRAM_CONDITION_FLOOR = 1e-8
@@ -171,6 +171,8 @@ class PositiveOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """P @ x for x of shape (N,) or (N, k), at O(N * k * rank) cost."""
+        if x.shape[0] != self.dim:
+            raise DimensionMismatchError(f"operator dimension {self.dim} disagrees with vector length {x.shape[0]}")
         y = x if self.basis is None else self.basis.conj().T @ x
         y = (self.core * y.T).T if self.core.ndim == 1 else self.core @ y
         if self.basis is not None:
@@ -336,8 +338,8 @@ def st_construct(q, seq: PointSequence, ctx: TruncationContext, delta: float) ->
         raise ValueError(f"Q is {m}x{m} but the sequence has {len(seq)} points")
     lam, vecs = np.linalg.eigh(q.matrix)
     require_psd(float(lam[0]), float(lam[-1]), "Q")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not delta > 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
     diag_min = float(np.real(np.diagonal(q.matrix)).min())
     if diag_min < delta - 1e-12:
         raise ValueError(f"diagonal minimum {diag_min:.6f} below delta {delta}")
@@ -357,17 +359,11 @@ def st_roundtrip_defect(op: PositiveOperator, q, seq: PointSequence, ctx: Trunca
     """Maximum entry deviation of the realized Grammian from Q, plus the
     smallest realized squared norm min_i ||P k~_i||^2."""
     qm = as_hermitian(q).matrix
-    w = apply_operator(op, kernel_matrix(seq, ctx, normalize=True), ctx)
+    w = op.apply(kernel_matrix(seq, ctx, normalize=True))
     realized = w.conj().T @ w
     defect = float(np.abs(realized - qm).max())
     min_norm_sq = float(np.real(np.diagonal(realized)).min())
     return defect, min_norm_sq
-
-
-def _json_int(value, what: str) -> int:
-    if type(value) is not int:
-        raise ValueError(f"{what!r} must be a JSON integer, got {value!r}")
-    return value
 
 
 def _inner_from_spec(d) -> InnerFunction:
@@ -376,13 +372,13 @@ def _inner_from_spec(d) -> InnerFunction:
     zeros = from_pairs(d.get("zeros", []))
     u = d.get("unimodular")
     uc = from_pairs([u])[0] if u is not None else 1.0 + 0.0j
-    return InnerFunction(zeros, uc, _json_int(d.get("m", 0), "inner.m"))
+    return InnerFunction(zeros, uc, json_int(d.get("m", 0), "inner.m"))
 
 
 def _st_from_spec(spec: dict, ctx: TruncationContext) -> PositiveOperator:
     qm = matrix_from_json(spec["Q"])
     pts = PointSequence(from_pairs(spec["points"]))
-    delta = float(spec.get("delta", np.real(np.diagonal(qm)).min()))
+    delta = json_number(spec["delta"], "delta") if "delta" in spec else float(np.real(np.diagonal(qm)).min())
     return st_construct(qm, pts, ctx, delta)
 
 
@@ -390,10 +386,12 @@ def _st_from_spec(spec: dict, ctx: TruncationContext) -> PositiveOperator:
 # installed on this module see every call.
 _SPEC_FACTORIES = {
     "identity": lambda spec, ctx: identity(ctx.order),
-    "diagonal": lambda spec, ctx: diagonal_operator(spec["weights"]),
+    "diagonal": lambda spec, ctx: diagonal_operator([json_number(w, "weights") for w in spec["weights"]]),
     "projection_phiH2": lambda spec, ctx: projection_phi_H2(_inner_from_spec(spec["inner"]), ctx),
     "projection_model": lambda spec, ctx: projection_model_space(_inner_from_spec(spec["inner"]), ctx),
-    "projection_monomial": lambda spec, ctx: projection_monomial_span(spec["excluded"], ctx.order),
+    "projection_monomial": lambda spec, ctx: projection_monomial_span(
+        [json_int(j, "excluded") for j in spec["excluded"]], ctx.order
+    ),
     "projection_c_plus_phi": lambda spec, ctx: projection_c_plus_phi(_inner_from_spec(spec["inner"]), ctx),
     "st_constructed": _st_from_spec,
     "custom": lambda spec, ctx: PositiveOperator(matrix_from_json(spec["matrix"]), "custom", "custom"),
@@ -414,6 +412,6 @@ def from_spec(spec: dict) -> PositiveOperator:
     kind = _LEGACY_SPEC_TYPES.get(spec["type"], spec["type"])
     if kind not in _SPEC_FACTORIES:
         raise ValueError(f"unknown operator type {spec['type']!r}")
-    order = _json_int(spec.get("N", DEFAULT_ORDER), "N")
-    check_buffer(spec.get("buffer", 0))
+    order = json_int(spec.get("N", DEFAULT_ORDER), "N")
+    check_buffer(json_int(spec.get("buffer", 0), "buffer"))
     return _SPEC_FACTORIES[kind](spec, TruncationContext(order))

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Real
 
 import numpy as np
 
@@ -98,8 +99,8 @@ class SuiteConfig:
         for key, value in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigInvalidError(f"unknown tolerance key {key!r}")
-            if value < 0.0:
-                raise ConfigInvalidError(f"tolerance {key} must be nonnegative, got {value}")
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 <= value < np.inf:
+                raise ConfigInvalidError(f"tolerance {key} must be a finite number >= 0, got {value!r}")
 
     def tol(self, key: str) -> float:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))

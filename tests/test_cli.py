@@ -1,5 +1,6 @@
 """End-to-end command line tests: exit codes, outputs, config overlay."""
 
+import argparse
 import json
 import os
 import shutil
@@ -564,6 +565,177 @@ def test_spec_field_of_wrong_type_is_input_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+NAN = float("nan")
+
+
+def _gram(t):
+    return ["gram", "--points", write_points(t, ring(2, 0.5))]
+
+
+def _gram_operator(t):
+    return _gram(t) + ["--operator", write_json(t / "op.json", {**PHI_SPEC, "N": 128})]
+
+
+def _partition(strategy):
+    return lambda t: ["partition", "--points", write_points(t, ring(3, 0.5)), "--strategy", strategy]
+
+
+def _verify(t):
+    return ["verify", "--N", "128"]
+
+
+# case -> (key stderr must name, argv builder, config object)
+MALFORMED_CONFIG = {
+    "N-float": ("N", _gram_operator, {"N": 64.9}),
+    "sort_by_modulus-string": ("sort_by_modulus", _partition("carleson"), {"sort_by_modulus": "false"}),
+    "c_target-string": ("c_target", _partition("spectral"), {"c_target": "0.3"}),
+    "buffer-float": ("buffer", _gram, {"buffer": 2.5}),
+    "trials-float": ("trials", _verify, {"trials": 1.9}),
+    "seed-bool": ("seed", _verify, {"seed": True, "trials": 1}),
+    "strategy-unknown": ("strategy", lambda t: _partition("carleson")(t)[:3], {"strategy": "foo"}),
+    "riesz_tol-nan": ("riesz_tol", _gram, {"riesz_tol": NAN}),
+    "points-number": ("points", lambda t: ["gram"], {"points": 5}),
+    "tolerances-nan": (
+        "tolerances.st_roundtrip",
+        _verify,
+        {"trials": 1, "tolerances": {"st_roundtrip": NAN, "toeplitz_covariance": NAN}},
+    ),
+    "tolerances-string": ("tolerances.st_roundtrip", _verify, {"trials": 1, "tolerances": {"st_roundtrip": "1e-3"}}),
+    "tolerances-list": ("tolerances", _verify, {"trials": 1, "tolerances": [1e-6]}),
+    "point_families-string": ("point_families", _verify, {"trials": 1, "point_families": "uniform_disk"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIG))
+def test_malformed_config_value_is_input_error(tmp_path, capsys, case):
+    """A config value must have the JSON type of the flag it predefines."""
+    key, argv, cfg = MALFORMED_CONFIG[case]
+    assert main(argv(tmp_path) + ["--config", write_json(tmp_path / "cfg.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert "Traceback" not in err
+
+
+def _labels(t):
+    pts = write_json(t / "labeled.json", {"points": [[0.1, 0.0], [0.5, 0.0], [-0.4, 0.2]], "labels": [1.9, 2.2, "3"]})
+    return ["gram", "--points", pts]
+
+
+def _fractional_dim(t):
+    q = write_json(t / "q.json", {"dim": 1.9, "entries": [[1.0, 0.0]]})
+    return ["construct-st", "--points", write_points(t, [0.3]), "--Q", q, "--N", "64"]
+
+
+MALFORMED_SCALARS = {
+    "weights": lambda t: _malformed_spec(t, {"type": "diagonal", "weights": ["0.5", True, 1]}),
+    "excluded": lambda t: _malformed_spec(t, {"type": "projection_monomial", "excluded": [1.7]}),
+    "labels": _labels,
+    "dim": _fractional_dim,
+    "delta": lambda t: _malformed_spec(t, {**ST_SPEC, "delta": "0.5"}),
+    "buffer": lambda t: _malformed_spec(t, {**PHI_SPEC, "buffer": 2.5}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCALARS))
+def test_malformed_file_scalar_is_input_error(tmp_path, capsys, case):
+    """Integers in a spec, point file or matrix file are JSON integers, numbers are JSON numbers."""
+    assert main(MALFORMED_SCALARS[case](tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(case) in err
+
+
+def _construct_st(t):
+    q = write_json(t / "q.json", matrix_to_json(0.5 * np.eye(2)))
+    return ["construct-st", "--points", write_points(t, ring(2, 0.5)), "--Q", q, "--N", "64"]
+
+
+NON_FINITE_FLAGS = {
+    "gram": (_gram, "--riesz-tol"),
+    "partition-spectral": (_partition("spectral"), "--c-target"),
+    "partition-carleson": (_partition("carleson"), "--delta-target"),
+    "construct-st": (_construct_st, "--delta-target"),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_FLAGS))
+def test_non_finite_flag_is_input_error(tmp_path, capsys, case, value):
+    argv, flag = NON_FINITE_FLAGS[case]
+    assert main(argv(tmp_path) + [f"{flag}={value}"]) == 2
+    assert "is not a finite number" in capsys.readouterr().err
+
+
+def subcommand_parsers():
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def config_options(command):
+    """The options a config file can predefine for a subcommand, as the parser declares them."""
+    return [a for a in subcommand_parsers()[command]._actions if a.dest not in ("help", "config")]
+
+
+def option_values(t):
+    """A non-default value for every option of every subcommand; outputs go to ``t``."""
+    pts = write_points(t, ring(4, 0.6))
+    out, csv = str(t / "report.json"), str(t / "report.csv")
+    return {
+        "gram": {
+            "points": pts, "operator": write_json(t / "op.json", PHI_SPEC), "N": 96, "riesz_tol": 0.3,
+            "buffer": 3, "out": out, "csv": csv,
+        },
+        "partition": {
+            "points": pts, "strategy": "carleson", "delta_target": 0.2, "c_target": 0.5,
+            "sort_by_modulus": True, "N": 96, "buffer": 3, "out": out, "csv": csv,
+        },
+        "construct-st": {
+            "points": pts, "Q": write_json(t / "q.json", matrix_to_json(0.5 * np.eye(4))),
+            "delta_target": 0.25, "N": 96, "buffer": 3, "out": out,
+        },
+        "verify": {"seed": 5, "trials": 1, "N": 160, "buffer": 3, "out": out},
+    }
+
+
+def wrong_json_type(value):
+    """A value of another JSON type than ``value``'s."""
+    if type(value) is bool:
+        return str(value).lower()
+    if type(value) is int:
+        return value + 0.5
+    return str(value) if type(value) is float else [value]
+
+
+@pytest.mark.parametrize("command", ["gram", "partition", "construct-st", "verify"])
+def test_config_equals_flags(tmp_path, capsys, command):
+    """Every option set in a config file gives the same run as its flag,
+    and a value of the wrong JSON type exits 2 naming the key."""
+    values = option_values(tmp_path)[command]
+    options = config_options(command)
+    assert sorted(a.dest for a in options) == sorted(values)
+    flags = []
+    for a in options:
+        assert values[a.dest] != a.default, a.dest
+        flags += [a.option_strings[0]] + ([] if a.nargs == 0 else [str(values[a.dest])])
+
+    def run(argv):
+        outputs = [Path(values[k]) for k in ("out", "csv") if k in values]
+        for path in outputs:
+            path.unlink(missing_ok=True)
+        assert main([command] + argv) == 0
+        return capsys.readouterr().out, [path.read_bytes() for path in outputs]
+
+    by_flags = run(flags)
+    # a config shared with other subcommands: keys this one does not declare are
+    # ignored however malformed, and those it declares are overridden by ``values``
+    shared = {"unrelated": [1.5], "operator": 5, "Q": 5, "strategy": 5, "seed": "x"}
+    assert run(["--config", write_json(tmp_path / "cfg.json", {**shared, **values})]) == by_flags
+
+    for a in options:
+        cfg = write_json(tmp_path / "bad.json", {**values, a.dest: wrong_json_type(values[a.dest])})
+        assert main([command, "--config", cfg]) == 2, a.dest
+        assert repr(a.dest) in capsys.readouterr().err
 
 
 class TestPlumbing:

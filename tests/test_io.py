@@ -132,6 +132,28 @@ def test_from_pairs_rejects_anything_but_two_finite_numbers(raw):
         io.from_pairs(raw)
 
 
+@pytest.mark.parametrize("value", [1.0, 1.7, True, "3", None, [1]])
+def test_json_int_takes_only_json_integers(value):
+    with pytest.raises(ValueError, match="'dim' must be a JSON integer"):
+        io.json_int(value, "dim")
+
+
+def test_json_int_returns_the_integer():
+    assert io.json_int(-3, "dim") == -3
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400, True, "0.5", None, [0.5]])
+def test_json_number_takes_only_finite_json_numbers(value):
+    with pytest.raises(ValueError, match="'delta' must be a finite JSON number"):
+        io.json_number(value, "delta")
+
+
+@pytest.mark.parametrize("value", [0, -2, 0.5, 1e308, np.float64(0.25)])
+def test_json_number_returns_a_float(value):
+    x = io.json_number(value, "delta")
+    assert type(x) is float and x == value
+
+
 def test_from_pairs_accepts_the_empty_list():
     z = io.from_pairs([])
     assert z.shape == (0,) and z.dtype == np.complex128

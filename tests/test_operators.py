@@ -248,6 +248,13 @@ class TestPositiveOperator:
         assert op.dim == 7
         assert np.allclose(op.array, np.eye(7))
 
+    @pytest.mark.parametrize("shape", [(6,), (8, 3)])
+    def test_apply_rejects_wrong_length(self, shape):
+        low_rank = PositiveOperator(np.ones(2), "x", "custom", basis=np.eye(7)[:, :2], shift=0.5)
+        for op in (identity(7), low_rank):
+            with pytest.raises(DimensionMismatchError, match="dimension 7"):
+                op.apply(np.ones(shape))
+
 
 class TestDiagonalOperator:
     def test_builds_diag(self):
@@ -424,6 +431,10 @@ class TestStConstruct:
         seq = self._ring(2)
         with pytest.raises(ValueError):
             st_construct(np.eye(2), seq, TruncationContext(64), 0.0)
+
+    def test_rejects_nan_delta(self):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            st_construct(np.eye(2), self._ring(2), TruncationContext(64), float("nan"))
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):

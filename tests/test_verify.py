@@ -85,6 +85,12 @@ class TestSuiteConfig:
         with pytest.raises(ConfigInvalidError):
             SuiteConfig(tolerances={"st_roundtrip": -1e-6}).validate()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1e-6", True, None])
+    def test_rejects_tolerance_that_is_not_a_finite_number(self, value):
+        # NaN would disable a check: no defect compares above it
+        with pytest.raises(ConfigInvalidError, match="finite number"):
+            SuiteConfig(tolerances={"st_roundtrip": value}).validate()
+
     def test_zero_tolerance_allowed(self):
         SuiteConfig(tolerances={"st_roundtrip": 0.0}).validate()
 

@@ -31,7 +31,7 @@ from .errors import ConfigInvalidError, HardyFramesError
 from .frames import DEFAULT_RIESZ_TOL, analyze
 from .hermitian import HermitianMatrix
 from .kernels import DEFAULT_ORDER, TruncationContext, check_buffer, range_space_gram, szego_gram
-from .operators import from_spec, st_construct, st_roundtrip_defect
+from .operators import from_spec, min_diagonal, st_construct, st_roundtrip_defect
 from .partition import partition_carleson, partition_spectral
 from .verify import SuiteConfig, run_suite, suite_passed
 
@@ -107,11 +107,10 @@ def cmd_construct_st(args) -> int:
     if args.points is None or args.Q is None:
         raise ValueError("construct-st requires --points and --Q")
     seq = io.load_points(args.points)
-    qm = io.matrix_from_json(io.load_json(args.Q))
+    q = HermitianMatrix(io.matrix_from_json(io.load_json(args.Q)))
     ctx = TruncationContext(args.N)
-    delta = float(np.real(np.diagonal(qm)).min()) if args.delta_target is None else args.delta_target
+    delta = min_diagonal(q) if args.delta_target is None else args.delta_target
 
-    q = HermitianMatrix(qm)
     op = st_construct(q, seq, ctx, delta)
     defect, min_norm_sq = st_roundtrip_defect(op, q, seq, ctx)
 

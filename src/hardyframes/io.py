@@ -12,6 +12,17 @@ command's run time. Numbers (shortest round-trip ``repr``), keys and their
 order are the same either way; ``python -m json.tool`` indents a report
 for reading.
 
+The matrices in reports (``grammian_to_json``, ``operator_to_json``) stay
+complex arrays until ``write_json_atomic``. It writes each one as the
+text ``json.dumps`` gives for its ``to_pairs`` list, so the bytes are the
+same as when reports held those lists, but it formats each distinct
+magnitude once and adds the sign as text: ``repr(-x)`` is
+``"-" + repr(x)`` for every finite double, signed zeros included, and a
+Hermitian matrix holds each magnitude about twice. The rest of the
+payload goes through the C encoder, and the matrix text is spliced in
+where it left a marker. Non-finite entries, which have no JSON spelling,
+raise ``ValueError``. ``matrix_to_json`` still returns plain lists.
+
 All file writes go through a uniquely named temp file in the target
 directory and a rename, so an interrupted run never leaves a partial
 artifact behind and concurrent writers never share a temp file.
@@ -78,11 +89,19 @@ def from_pairs(raw) -> np.ndarray:
     return z
 
 
-def matrix_to_json(m) -> dict:
+def _matrix_doc(m) -> dict:
+    """``{"dim", "entries"}`` of a square matrix, the entries a flat complex
+    array in row-major order that ``write_json_atomic`` writes as pairs."""
     a = np.asarray(getattr(m, "matrix", m), dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return {"dim": int(a.shape[0]), "entries": to_pairs(a.ravel())}
+    return {"dim": int(a.shape[0]), "entries": a.ravel()}
+
+
+def matrix_to_json(m) -> dict:
+    doc = _matrix_doc(m)
+    doc["entries"] = to_pairs(doc["entries"])
+    return doc
 
 
 def matrix_from_json(d) -> np.ndarray:
@@ -96,7 +115,7 @@ def matrix_from_json(d) -> np.ndarray:
 def matrix_csv_lines(m) -> list[str]:
     a = np.asarray(getattr(m, "matrix", m), dtype=np.complex128)
     row_format = ",".join(["%.17g%+.17gj"] * a.shape[1])
-    rows = np.stack((a.real, a.imag), -1).reshape(a.shape[0], -1).tolist()
+    rows = np.stack((a.real, a.imag), -1).reshape(a.shape[0], 2 * a.shape[1]).tolist()
     return [row_format % tuple(row) for row in rows]
 
 
@@ -123,7 +142,7 @@ def load_json(path) -> dict:
 def grammian_to_json(g) -> dict:
     prov = g.provenance
     return {
-        "matrix": matrix_to_json(g.matrix),
+        "matrix": _matrix_doc(g.matrix),
         "normalized": bool(g.normalized),
         "provenance": {
             "space": prov.space,
@@ -141,7 +160,7 @@ def bounds_to_json(report) -> dict:
 
 
 def operator_to_json(op) -> dict:
-    out = matrix_to_json(op.matrix)
+    out = _matrix_doc(op.matrix)
     out["id"] = op.id
     out["kind"] = op.kind
     out["contraction"] = bool(op.contraction)
@@ -228,8 +247,56 @@ def _umask() -> int:
     return mask
 
 
+# The text before a number in a [[re,im],...] list, indexed by
+# 2 * (it is an imaginary part) + (it is negative).
+_PAIR_SEPARATORS = np.array(["],[", "],[-", ",", ",-"], dtype=object)
+
+
+def _pairs_text(z: np.ndarray) -> str:
+    """``json.dumps(to_pairs(z), separators=(",", ":"))`` for a finite 1-D
+    complex array, with one ``repr`` per distinct magnitude."""
+    f = z.view(np.float64)  # re, im interleaved
+    bad = np.flatnonzero(~np.isfinite(f))
+    if bad.size:
+        k = int(bad[0]) // 2
+        raise ValueError(f"entry {k} is {z[k]}, not a finite complex number; reports hold finite numbers only")
+    if not f.size:
+        return "[]"
+    mags, inv = np.unique(np.abs(f), return_inverse=True)
+    reprs = np.array(list(map(float.__repr__, mags.tolist())), dtype=object)
+    kind = np.signbit(f) + np.tile([0, 2], z.size)
+    parts = [None] * (2 * f.size)
+    parts[0::2] = _PAIR_SEPARATORS[kind].tolist()
+    parts[0] = "[[-" if kind[0] else "[["
+    parts[1::2] = reprs[inv].tolist()
+    parts.append("]]")
+    del mags, inv, reprs, kind  # 3 MB at N=256; freed before the text is built, to keep peak RSS down
+    return "".join(parts)
+
+
+# What the encoder writes for each array; no report string holds a NUL.
+_ARRAY_MARKER = "\0complex-array\0"
+
+
 def write_json_atomic(path, payload) -> None:
-    write_text_atomic(path, json.dumps(payload, separators=(",", ":")) + "\n")
+    """Write ``payload`` as one line of compact JSON.
+
+    A 1-D complex128 array anywhere in it is written as its ``to_pairs``
+    list would be (see the module docstring).
+    """
+    arrays = []
+
+    def marker(obj):
+        if not (isinstance(obj, np.ndarray) and obj.dtype == np.complex128 and obj.ndim == 1):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        arrays.append(obj)
+        return _ARRAY_MARKER
+
+    pieces = json.dumps(payload, separators=(",", ":"), default=marker).split(json.dumps(_ARRAY_MARKER))
+    if len(pieces) != len(arrays) + 1:
+        raise ValueError("a report string equals the array marker")
+    texts = [_pairs_text(np.ascontiguousarray(a)) for a in arrays] + ["\n"]
+    write_text_atomic(path, "".join(chain.from_iterable(zip(pieces, texts))))
 
 
 def write_csv_atomic(path, lines) -> None:

@@ -315,6 +315,12 @@ def projection_c_plus_phi(phi: InnerFunction, ctx: TruncationContext) -> Positiv
     )
 
 
+def min_diagonal(q) -> float:
+    """Smallest real diagonal entry of a matrix or ``HermitianMatrix`` Q: the
+    default ``delta`` of an ST construction, and the floor it is checked against."""
+    return float(np.real(np.diagonal(getattr(q, "matrix", q))).min())
+
+
 def st_construct(q, seq: PointSequence, ctx: TruncationContext, delta: float) -> PositiveOperator:
     """Build a positive operator whose projected-kernel Grammian equals a
     prescribed PSD matrix.
@@ -340,7 +346,7 @@ def st_construct(q, seq: PointSequence, ctx: TruncationContext, delta: float) ->
     require_psd(float(lam[0]), float(lam[-1]), "Q")
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    diag_min = float(np.real(np.diagonal(q.matrix)).min())
+    diag_min = min_diagonal(q)
     if diag_min < delta - 1e-12:
         raise ValueError(f"diagonal minimum {diag_min:.6f} below delta {delta}")
 
@@ -378,7 +384,7 @@ def _inner_from_spec(d) -> InnerFunction:
 def _st_from_spec(spec: dict, ctx: TruncationContext) -> PositiveOperator:
     qm = matrix_from_json(spec["Q"])
     pts = PointSequence(from_pairs(spec["points"]))
-    delta = json_number(spec["delta"], "delta") if "delta" in spec else float(np.real(np.diagonal(qm)).min())
+    delta = json_number(spec["delta"], "delta") if "delta" in spec else min_diagonal(qm)
     return st_construct(qm, pts, ctx, delta)
 
 

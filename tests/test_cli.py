@@ -14,7 +14,7 @@ import pytest
 from hardyframes import cli
 from hardyframes.cli import main
 from hardyframes.io import matrix_from_json, matrix_to_json
-from hardyframes.operators import PositiveOperator, st_construct
+from hardyframes.operators import OPERATOR_KINDS, PositiveOperator, st_construct
 
 
 def write_json(path, payload):
@@ -483,6 +483,46 @@ class TestReportSchema:
             "config.tolerances", "results", "results[].check_id", "results[].trials",
             "results[].failures", "results[].worst_violation", "results[].witness", "passed",
         ]
+
+
+INNER = {"zeros": [[0.3, 0.2], [-0.1, -0.4]], "m": 1}
+# One spec per operator kind, each at order 64.
+REPORT_SPECS = {
+    "identity": {},
+    "diagonal": {"weights": [0.9**k for k in range(64)]},
+    "projection_phiH2": {"inner": INNER},
+    "projection_model": {"inner": INNER},
+    "projection_monomial": {"excluded": [1, 3]},
+    "projection_c_plus_phi": {"inner": INNER},
+    "st_constructed": {"points": [[0.5, 0.0], [-0.2, 0.4]], "Q": matrix_to_json([[1.0, 0.2j], [-0.2j, 0.5]])},
+    "custom": {"matrix": matrix_to_json(np.diag(np.linspace(1.0, 0.1, 64)) + 0.01 * np.ones((64, 64)))},
+}
+
+
+class TestReportNumbers:
+    """Every number in a matrix report is its shortest repr, in the compact layout."""
+
+    def assert_compact_dump(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+
+    def test_specs_cover_every_operator_kind(self):
+        assert set(REPORT_SPECS) == OPERATOR_KINDS
+
+    @pytest.mark.parametrize("kind", [None, *sorted(REPORT_SPECS)])
+    def test_gram(self, tmp_path, kind):
+        pts = write_points(tmp_path, [0.1, 0.6, 0.3 + 0.4j, -0.5 - 0.2j])
+        argv = ["gram", "--points", pts, "--out", str(tmp_path / "gram.json")]
+        if kind is not None:
+            argv += ["--operator", write_json(tmp_path / "op.json", {"type": kind, "N": 64, **REPORT_SPECS[kind]})]
+        assert main(argv) == 0
+        self.assert_compact_dump(tmp_path / "gram.json")
+
+    def test_construct_st(self, tmp_path):
+        pts = write_points(tmp_path, [0.5, -0.2 + 0.4j, 0.1 - 0.7j])
+        q = write_json(tmp_path / "q.json", matrix_to_json([[1.0, 0.2j, 0.1], [-0.2j, 0.5, 0.0], [0.1, 0.0, 0.7]]))
+        assert main(["construct-st", "--points", pts, "--Q", q, "--N", "64", "--out", str(tmp_path / "op.json")]) == 0
+        self.assert_compact_dump(tmp_path / "op.json")
 
 
 def test_matrix_from_json_rejects_non_finite_entries():

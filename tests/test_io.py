@@ -2,9 +2,13 @@
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hardyframes import io
 
@@ -89,6 +93,24 @@ def specials_matrix():
     return np.array(SPECIALS + [complex(0.1, 0.2)]).reshape(3, 3)
 
 
+def mirrored(a):
+    """``a`` with its strict lower triangle replaced, bit for bit, by the conjugate of the upper one."""
+    lower = np.tril_indices(a.shape[0], -1)
+    a = a.copy()
+    a[lower] = np.conj(a.T[lower])
+    return a
+
+
+def hermitian_repeats_matrix():
+    """Exactly Hermitian, with few magnitudes that repeat under both signs and -0.0 on the diagonal."""
+    rng = np.random.default_rng(7)
+    mags = np.array([0.0, 0.1, 0.25, 3.0, 1e-300, 1e300])
+    parts = rng.choice(mags, (2, 6, 6)) * rng.choice([-1.0, 1.0], (2, 6, 6))
+    a = mirrored(parts[0] + 1j * parts[1])
+    a[np.diag_indices(6)] = [complex(-0.0, 0.0), complex(-0.0, -0.0), -0.1, 0.1, -3.0, complex(0.0, -0.0)]
+    return a
+
+
 def reference_csv_lines(a):
     """The per-entry formatter the vectorized one must reproduce byte for byte."""
     return [",".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row) for row in a]
@@ -96,6 +118,8 @@ def reference_csv_lines(a):
 
 MATRICES = [pytest.param(seeded_matrix(n), id=f"n={n}") for n in (1, 2, 7, 200)]
 MATRICES.append(pytest.param(specials_matrix(), id="specials"))
+MATRICES.append(pytest.param(hermitian_repeats_matrix(), id="hermitian-repeats"))
+MATRICES.append(pytest.param(np.zeros((0, 0), dtype=np.complex128), id="empty"))
 
 
 @pytest.mark.parametrize("a", MATRICES)
@@ -186,3 +210,73 @@ def test_json_report_is_one_line(tmp_path):
     assert text == json.dumps(payload, separators=(",", ":")) + "\n"
     assert text.count("\n") == 1
     assert json.loads(text) == payload
+
+
+def test_hermitian_repeats_matrix_is_what_it_says():
+    a = hermitian_repeats_matrix()
+    assert mirrored(a).tobytes() == a.tobytes() and (a.imag.diagonal() == 0.0).all()
+    f = np.abs(a.view(np.float64))
+    assert len(np.unique(f)) < f.size // 4
+    assert np.signbit(a.real.diagonal()).any() and (a.real.diagonal() == 0.0).any()
+
+
+def assert_writes_like_pair_lists(target, a):
+    """An operator report of ``a`` is written byte for byte as ``json.dumps`` writes its pair lists."""
+    op = SimpleNamespace(matrix=a, id="custom", kind="custom", contraction=False)
+    io.write_json_atomic(target, io.operator_to_json(op))
+    expected = {**io.matrix_to_json(a), "id": "custom", "kind": "custom", "contraction": False}
+    assert target.read_bytes() == (json.dumps(expected, separators=(",", ":")) + "\n").encode()
+
+
+@pytest.mark.parametrize("a", MATRICES)
+def test_report_matrix_bytes_equal_the_pair_list_encoding(tmp_path, a):
+    assert_writes_like_pair_lists(tmp_path / "op.json", a)
+
+
+FINITE = st.complex_numbers(allow_nan=False, allow_infinity=False)
+SQUARE = st.integers(0, 6).map(lambda n: (n, n))
+FINITE_MATRICES = arrays(np.complex128, SQUARE, elements=FINITE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(FINITE_MATRICES, FINITE_MATRICES.map(mirrored)))
+def test_report_matrix_bytes_equal_the_pair_list_encoding_for_any_finite_matrix(tmp_path_factory, a):
+    assert_writes_like_pair_lists(tmp_path_factory.mktemp("prop") / "op.json", a)
+
+
+def test_grammian_report_splices_matrix_among_other_fields(tmp_path):
+    a = hermitian_repeats_matrix()
+    prov = SimpleNamespace(
+        space="H2", operator_id=None, points=np.array([0.5, -0.0j, 0.1 + 0.2j]), labels=(0, 1, 2),
+        truncation_error=0.0, transform=None,
+    )
+    g = SimpleNamespace(matrix=a, normalized=True, provenance=prov)
+    payload = {"grammian": io.grammian_to_json(g), "tail": {"matrix": io.operator_to_json(SimpleNamespace(
+        matrix=a[:2, :2], id="x", kind="custom", contraction=True))}}
+    io.write_json_atomic(tmp_path / "g.json", payload)
+    doc = json.loads((tmp_path / "g.json").read_text(encoding="utf-8"))
+    assert io.matrix_from_json(doc["grammian"]["matrix"]).tobytes() == a.tobytes()
+    assert io.matrix_from_json(doc["tail"]["matrix"]).tobytes() == np.ascontiguousarray(a[:2, :2]).tobytes()
+    assert doc["grammian"]["provenance"]["points"] == io.to_pairs(prov.points)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_writer_rejects_non_finite_entries(tmp_path, bad, part):
+    z = np.array([1.0, 0.5j, 2.0 + 0j], dtype=np.complex128)
+    setattr(z[1:2], part, bad)
+    with pytest.raises(ValueError, match="entry 1 .* not a finite complex number"):
+        io.write_json_atomic(tmp_path / "r.json", {"entries": z})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [np.zeros(2), np.zeros((2, 2), dtype=np.complex128), np.complex64(1.0)])
+def test_writer_rejects_other_numpy_values(tmp_path, value):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        io.write_json_atomic(tmp_path / "r.json", {"entries": value})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writer_rejects_a_string_that_equals_its_marker(tmp_path):
+    with pytest.raises(ValueError, match="marker"):
+        io.write_json_atomic(tmp_path / "r.json", {"id": "\0complex-array\0", "entries": np.ones(1, complex)})

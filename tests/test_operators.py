@@ -38,7 +38,7 @@ from hardyframes import (
 )
 from hardyframes.hermitian import psd_inverse
 from hardyframes.io import matrix_to_json
-from hardyframes.operators import OPERATOR_KINDS, from_spec
+from hardyframes.operators import OPERATOR_KINDS, from_spec, min_diagonal
 
 
 def oracle_taylor(phi, count):
@@ -491,6 +491,13 @@ class TestFromSpec:
         op = from_spec(spec)
         assert op.kind == "st_constructed"
         assert "delta=0.5" in op.id
+
+    def test_default_delta_is_min_diagonal(self):
+        q = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
+        assert min_diagonal(q) == min_diagonal(HermitianMatrix(q)) == 0.3
+        pts = [[0.6, 0.0], [-0.6, 0.0]]
+        op = from_spec({"type": "st", "N": 64, "points": pts, "Q": matrix_to_json(q)})
+        assert op.id == "st(points=2,delta=0.3)"
 
     @pytest.mark.parametrize(
         "kind, legacy, fields",

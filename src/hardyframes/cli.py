@@ -142,14 +142,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, order=DEFAULT_ORDER):
+    def common(sp):
         sp.add_argument("--config", help="JSON config file; explicit flags override it")
         sp.add_argument("--out", help="write the JSON report here (atomic)")
-        sp.add_argument("--N", type=int, default=order, help="truncation order")
         sp.add_argument("--buffer", type=int, default=0, help="ignored (a negative value exits 2)")
 
+    def truncated(sp, order=DEFAULT_ORDER):
+        common(sp)
+        sp.add_argument("--N", type=int, default=order, help="truncation order")
+
     sp = sub.add_parser("gram", help="Grammian and frame bounds for a point file")
-    common(sp, order=None)  # an operator spec's own N applies unless --N is given
+    truncated(sp, order=None)  # an operator spec's own N applies unless --N is given
     sp.add_argument("--points", help="JSON file of [re, im] pairs")
     sp.add_argument("--operator", help="operator spec JSON; switches to the range-space Grammian")
     sp.add_argument("--csv", help="also dump the matrix as CSV")
@@ -167,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_partition)
 
     sp = sub.add_parser("construct-st", help="realize a PSD matrix as a projected-kernel Grammian")
-    common(sp)
+    truncated(sp)
     sp.add_argument("--points")
     sp.add_argument("--Q", dest="Q", help="matrix JSON file with the target Grammian")
     sp.add_argument("--delta-target", type=_finite_float, default=None, dest="delta_target")
@@ -175,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     suite = SuiteConfig()
     sp = sub.add_parser("verify", help="run the randomized identity suite")
-    common(sp)
+    truncated(sp)
     sp.add_argument("--seed", type=int, default=suite.seed)
     sp.add_argument("--trials", type=int, default=suite.trials)
     sp.set_defaults(func=cmd_verify, tolerances=suite.tolerances, point_families=suite.point_families)

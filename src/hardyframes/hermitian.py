@@ -13,6 +13,7 @@ eigensolve, so it is checked where one is made anyway.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ DEFAULT_RANK_TOL = 1e-10
 HERMITIAN_TOL = 1e-8
 # Eigenvalues down to -PSD_REL_TOL * max(1, lambda_max) count as rounding noise.
 PSD_REL_TOL = 1e-10
+# Side of the square blocks HermitianMatrix symmetrizes at a time.
+SYMMETRIZE_BLOCK = 128
 
 
 class HermitianMatrix:
@@ -31,7 +34,9 @@ class HermitianMatrix:
     The stored matrix is (H + H*) / 2. Non-finite entries raise
     ``ValueError``. If the anti-Hermitian part exceeds ``HERMITIAN_TOL``
     relative to the entry scale the input is rejected instead of silently
-    symmetrized. This takes one copy of the input and one n x n buffer.
+    symmetrized. This takes one copy plus block-sized temporaries: the upper
+    triangle is walked in ``SYMMETRIZE_BLOCK`` square blocks, each paired
+    with its mirror block below the diagonal.
     """
 
     __slots__ = ("matrix",)
@@ -40,20 +45,31 @@ class HermitianMatrix:
         m = np.array(entries, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite (found NaN or infinity)")
-        scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-        h = np.conj(m.T)
-        np.subtract(m, h, out=h)
-        defect = float(np.abs(h).max(initial=0.0))
+        n, b = m.shape[0], SYMMETRIZE_BLOCK
+        scale, defect = 1.0, 0.0
+        for i in range(0, n, b):
+            for j in range(i, n, b):
+                upper, lower = m[i : i + b, j : j + b], m[j : j + b, i : i + b]
+                for block in (upper, lower) if i != j else (upper,):
+                    top = float(np.abs(block).max(initial=0.0))
+                    # |x| overflows to inf for some finite x, so only then look closer
+                    if not (math.isfinite(top) or np.isfinite(block).all()):
+                        raise ValueError("matrix entries must be finite (found NaN or infinity)")
+                    scale = max(scale, top)
+                # |m_ij - conj(m_ji)| = |m_ji - conj(m_ij)|, so one side gives the defect.
+                # Mirror copies in C order spare numpy an iteration buffer in the updates.
+                lower_adj = np.conj(lower.T, order="C")
+                defect = max(defect, float(np.abs(upper - lower_adj).max(initial=0.0)))
+                # (m + m*) / 2.0 in place, bit for bit; m *= 0.5 would flip the sign of some zeros
+                if i != j:
+                    lower += np.conj(upper.T, order="C")
+                    lower /= 2.0
+                upper += lower_adj
+                upper /= 2.0
         if defect > HERMITIAN_TOL * scale:
             raise NonHermitianError(
                 f"anti-Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e} * scale {scale:.3e}"
             )
-        # (m + m*) / 2.0 in place, bit for bit; m *= 0.5 would flip the sign of some zeros
-        np.conjugate(m.T, out=h)
-        m += h
-        m /= 2.0
         self.matrix = m
 
     @property

@@ -119,13 +119,19 @@ def kernel_matrix(seq: PointSequence, ctx: TruncationContext, normalize: bool = 
 def szego_gram(seq: PointSequence) -> Grammian:
     """Closed-form Grammian of the normalized kernels of a point sequence.
 
-    No truncation is involved; the diagonal is exactly 1.
+    No truncation is involved; the diagonal is exactly 1. G is built in one
+    complex n x n buffer, which holds the denominator and is then divided in
+    place by the real numerator, so the peak is that buffer, the numerator
+    and the copy ``HermitianMatrix`` keeps.
     """
     z = seq.values()
     one_minus = 1.0 - np.abs(z) ** 2
-    num = np.sqrt(np.outer(one_minus, one_minus))
-    den = 1.0 - z[:, None] * np.conj(z)[None, :]
-    g = num / den
+    g = np.multiply.outer(z, np.conj(z))
+    np.subtract(1.0, g, out=g)
+    num = np.multiply.outer(one_minus, one_minus)
+    np.sqrt(num, out=num)
+    np.divide(num, g, out=g)
+    del num
     np.fill_diagonal(g, 1.0)
     prov = Provenance("H2", None, seq.points, seq.labels)
     return Grammian(HermitianMatrix(g), prov, normalized=True)

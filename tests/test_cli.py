@@ -213,6 +213,13 @@ class TestPartition:
         pts = write_points(tmp_path, [0.1, 0.5])
         assert main(["partition", "--points", pts]) == 2
 
+    def test_takes_no_truncation_order(self, tmp_path):
+        # neither strategy truncates: --N is unknown, and a shared config's N is ignored
+        pts = write_points(tmp_path, [0.1, 0.5])
+        argv = ["partition", "--points", pts, "--strategy", "carleson"]
+        assert main(argv + ["--N", "5"]) == 2
+        assert main(argv + ["--config", write_json(tmp_path / "cfg.json", {"N": 5.5})]) == 0
+
     def test_duplicate_points_is_domain_error(self, tmp_path):
         pts = write_points(tmp_path, [0.5, 0.5])
         rc = main(["partition", "--points", pts, "--strategy", "carleson"])
@@ -728,7 +735,7 @@ def option_values(t):
         },
         "partition": {
             "points": pts, "strategy": "carleson", "delta_target": 0.2, "c_target": 0.5,
-            "sort_by_modulus": True, "N": 96, "buffer": 3, "out": out, "csv": csv,
+            "sort_by_modulus": True, "buffer": 3, "out": out, "csv": csv,
         },
         "construct-st": {
             "points": pts, "Q": write_json(t / "q.json", matrix_to_json(0.5 * np.eye(4))),

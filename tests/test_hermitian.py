@@ -19,6 +19,9 @@ from hardyframes import (
     eig_extremes,
     psd_sqrt,
 )
+from hardyframes.hermitian import SYMMETRIZE_BLOCK
+
+B = SYMMETRIZE_BLOCK
 
 
 def _pivot_negatives(h, x):
@@ -89,7 +92,8 @@ class TestHermitianMatrix:
         h = HermitianMatrix(m)
         assert np.abs(h.matrix - h.matrix.conj().T).max() == 0.0
 
-    @pytest.mark.parametrize("n", [1, 5, 64])
+    # n = B - 1, B, B + 1 and 2B + 1 put the edges of the symmetrizing blocks in play
+    @pytest.mark.parametrize("n", [1, 5, 64, B - 1, B, B + 1, 2 * B + 1])
     def test_stores_exactly_half_the_sum_with_its_adjoint(self, n):
         rng = np.random.default_rng(n)
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -117,11 +121,27 @@ class TestHermitianMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.75 * m.nbytes
+        assert peak <= 1.25 * m.nbytes
 
     def test_rejects_large_defect(self):
         with pytest.raises(NonHermitianError):
             HermitianMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("at", [(B + 5, 3), (2 * B, B + 1), (2 * B, 2 * B)])
+    def test_rejects_a_defect_in_one_block(self, at):
+        """A defect only in a block below the diagonal or in the last partial block is seen."""
+        m = random_hermitian(np.random.default_rng(8), 2 * B + 1)
+        m[at] += 1e-6j
+        with pytest.raises(NonHermitianError):
+            HermitianMatrix(m)
+
+    @pytest.mark.parametrize("defect_at,nan_at", [((1, 0), (2 * B, 2 * B - 1)), ((2 * B, B), (0, 1))])
+    def test_non_finite_wins_over_defect_in_another_block(self, defect_at, nan_at):
+        m = random_hermitian(np.random.default_rng(9), 2 * B + 1)
+        m[defect_at] += 1.0
+        m[nan_at] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            HermitianMatrix(m)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite_entries(self, bad):

@@ -7,6 +7,7 @@ closed-form and matrix routes are checked independently.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,49 @@ class TestSzegoGram:
         seq = PointSequence([0.3 + 0.4j, -0.5j, 0.1])
         m = szego_gram(seq).matrix.matrix
         assert np.abs(m - m.conj().T).max() == 0.0
+
+
+def reference_szego(z):
+    """The closed form as separate n x n numerator and denominator, symmetrized by formula."""
+    one_minus = 1.0 - np.abs(z) ** 2
+    num = np.sqrt(np.outer(one_minus, one_minus))
+    den = 1.0 - z[:, None] * np.conj(z)[None, :]
+    g = num / den
+    np.fill_diagonal(g, 1.0)
+    return (g + g.conj().T) / 2.0
+
+
+def clustered_points(rng, n):
+    """Tight clusters around six centres at radius 0.9-0.96, as greedy partitions see them."""
+    centres = rng.uniform(0.9, 0.96, 6) * np.exp(2j * np.pi * rng.uniform(size=6))
+    z = centres[rng.integers(0, 6, n)] + 1e-3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return PointSequence(z / np.maximum(1.0, np.abs(z) / 0.985))
+
+
+def near_boundary_points(rng, n):
+    """Moduli 1 - 10^-k for k up to 12, where 1 - |z|^2 and 1 - z conj(w) lose most digits."""
+    return PointSequence((1.0 - 10.0 ** -rng.uniform(1, 12, n)) * np.exp(2j * np.pi * rng.uniform(size=n)))
+
+
+class TestSzegoGramBuffer:
+    N = 600
+
+    @pytest.mark.parametrize("family", [clustered_points, near_boundary_points])
+    def test_bitwise_equal_to_the_two_buffer_formula(self, family):
+        for seed in range(3):
+            seq = family(np.random.default_rng(seed), self.N)
+            g = szego_gram(seq).matrix.matrix
+            assert g.tobytes() == reference_szego(seq.values()).tobytes()
+
+    def test_memory_peak(self):
+        seq = clustered_points(np.random.default_rng(5), self.N)
+        tracemalloc.start()
+        try:
+            szego_gram(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * self.N**2 * np.dtype(np.complex128).itemsize
 
 
 class TestGrammianValidation:

@@ -32,7 +32,7 @@ from .frames import DEFAULT_RIESZ_TOL, analyze
 from .hermitian import HermitianMatrix
 from .kernels import DEFAULT_ORDER, TruncationContext, check_buffer, range_space_gram, szego_gram
 from .operators import from_spec, min_diagonal, st_construct, st_roundtrip_defect
-from .partition import partition_carleson, partition_spectral
+from .partition import modulus_order, partition_carleson, partition_spectral
 from .verify import SuiteConfig, run_suite, suite_passed
 
 ROUNDTRIP_GATE = 1e-6
@@ -88,7 +88,8 @@ def cmd_partition(args) -> int:
         met = all(c.carleson_inf is not None and c.carleson_inf >= delta for c in part.certificates)
         target_text = f"delta={delta}"
     else:
-        part = partition_spectral(szego_gram(seq), args.c_target)
+        ordered = seq.subsequence(modulus_order(seq.values())) if args.sort_by_modulus else seq
+        part = partition_spectral(ordered, args.c_target)
         met = all(c.lambda_min >= args.c_target for c in part.certificates)
         target_text = f"c={args.c_target}"
 

@@ -59,6 +59,11 @@ class PointSequence:
     def __len__(self) -> int:
         return len(self.points)
 
+    @property
+    def dim(self) -> int:
+        """Size of the sequence's Grammian, as ``Grammian.dim``."""
+        return len(self.points)
+
     def values(self) -> np.ndarray:
         return np.asarray(self.points, dtype=np.complex128)
 

@@ -70,19 +70,19 @@ def to_pairs(values) -> list:
 
 
 def from_pairs(raw) -> np.ndarray:
-    """Complex vector of a list of [re, im] pairs, each exactly two finite
-    JSON numbers (no strings or booleans, which numpy would convert), else
-    ``ValueError``; an empty list gives an empty vector. Entry k is bitwise
-    ``complex(float(re), float(im))``, signed zeros included."""
+    """Complex vector of a list of [re, im] pairs, each a list (or tuple) of
+    exactly two finite JSON numbers (no strings or booleans, which numpy
+    would convert), else ``ValueError``; an empty list gives an empty
+    vector. Entry k is bitwise ``complex(float(re), float(im))``, signed
+    zeros included."""
     try:
-        a = np.ascontiguousarray(raw, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
+        if not (set(map(type, raw)) <= {list, tuple} and set(map(len, raw)) <= {2}):
+            raise ValueError("expected a list of [re, im] pairs, found an entry that is not a pair")
+        if not all(map(_is_number_type, set(map(type, chain.from_iterable(raw))))):
+            raise ValueError("pairs must hold JSON numbers, not strings or booleans")
+        z = np.fromiter(chain.from_iterable(raw), np.float64, count=2 * len(raw)).view(np.complex128)
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"expected a list of [re, im] pairs of numbers: {exc}") from None
-    if a.shape != (0,) and (a.ndim != 2 or a.shape[1] != 2):
-        raise ValueError(f"expected a list of [re, im] pairs, got an array of shape {a.shape}")
-    if not all(map(_is_number_type, set(map(type, chain.from_iterable(raw))))):
-        raise ValueError("pairs must hold JSON numbers, not strings or booleans")
-    z = a.reshape(-1, 2).view(np.complex128)[:, 0]
     bad = np.flatnonzero(~np.isfinite(z))
     if bad.size:
         raise ValueError(f"entry {int(bad[0])} is {z[bad[0]]}, not a finite complex number; pairs must be finite")
@@ -191,9 +191,13 @@ def partition_csv_lines(seq: PointSequence, p) -> list[str]:
     for k, cls in enumerate(p.classes):
         for lab in cls:
             class_of[lab] = k
+    # np.angle over the array gives the scalar call's bits; np.abs would not
+    # match abs() on a Python complex, so the modulus stays a per-point abs.
+    angles = np.angle(seq.values()).tolist()
     lines = ["label,class,modulus,argument"]
-    for lab, z in zip(seq.labels, seq.points):
-        lines.append(f"{lab},{class_of[lab]},{abs(z):.17g},{np.angle(z):.17g}")
+    lines += [
+        f"{lab},{class_of[lab]},{abs(z):.17g},{arg:.17g}" for lab, z, arg in zip(seq.labels, seq.points, angles)
+    ]
     return lines
 
 

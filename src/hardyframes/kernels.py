@@ -116,22 +116,33 @@ def kernel_matrix(seq: PointSequence, ctx: TruncationContext, normalize: bool = 
     return v
 
 
+def _szego_entries(z_rows, z_cols, one_minus_rows, one_minus_cols) -> np.ndarray:
+    """Closed-form entries sqrt((1 - |z_i|^2)(1 - |z_k|^2)) / (1 - z_i conj(z_k)).
+
+    Rows run over ``z_rows`` and columns over ``z_cols`` (a scalar gives a
+    vector); ``one_minus_*`` hold the matching 1 - |z|^2. The result is
+    built in one complex buffer, which holds the denominator and is then
+    divided in place by the real numerator. Every step is elementwise, so a
+    block equals the same block of the full matrix bit for bit. A diagonal
+    entry is left as the formula gives it.
+    """
+    g = np.multiply.outer(z_rows, np.conj(z_cols))
+    np.subtract(1.0, g, out=g)
+    num = np.multiply.outer(one_minus_rows, one_minus_cols)
+    np.sqrt(num, out=num)
+    return np.divide(num, g, out=g)
+
+
 def szego_gram(seq: PointSequence) -> Grammian:
     """Closed-form Grammian of the normalized kernels of a point sequence.
 
-    No truncation is involved; the diagonal is exactly 1. G is built in one
-    complex n x n buffer, which holds the denominator and is then divided in
-    place by the real numerator, so the peak is that buffer, the numerator
-    and the copy ``HermitianMatrix`` keeps.
+    No truncation is involved; the diagonal is exactly 1. The entries come
+    from ``_szego_entries``, so the peak is its buffer, the numerator and
+    the copy ``HermitianMatrix`` keeps.
     """
     z = seq.values()
     one_minus = 1.0 - np.abs(z) ** 2
-    g = np.multiply.outer(z, np.conj(z))
-    np.subtract(1.0, g, out=g)
-    num = np.multiply.outer(one_minus, one_minus)
-    np.sqrt(num, out=num)
-    np.divide(num, g, out=g)
-    del num
+    g = _szego_entries(z, z, one_minus, one_minus)
     np.fill_diagonal(g, 1.0)
     prov = Provenance("H2", None, seq.points, seq.labels)
     return Grammian(HermitianMatrix(g), prov, normalized=True)

@@ -18,12 +18,16 @@ class it fits, or opens a new one:
   ||R m[class, j']||^2 for the points still to come, so a candidate is
   tested against every class in one vectorised comparison and an
   acceptance costs O(class size * n); no candidate is ever eigensolved.
+  The loop reads its matrix only through rows m[idx, start:]. Given a
+  point sequence instead of a Grammian, it computes those rows from the
+  Szegő closed form on demand, so memory is O(classes * n) with no n x n
+  matrix.
 
 Neither loop certifies itself: the final certificates are recomputed per
 class from scratch (``carleson_constants`` and a fresh ``eigvalsh`` of the
-class's Grammian block), and an exhaustive minimal-partition search
-(viable up to 12 points) is provided as an oracle for testing the greedy
-counts.
+class's Grammian block; for points, that block is a fresh ``szego_gram``
+of the class), and an exhaustive minimal-partition search (viable up to
+12 points) is provided as an oracle for testing the greedy counts.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from .errors import DuplicatePointError, NotAPartitionError, TargetTooHighError
 from .geometry import PointSequence, _check_distinct, _rho_column, _rho_matrix, carleson_constants
-from .kernels import Grammian, szego_gram
+from .kernels import Grammian, _szego_entries, szego_gram
 
 CARLESON_GREEDY = "carleson_greedy"
 SPECTRAL_GREEDY = "spectral_greedy"
@@ -95,6 +99,11 @@ class PartitionCheck:
     level: float
 
 
+def modulus_order(z: np.ndarray) -> np.ndarray:
+    """Positions of ``z`` by ascending modulus, ties kept in input order."""
+    return np.argsort(np.abs(z), kind="stable")
+
+
 def partition_carleson(
     seq: PointSequence, delta_target: float, sort_by_modulus: bool = False
 ) -> Partition:
@@ -116,7 +125,7 @@ def partition_carleson(
     z = seq.values()
     _check_distinct(z)
     n = len(z)
-    order = np.argsort(np.abs(z), kind="stable") if sort_by_modulus else np.arange(n)
+    order = modulus_order(z) if sort_by_modulus else np.arange(n)
     log_target = float(np.log(delta_target)) + _LOG_MARGIN
 
     # sums[k, i]: log-product of point i against the members of class k;
@@ -174,9 +183,43 @@ def _carleson_certificate(seq: PointSequence, positions: list[int]) -> ClassCert
     )
 
 
-def partition_spectral(g: Grammian, c_target: float) -> Partition:
+def _spectral_matrix(source):
+    """``(diagonal, rows, block)`` of the matrix a spectral partition reads.
+
+    ``rows(idx, start)`` is ``m[idx, start:]`` and ``block(positions)`` the
+    class block ``m[positions][:, positions]``. A normalized ``Grammian``
+    serves slices of its matrix. A ``PointSequence`` stands for its Szegő
+    Grammian: rows come from the closed form on demand (before the
+    symmetrization ``HermitianMatrix`` applies, so an entry may differ from
+    ``szego_gram``'s in the last bit), and a block is a fresh
+    ``szego_gram`` of the class's points.
+    """
+    if isinstance(source, PointSequence):
+        z = source.values()
+        one_minus = 1.0 - np.abs(z) ** 2
+
+        def rows(idx, start):
+            return _szego_entries(z[idx], z[start:], one_minus[idx], one_minus[start:])
+
+        def block(positions):
+            return szego_gram(source.subsequence(positions)).matrix.matrix
+
+        return np.ones(len(z)), rows, block
+    if not source.normalized:
+        raise ValueError("spectral partitioning expects a normalized Grammian")
+    m = source.matrix.matrix
+    return (
+        np.real(np.diagonal(m)),
+        lambda idx, start: m[idx, start:],
+        lambda positions: m[np.ix_(positions, positions)],
+    )
+
+
+def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Partition:
     """First-fit partition keeping lambda_min of every class block >= c.
 
+    ``source`` is a normalized Grammian or a point sequence, which stands
+    for its Szegő Grammian without forming it (see ``_spectral_matrix``).
     A singleton always qualifies because the Grammian is normalized, and
     interlacing makes class feasibility monotone, so the greedy pass
     terminates with every certificate at or above the target.
@@ -186,11 +229,11 @@ def partition_spectral(g: Grammian, c_target: float) -> Partition:
     ``schur[k, j'] = ||R_k m[class_k, j']||^2`` for every later point j'.
     Point j joins the first class with Schur complement
     (m[j, j] - c) - schur[k, j] > ``_SCHUR_MARGIN``, one vectorised
-    comparison over all classes; acceptance appends a row to R_k and adds
-    the new member's term to the class's row, O(class size * n). A
-    singleton whose own slack m[j, j] - c is within the margin (c near 1)
-    opens a class that admits nobody. Certificates are a fresh eigensolve
-    of each final class block.
+    comparison over all classes; acceptance reads the rows m[class_k + j, j:]
+    in one call, appends a row to R_k and adds the new member's term to the
+    class's row, O(class size * n). A singleton whose own slack
+    m[j, j] - c is within the margin (c near 1) opens a class that admits
+    nobody. Certificates are a fresh eigensolve of each final class block.
     """
     if not math.isfinite(c_target):
         raise ValueError(f"c target {c_target} must be a finite number")
@@ -198,14 +241,12 @@ def partition_spectral(g: Grammian, c_target: float) -> Partition:
         raise TargetTooHighError(f"c target {c_target} exceeds the normalized diagonal")
     if c_target <= 0.0:
         raise ValueError(f"c target {c_target} must be positive")
-    if not g.normalized:
-        raise ValueError("spectral partitioning expects a normalized Grammian")
-    m = g.matrix.matrix
-    n = m.shape[0]
-    own_slack = np.real(np.diagonal(m)) - c_target
+    diagonal, rows, block = _spectral_matrix(source)
+    n = source.dim
+    own_slack = diagonal - c_target
 
     schur = np.zeros((_INITIAL_CLASSES, n))
-    members: list[np.ndarray] = []
+    members: list[list[int]] = []
     inv_factors: list[np.ndarray] = []
     for j in range(n):
         slack = own_slack[j] - schur[: len(members), j]
@@ -217,41 +258,41 @@ def partition_spectral(g: Grammian, c_target: float) -> Partition:
             k = len(members)
             slack_j = own_slack[j]
             schur = _room(schur, k)
-            members.append(np.zeros(0, dtype=np.intp))
-            inv_factors.append(np.zeros((0, 0), dtype=m.dtype))
+            members.append([])
+            inv_factors.append(np.zeros((0, 0), dtype=np.complex128))
             if slack_j <= _SCHUR_MARGIN:
                 # c within the margin of m[j, j]: a singleton that admits nobody.
                 schur[k] = np.inf
-                members[k] = np.array([j])
+                members[k].append(j)
                 continue
         # B - cI = L L* grows by the row [y*, d] with y = R m[cls, j] and
         # d = sqrt(slack), so R = L^-1 grows by [-y* R / d, 1 / d].
         cls, r = members[k], inv_factors[k]
         size = len(cls)
         d = math.sqrt(slack_j)
-        yr = np.conj(r @ m[cls, j]) @ r
-        w = (m[j, j + 1 :] - yr @ m[cls, j + 1 :]) / d
+        cls.append(j)
+        known = rows(cls, j)  # m[cls, j:] over the old members and, last, j's own row
+        yr = np.conj(r @ known[:size, 0]) @ r
+        w = (known[size, 1:] - yr @ known[:size, 1:]) / d
         schur[k, j + 1 :] += w.real**2 + w.imag**2
         grown = np.zeros((size + 1, size + 1), dtype=r.dtype)
         grown[:size, :size] = r
         grown[size, :size] = -yr / d
         grown[size, size] = 1.0 / d
         inv_factors[k] = grown
-        members[k] = np.append(cls, j)
 
-    positions = [[int(i) for i in cls] for cls in members]
-    classes = tuple(tuple(g.labels[i] for i in cls) for cls in positions)
+    labels = source.labels
     certificates = []
-    for cls in positions:
-        block = m[np.ix_(cls, cls)]
+    for cls in members:
         certificates.append(
             ClassCertificate(
-                labels=tuple(g.labels[i] for i in cls),
+                labels=tuple(labels[i] for i in cls),
                 size=len(cls),
-                lambda_min=float(np.linalg.eigvalsh(block)[0]),
+                lambda_min=float(np.linalg.eigvalsh(block(cls))[0]),
                 carleson_inf=None,
             )
         )
+    classes = tuple(cert.labels for cert in certificates)
     return Partition(classes, SPECTRAL_GREEDY, tuple(certificates), {"c_target": c_target})
 
 

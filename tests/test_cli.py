@@ -6,15 +6,19 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hardyframes import cli
+import hardyframes.kernels
+import hardyframes.partition
+from hardyframes import PointSequence, cli, szego_gram
 from hardyframes.cli import main
 from hardyframes.io import matrix_from_json, matrix_to_json
 from hardyframes.operators import OPERATOR_KINDS, PositiveOperator, st_construct
+from test_partition import mixed_points, reference_spectral
 
 
 def write_json(path, payload):
@@ -256,6 +260,48 @@ class TestPartition:
         tie = min(c["lambda_min"] for c in read_json(out)["certificates"] if c["size"] > 1)
         assert main(argv + ["--c-target", repr(tie)]) == 0
         assert min(c["lambda_min"] for c in read_json(out)["certificates"]) >= tie
+
+    def test_spectral_sort_by_modulus_runs_on_the_sorted_grammian(self, tmp_path):
+        rng = np.random.default_rng(37)
+        z = 0.9 * np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40))
+        pts = write_points(tmp_path, z)
+        out = tmp_path / "part.json"
+        argv = ["partition", "--points", pts, "--strategy", "spectral", "--c-target", "0.3", "--out", str(out)]
+        assert main(argv) == 0
+        unsorted = read_json(out)["classes"]
+        assert main(argv + ["--sort-by-modulus"]) == 0
+        order = np.argsort(np.abs(z), kind="stable")
+        g = szego_gram(PointSequence(list(z[order])))
+        want = [[int(order[i]) for i in cls] for cls in reference_spectral(g.matrix.matrix, 0.3)]
+        assert read_json(out)["classes"] == want != unsorted
+
+    def test_spectral_memory_peak(self, tmp_path):
+        pts = write_points(tmp_path, mixed_points(np.random.default_rng(41), 600))
+        out, csv = tmp_path / "part.json", tmp_path / "part.csv"
+        argv = ["partition", "--points", pts, "--strategy", "spectral", "--c-target", "0.3"]
+        tracemalloc.start()
+        try:
+            rc = main(argv + ["--out", str(out), "--csv", str(csv)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        # the 600 x 600 complex Grammian alone is 5.76 MB
+        assert peak < 4 * 2**20
+
+    def test_spectral_never_builds_the_full_grammian(self, tmp_path, monkeypatch):
+        original = szego_gram
+
+        def small_only(seq):
+            assert len(seq) <= 64, f"szego_gram called on {len(seq)} points"
+            return original(seq)
+
+        for module in (hardyframes.kernels, hardyframes.partition, cli):
+            monkeypatch.setattr(module, "szego_gram", small_only)
+        pts = write_points(tmp_path, mixed_points(np.random.default_rng(43), 200))
+        out = tmp_path / "part.json"
+        assert main(["partition", "--points", pts, "--strategy", "spectral", "--c-target", "0.3", "--out", str(out)]) == 0
+        assert sum(c["size"] for c in read_json(out)["certificates"]) == 200
 
     @pytest.mark.parametrize("strategy", ["carleson", "spectral"])
     def test_reports_are_byte_identical_across_runs(self, tmp_path, strategy):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hardyframes import io
+from hardyframes import PointSequence, io
 
 MAX = 1.7976931348623157e308
 # Signed zeros, the smallest subnormal, extremes of range and integral values.
@@ -156,6 +156,22 @@ def test_from_pairs_rejects_anything_but_two_finite_numbers(raw):
         io.from_pairs(raw)
 
 
+@pytest.mark.parametrize("raw", [
+    pytest.param([[0.1, 0.2], [1.0, 2.0, 3.0]], id="three-element-pair"),
+    pytest.param([[1, [2]]], id="nested"),
+    pytest.param([[0.1, 0.2], {"re": 1.0, "im": 2.0}], id="dict-entry"),
+    pytest.param([{"1": 0.5, "2": 0.5}], id="dict-with-numeric-string-keys"),
+    pytest.param([{1: 0.5, 2: 0.25}], id="dict-with-number-keys"),
+    pytest.param([["1.5", 0.0]], id="numeric-string"),
+    pytest.param([[True, 0.0]], id="boolean"),
+    pytest.param(["12"], id="string-pair"),
+    pytest.param(None, id="null"),
+])
+def test_from_pairs_rejects_malformed_pairs(raw):
+    with pytest.raises(ValueError):
+        io.from_pairs(raw)
+
+
 @pytest.mark.parametrize("value", [1.0, 1.7, True, "3", None, [1]])
 def test_json_int_takes_only_json_integers(value):
     with pytest.raises(ValueError, match="'dim' must be a JSON integer"):
@@ -280,3 +296,25 @@ def test_writer_rejects_other_numpy_values(tmp_path, value):
 def test_writer_rejects_a_string_that_equals_its_marker(tmp_path):
     with pytest.raises(ValueError, match="marker"):
         io.write_json_atomic(tmp_path / "r.json", {"id": "\0complex-array\0", "entries": np.ones(1, complex)})
+
+
+def reference_partition_csv_lines(seq, p):
+    """The per-point formatter the vectorized one must reproduce byte for byte."""
+    class_of = {lab: k for k, cls in enumerate(p.classes) for lab in cls}
+    lines = ["label,class,modulus,argument"]
+    for lab, z in zip(seq.labels, seq.points):
+        lines.append(f"{lab},{class_of[lab]},{abs(z):.17g},{np.angle(z):.17g}")
+    return lines
+
+
+def test_partition_csv_lines_match_per_point_formatter():
+    # clusters on rays and near the boundary, where the argument and modulus lose digits
+    rng = np.random.default_rng(11)
+    n = 3000
+    radius = np.concatenate([1.0 - 10.0 ** -rng.uniform(1, 15, n // 2), rng.uniform(0.0, 1e-3, n - n // 2)])
+    angle = rng.choice([0.0, np.pi / 2, np.pi, -np.pi / 2, 1.0], n) + rng.normal(0.0, 1e-9, n)
+    z = radius * np.exp(1j * angle)
+    z[:4] = [complex(0.5, -0.0), complex(-0.5, 0.0), complex(-0.5, -0.0), complex(0.0, -0.0)]
+    seq = PointSequence(list(z), tuple(rng.permutation(n).tolist()))
+    part = SimpleNamespace(classes=[seq.labels[k::7] for k in range(7)])
+    assert io.partition_csv_lines(seq, part) == reference_partition_csv_lines(seq, part)

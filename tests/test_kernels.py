@@ -33,6 +33,7 @@ from hardyframes import (
     range_space_gram,
     szego_gram,
 )
+from hardyframes.kernels import _szego_entries
 
 
 def oracle_entry(zi, zj, order):
@@ -212,6 +213,18 @@ class TestSzegoGramBuffer:
             seq = family(np.random.default_rng(seed), self.N)
             g = szego_gram(seq).matrix.matrix
             assert g.tobytes() == reference_szego(seq.values()).tobytes()
+
+    @pytest.mark.parametrize("family", [clustered_points, near_boundary_points])
+    def test_row_blocks_equal_blocks_of_the_full_matrix(self, family):
+        # the streamed spectral greedy reads m[idx, start:] through these blocks
+        rng = np.random.default_rng(9)
+        z = family(rng, self.N).values()
+        one_minus = 1.0 - np.abs(z) ** 2
+        full = _szego_entries(z, z, one_minus, one_minus)
+        for start in rng.integers(1, self.N, 20):
+            idx = np.sort(rng.choice(start, min(start, 17), replace=False))
+            rows = _szego_entries(z[idx], z[start:], one_minus[idx], one_minus[start:])
+            assert rows.tobytes() == full[idx, start:].tobytes()
 
     def test_memory_peak(self):
         seq = clustered_points(np.random.default_rng(5), self.N)

@@ -27,6 +27,7 @@ from hardyframes import (
 )
 from hardyframes.geometry import _rho_matrix
 from hardyframes.partition import _LOG_MARGIN
+from hardyframes.verify import _FAMILY_SAMPLERS, POINT_FAMILIES as VERIFY_FAMILIES
 
 
 def all_set_partitions(items):
@@ -340,6 +341,46 @@ class TestAgainstReferenceLoops:
             want = reference_carleson(z, delta, sort_by_modulus)
             assert part.classes == tuple(tuple(cls) for cls in want)
             assert min(cert.carleson_inf for cert in part.certificates) >= delta
+
+
+def with_duplicates(rng, count):
+    """Uniform points in which every fifth point repeats an earlier one exactly."""
+    z = uniform_points(rng, count, 0.9)
+    z[4::5] = z[rng.integers(0, 4, size=len(z[4::5]))]
+    return z
+
+
+FROM_POINTS_FAMILIES = {
+    # a separated ring of 40 points does not exist, so that family gets 12
+    **{
+        fam: lambda rng, fam=fam: np.array(_FAMILY_SAMPLERS[fam](rng, 12 if fam == "carleson_separated" else 40))
+        for fam in VERIFY_FAMILIES
+    },
+    "boundary_clusters": lambda rng: boundary_clusters(rng, 120),
+    "duplicates": lambda rng: with_duplicates(rng, 60),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FROM_POINTS_FAMILIES))
+class TestSpectralFromPoints:
+    """A point sequence streams the rows its Szegő Grammian would give."""
+
+    def test_equals_the_partition_of_the_grammian(self, family):
+        rng = np.random.default_rng(sorted(FROM_POINTS_FAMILIES).index(family) + 61)
+        z = FROM_POINTS_FAMILIES[family](rng)
+        # permuted labels, so a position is never mistaken for a label
+        seq = PointSequence(list(z)).subsequence(rng.permutation(len(z)))
+        for c in (0.1, 0.3, 0.6, 1.0):
+            assert partition_spectral(seq, c) == partition_spectral(szego_gram(seq), c)
+
+    def test_certificates_are_fresh_class_grammians(self, family):
+        rng = np.random.default_rng(sorted(FROM_POINTS_FAMILIES).index(family) + 67)
+        seq = PointSequence(list(FROM_POINTS_FAMILIES[family](rng)))
+        part = partition_spectral(seq, 0.3)
+        for cls, cert in zip(part.classes, part.certificates):
+            block = szego_gram(seq.subsequence(cls)).matrix.matrix
+            assert cert.labels == cls
+            assert cert.lambda_min == float(np.linalg.eigvalsh(block)[0])
 
 
 class TestVerifyPartition:

@@ -31,12 +31,9 @@ from .errors import ConfigInvalidError, HardyFramesError
 from .frames import DEFAULT_RIESZ_TOL, analyze
 from .hermitian import HermitianMatrix
 from .kernels import DEFAULT_ORDER, TruncationContext, check_buffer, range_space_gram, szego_gram
-from .operators import from_spec, min_diagonal, st_construct, st_roundtrip_defect
+from .operators import ST_NORM_FLOOR_SLACK, ST_ROUNDTRIP_GATE, from_spec, min_diagonal, st_construct, st_roundtrip_defect
 from .partition import modulus_order, partition_carleson, partition_spectral
 from .verify import SuiteConfig, run_suite, suite_passed
-
-ROUNDTRIP_GATE = 1e-6
-NORM_FLOOR_SLACK = 1e-8
 
 
 def _err(exc) -> None:
@@ -81,14 +78,14 @@ def cmd_partition(args) -> int:
     if args.points is None or args.strategy is None:
         raise ValueError("partition requires --points and --strategy")
     seq = io.load_points(args.points)
+    ordered = seq.subsequence(modulus_order(seq.values())) if args.sort_by_modulus else seq
 
     if args.strategy == "carleson":
         delta = args.delta_target
-        part = partition_carleson(seq, delta, args.sort_by_modulus)
+        part = partition_carleson(ordered, delta)
         met = all(c.carleson_inf is not None and c.carleson_inf >= delta for c in part.certificates)
         target_text = f"delta={delta}"
     else:
-        ordered = seq.subsequence(modulus_order(seq.values())) if args.sort_by_modulus else seq
         part = partition_spectral(ordered, args.c_target)
         met = all(c.lambda_min >= args.c_target for c in part.certificates)
         target_text = f"c={args.c_target}"
@@ -119,7 +116,7 @@ def cmd_construct_st(args) -> int:
         extra = {"roundtrip_defect": defect, "min_norm_sq": min_norm_sq, "delta": delta}
         io.write_json_atomic(args.out, {**io.operator_to_json(op), **extra})
     print(f"construct-st dim={op.dim} roundtrip={defect:.3e} min_norm_sq={min_norm_sq:.6f} delta={delta}")
-    if defect > ROUNDTRIP_GATE or min_norm_sq < delta - NORM_FLOOR_SLACK:
+    if defect > ST_ROUNDTRIP_GATE or min_norm_sq < delta - ST_NORM_FLOOR_SLACK:
         _err("construction certificate failed (roundtrip or norm floor)")
         return 4
     return 0

@@ -10,13 +10,13 @@ collapses to zero while the cutoff bound stays positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import SingularDiagonalError
 from .hermitian import DEFAULT_RANK_TOL, HermitianMatrix, as_hermitian, eig_extremes, require_psd
-from .kernels import Grammian, Provenance
+from .kernels import Grammian
 
 DEFAULT_RIESZ_TOL = 1e-8
 
@@ -89,12 +89,5 @@ def congruence_diag(g: Grammian, d) -> Grammian:
     out = m * np.outer(dv, np.conj(dv))
     prov = g.provenance
     still_unit = g.normalized and bool(np.max(np.abs(np.abs(dv) - 1.0)) <= 1e-12)
-    new_prov = Provenance(
-        prov.space,
-        prov.operator_id,
-        prov.points,
-        prov.labels,
-        prov.truncation_error,
-        transform="diag_congruence" if prov.transform is None else prov.transform + ";diag_congruence",
-    )
-    return Grammian(HermitianMatrix(out), new_prov, normalized=still_unit)
+    transform = "diag_congruence" if prov.transform is None else prov.transform + ";diag_congruence"
+    return Grammian(HermitianMatrix(out), replace(prov, transform=transform), normalized=still_unit)

@@ -104,13 +104,14 @@ def pseudo_hyperbolic(z, w) -> float:
     return abs(zc - wc) / abs(1.0 - zc.conjugate() * wc)
 
 
-def _check_distinct(z: np.ndarray) -> None:
+def _check_distinct(seq: PointSequence) -> None:
+    """Raise ``DuplicatePointError`` naming two coincident points by their labels,
+    which, unlike positions, do not depend on the order a caller chose."""
     seen: dict[complex, int] = {}
-    for i, zi in enumerate(z):
-        key = complex(zi)
+    for label, key in zip(seq.labels, seq.points):
         if key in seen:
-            raise DuplicatePointError(f"points {seen[key]} and {i} coincide exactly at {key}")
-        seen[key] = i
+            raise DuplicatePointError(f"points {seen[key]} and {label} coincide exactly at {key}")
+        seen[key] = label
 
 
 def _rho(a, b) -> np.ndarray:
@@ -152,7 +153,7 @@ def carleson_constants(seq: PointSequence, delta: float = 0.0) -> CarlesonReport
     n = len(z)
     if n == 1:
         return CarlesonReport((1.0,), 1.0, delta)
-    _check_distinct(z)
+    _check_distinct(seq)
     log_rho = np.log(_rho_matrix(z))
     sums = log_rho.sum(axis=1)
     clamped = tuple(int(i) for i in np.nonzero(sums < LOG_UNDERFLOW)[0])

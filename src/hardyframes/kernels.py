@@ -10,6 +10,11 @@ kernels has the closed form
 which this module cross-checks against the truncated route. Grammians in
 the range space of a positive operator P use the renormalized vectors
 P^(1/2) k_z / ||P^(1/2) k_z||.
+
+Every producer hands its finished matrix to ``_grammian``, which wraps it
+once as a ``HermitianMatrix`` and records its ``Provenance``, with the tail
+bound of the truncated route (``range_space_gram``, ``image_gram``,
+``normalized_gram``).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateKernelError, DimensionMismatchError
 from .geometry import PointSequence
-from .hermitian import HermitianMatrix
+from .hermitian import HermitianMatrix, as_hermitian
 
 DEGENERATE_NORM_TOL = 1e-12
 UNIT_DIAG_TOL = 1e-10
@@ -133,6 +138,15 @@ def _szego_entries(z_rows, z_cols, one_minus_rows, one_minus_cols) -> np.ndarray
     return np.divide(num, g, out=g)
 
 
+def _grammian(matrix, seq: PointSequence, ctx=None, op=None, space="H2", normalized=True) -> Grammian:
+    """``matrix`` (kept if a ``HermitianMatrix``, else symmetrized once) with the
+    provenance of ``seq`` and ``op``, and, given ``ctx``, the tail bound at
+    the sequence's largest modulus."""
+    tail = 0.0 if ctx is None else ctx.tail_bound(seq.max_modulus())
+    prov = Provenance(space, getattr(op, "id", None), seq.points, seq.labels, truncation_error=tail)
+    return Grammian(as_hermitian(matrix), prov, normalized=normalized)
+
+
 def szego_gram(seq: PointSequence) -> Grammian:
     """Closed-form Grammian of the normalized kernels of a point sequence.
 
@@ -144,8 +158,7 @@ def szego_gram(seq: PointSequence) -> Grammian:
     one_minus = 1.0 - np.abs(z) ** 2
     g = _szego_entries(z, z, one_minus, one_minus)
     np.fill_diagonal(g, 1.0)
-    prov = Provenance("H2", None, seq.points, seq.labels)
-    return Grammian(HermitianMatrix(g), prov, normalized=True)
+    return _grammian(g, seq)
 
 
 def range_space_gram(op, seq: PointSequence, ctx: TruncationContext) -> Grammian:
@@ -153,25 +166,19 @@ def range_space_gram(op, seq: PointSequence, ctx: TruncationContext) -> Grammian
 
     The range-space kernel at w is P k_w with squared norm <P k_w, k_w>, so
     the normalized Grammian is diag(s)^-1 (V* P V) diag(s)^-1 with
-    s_i = sqrt((V* P V)_ii). A kernel image with norm at or below
-    ``DEGENERATE_NORM_TOL`` raises ``DegenerateKernelError``.
+    s_i = sqrt((V* P V)_ii). ``HermitianMatrix`` symmetrizes V* P V once;
+    the norms are read off its real diagonal and it is then divided in place
+    by outer(s, s), which keeps it exactly Hermitian. A kernel image with
+    norm at or below ``DEGENERATE_NORM_TOL`` raises ``DegenerateKernelError``.
     """
     v = kernel_matrix(seq, ctx)
-    m = v.conj().T @ op.apply(v)
-    m = (m + m.conj().T) / 2.0
-    norms_sq = np.clip(np.real(np.diagonal(m)).copy(), 0.0, None)
-    norms = np.sqrt(norms_sq)
-    for i, s in enumerate(norms):
-        if s <= DEGENERATE_NORM_TOL:
-            raise DegenerateKernelError(int(i), float(s))
-    g = m / np.outer(norms, norms)
-    np.fill_diagonal(g, 1.0)
-    op_id = getattr(op, "id", None)
-    prov = Provenance(
-        "H(P)", op_id, seq.points, seq.labels,
-        truncation_error=ctx.tail_bound(seq.max_modulus()),
-    )
-    return Grammian(HermitianMatrix(g), prov, normalized=True)
+    h = HermitianMatrix(v.conj().T @ op.apply(v))
+    norms = np.sqrt(np.clip(np.real(np.diagonal(h.matrix)), 0.0, None))
+    if (small := np.flatnonzero(norms <= DEGENERATE_NORM_TOL)).size:
+        raise DegenerateKernelError(int(small[0]), float(norms[small[0]]))
+    h.matrix /= np.outer(norms, norms)
+    np.fill_diagonal(h.matrix, 1.0)
+    return _grammian(h, seq, ctx, op, space="H(P)")
 
 
 def image_gram(op, seq: PointSequence, ctx: TruncationContext) -> Grammian:
@@ -182,13 +189,7 @@ def image_gram(op, seq: PointSequence, ctx: TruncationContext) -> Grammian:
     monotone comparison chains.
     """
     w = op.apply(kernel_matrix(seq, ctx, normalize=True))
-    g = w.conj().T @ w
-    op_id = getattr(op, "id", None)
-    prov = Provenance(
-        "H2", op_id, seq.points, seq.labels,
-        truncation_error=ctx.tail_bound(seq.max_modulus()),
-    )
-    return Grammian(HermitianMatrix(g), prov, normalized=False)
+    return _grammian(w.conj().T @ w, seq, ctx, op, normalized=False)
 
 
 def normalized_gram(seq: PointSequence, ctx: TruncationContext) -> Grammian:
@@ -198,9 +199,4 @@ def normalized_gram(seq: PointSequence, ctx: TruncationContext) -> Grammian:
     the two routes can be compared.
     """
     v = kernel_matrix(seq, ctx, normalize=True)
-    g = v.conj().T @ v
-    prov = Provenance(
-        "H2", None, seq.points, seq.labels,
-        truncation_error=ctx.tail_bound(seq.max_modulus()),
-    )
-    return Grammian(HermitianMatrix(g), prov, normalized=True)
+    return _grammian(v.conj().T @ v, seq, ctx)

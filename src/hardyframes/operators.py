@@ -361,6 +361,12 @@ def st_construct(q, seq: PointSequence, ctx: TruncationContext, delta: float) ->
     return PositiveOperator(sigma, f"st(points={m},delta={delta})", "st_constructed", basis=u @ x)
 
 
+# An ST construction is certified when its realized Grammian is within ST_ROUNDTRIP_GATE
+# of Q entrywise and min_i ||P k~_i||^2 >= delta - ST_NORM_FLOOR_SLACK.
+ST_ROUNDTRIP_GATE = 1e-6
+ST_NORM_FLOOR_SLACK = 1e-8
+
+
 def st_roundtrip_defect(op: PositiveOperator, q, seq: PointSequence, ctx: TruncationContext) -> tuple[float, float]:
     """Maximum entry deviation of the realized Grammian from Q, plus the
     smallest realized squared norm min_i ||P k~_i||^2."""
@@ -411,7 +417,9 @@ def from_spec(spec: dict) -> PositiveOperator:
 
     The ``type`` field is one of ``OPERATOR_KINDS`` or a legacy spelling in
     ``_LEGACY_SPEC_TYPES``, and the JSON integer ``N`` fixes the truncation
-    order. A ``buffer`` field is accepted and ignored (``check_buffer``).
+    order; for ``diagonal`` and ``custom`` operators, whose weights or matrix
+    fix it, an explicit ``N`` must agree (else ``ValueError``). A ``buffer``
+    field is accepted and ignored (``check_buffer``).
     """
     if "type" not in spec:
         raise ValueError("operator spec needs a 'type' field")
@@ -420,4 +428,7 @@ def from_spec(spec: dict) -> PositiveOperator:
         raise ValueError(f"unknown operator type {spec['type']!r}")
     order = json_int(spec.get("N", DEFAULT_ORDER), "N")
     check_buffer(json_int(spec.get("buffer", 0), "buffer"))
-    return _SPEC_FACTORIES[kind](spec, TruncationContext(order))
+    op = _SPEC_FACTORIES[kind](spec, TruncationContext(order))
+    if "N" in spec and op.dim != order:
+        raise ValueError(f"operator spec sets N={order} but its {kind} operator has order {op.dim}")
+    return op

@@ -1,7 +1,9 @@
 """Greedy partitioning of kernel sequences into well-separated classes.
 
-Two first-fit strategies over the input order; each point joins the first
-class it fits, or opens a new one:
+Two first-fit strategies over the sequence order; each point joins the
+first class it fits, or opens a new one. Neither reorders its input: a
+caller that wants another order (the CLI's ``--sort-by-modulus``) passes
+``seq.subsequence(modulus_order(seq.values()))``, the same for both.
 
 - ``carleson_greedy`` keeps, inside every class, each member's product of
   pseudo-hyperbolic distances to the others at or above a target delta.
@@ -104,28 +106,26 @@ def modulus_order(z: np.ndarray) -> np.ndarray:
     return np.argsort(np.abs(z), kind="stable")
 
 
-def partition_carleson(
-    seq: PointSequence, delta_target: float, sort_by_modulus: bool = False
-) -> Partition:
+def partition_carleson(seq: PointSequence, delta_target: float) -> Partition:
     """First-fit partition keeping every in-class separation product >= delta.
 
-    Points are consumed in input order (or by ascending modulus when
-    ``sort_by_modulus`` is set; first-fit results are order-sensitive and
-    the sort is the one knob exposed for that). For each point j the column
-    log rho(z_i, z_j) over all i is computed once. Point j joins the first
-    class where its own log-product (a running per-class sum of those
-    columns) and every member's log-product plus log rho(z_i, z_j) stay at
-    or above log(delta) + ``_LOG_MARGIN``; all classes are tested in one
-    vectorised step. The final certificates are recomputed per class with
-    ``carleson_constants`` and a fresh eigensolve of the class's Grammian
-    block.
+    Points are consumed in sequence order; first-fit results are
+    order-sensitive, so a caller that wants another order (the CLI's
+    ``--sort-by-modulus``, through ``modulus_order``) reorders the sequence
+    first. For each point j the column log rho(z_i, z_j) over all i is
+    computed once. Point j joins the first class where its own log-product
+    (a running per-class sum of those columns) and every member's
+    log-product plus log rho(z_i, z_j) stay at or above
+    log(delta) + ``_LOG_MARGIN``; all classes are tested in one vectorised
+    step over the placed points [:j]. The final certificates are recomputed
+    per class with ``carleson_constants`` and a fresh eigensolve of the
+    class's Grammian block.
     """
     if not 0.0 < delta_target < 1.0:
         raise ValueError(f"delta target {delta_target} must lie in (0, 1)")
     z = seq.values()
-    _check_distinct(z)
+    _check_distinct(seq)
     n = len(z)
-    order = modulus_order(z) if sort_by_modulus else np.arange(n)
     log_target = float(np.log(delta_target)) + _LOG_MARGIN
 
     # sums[k, i]: log-product of point i against the members of class k;
@@ -134,17 +134,17 @@ def partition_carleson(
     log_products = np.zeros(n)
     class_of = np.zeros(n, dtype=np.intp)
     count = 0
-    for t, j in enumerate(order):
+    for j in range(n):
         column = np.log(_rho_column(z, j))
-        placed = order[:t]
-        updated = log_products[placed] + column[placed]
+        placed_class = class_of[:j]
+        updated = log_products[:j] + column[:j]
         worst = np.full(count, np.inf)
-        np.minimum.at(worst, class_of[placed], updated)
+        np.minimum.at(worst, placed_class, updated)
         fits = np.flatnonzero((sums[:count, j] >= log_target) & (worst >= log_target))
         if fits.size:
             k = fits[0]
-            joined = class_of[placed] == k
-            log_products[placed[joined]] = updated[joined]
+            joined = placed_class == k
+            log_products[:j][joined] = updated[joined]
             log_products[j] = sums[k, j]
             sums[k] += column
         else:
@@ -154,9 +154,7 @@ def partition_carleson(
             sums[k] = column
         class_of[j] = k
 
-    members = [[] for _ in range(count)]
-    for j in order:
-        members[class_of[j]].append(int(j))
+    members = [np.flatnonzero(class_of == k).tolist() for k in range(count)]
     classes = tuple(tuple(seq.labels[i] for i in cls) for cls in members)
     certificates = tuple(_carleson_certificate(seq, cls) for cls in members)
     return Partition(classes, CARLESON_GREEDY, certificates, {"delta_target": delta_target})
@@ -368,7 +366,7 @@ def minimal_carleson_classes(seq: PointSequence, delta_target: float) -> int:
     if n > _BRUTE_FORCE_CAP:
         raise ValueError(f"exhaustive search is capped at {_BRUTE_FORCE_CAP} points")
     z = seq.values()
-    _check_distinct(z)
+    _check_distinct(seq)
     log_rho = np.log(_rho_matrix(z)) if n > 1 else np.zeros((1, 1))
     np.fill_diagonal(log_rho, 0.0)
     log_target = float(np.log(delta_target))

@@ -43,6 +43,8 @@ from .geometry import PointSequence, carleson_constants
 from .io import to_pairs
 from .kernels import DEFAULT_ORDER, TruncationContext, kernel_matrix, range_space_gram, image_gram, szego_gram
 from .operators import (
+    ST_NORM_FLOOR_SLACK,
+    ST_ROUNDTRIP_GATE,
     InnerFunction,
     PositiveOperator,
     diagonal_operator,
@@ -61,8 +63,8 @@ DEFAULT_TOLERANCES = {
     "toeplitz_covariance": 1e-6,
     "loewner_chain": 1e-8,
     "norm_sandwich": 1e-6,
-    "st_roundtrip": 1e-6,
-    "st_norm_floor": 1e-8,
+    "st_roundtrip": ST_ROUNDTRIP_GATE,
+    "st_norm_floor": ST_NORM_FLOOR_SLACK,
     "diag_sandwich": 1e-10,
     "weighted_hardy": 1e-8,
 }
@@ -239,7 +241,7 @@ def _toeplitz_covariance_trial(cfg: SuiteConfig, rng, trial: int, ctx: Truncatio
 def _span_complement(columns: np.ndarray) -> PositiveOperator:
     """I minus the orthogonal projection onto the column span, as I - Q Q*."""
     q, _ = np.linalg.qr(columns)
-    return PositiveOperator(-np.eye(q.shape[1]), "span_complement", "custom", basis=q, shift=1.0)
+    return PositiveOperator(-np.ones(q.shape[1]), "span_complement", "custom", basis=q, shift=1.0)
 
 
 def _loewner_instance(rng, trial: int, ctx: TruncationContext):

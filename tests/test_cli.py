@@ -14,9 +14,10 @@ import pytest
 
 import hardyframes.kernels
 import hardyframes.partition
-from hardyframes import PointSequence, cli, szego_gram
+from hardyframes import PointSequence, cli, partition_carleson, partition_spectral, szego_gram
 from hardyframes.cli import main
-from hardyframes.io import matrix_from_json, matrix_to_json
+from hardyframes.io import matrix_from_json, matrix_to_json, partition_csv_lines, partition_to_json
+from hardyframes.partition import modulus_order
 from hardyframes.operators import OPERATOR_KINDS, PositiveOperator, st_construct
 from test_partition import mixed_points, reference_spectral
 
@@ -127,6 +128,31 @@ class TestGram:
         )
         assert main(["gram", "--points", pts, "--operator", spec, "--N", "32"]) == 3
 
+    @pytest.mark.parametrize(
+        "spec,flags",
+        [
+            ({"type": "diagonal", "weights": [1.0, 0.5, 0.25], "N": 400}, []),
+            ({"type": "diagonal", "weights": [0.5**k for k in range(512)]}, ["--N", "64"]),
+            ({"type": "custom", "matrix": matrix_to_json(np.eye(6)), "N": 8}, []),
+            ({"type": "custom", "matrix": matrix_to_json(np.eye(6))}, ["--N", "999"]),
+        ],
+        ids=["diagonal-spec-N", "diagonal-flag-N", "custom-spec-N", "custom-flag-N"],
+    )
+    def test_mismatched_order_is_input_error(self, tmp_path, capsys, spec, flags):
+        pts = write_points(tmp_path, [0.5, -0.4])
+        path = write_json(tmp_path / "op.json", spec)
+        assert main(["gram", "--points", pts, "--operator", path, *flags]) == 2
+        captured = capsys.readouterr()
+        sizes = (spec.get("N") or int(flags[1]), len(spec["weights"]) if "weights" in spec else 6)
+        assert f"N={sizes[0]} " in captured.err and f"order {sizes[1]}" in captured.err
+        assert captured.out == ""
+
+    def test_matching_or_absent_order_keeps_the_operator(self, tmp_path):
+        pts = write_points(tmp_path, [0.5, -0.4])
+        for extra, flags in (({}, []), ({"N": 6}, []), ({}, ["--N", "6"])):
+            spec = write_json(tmp_path / "op.json", {"type": "custom", "matrix": matrix_to_json(np.eye(6)), **extra})
+            assert main(["gram", "--points", pts, "--operator", spec, *flags]) == 0
+
     def test_linalg_error_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
         # LinAlgError subclasses ValueError, but it is not an input problem
         def fail(*args, **kwargs):
@@ -212,6 +238,30 @@ class TestPartition:
         )
         assert rc == 0
         assert read_json(out)["classes"] == [[1, 0], [2]]
+
+    @pytest.mark.parametrize("strategy", ["carleson", "spectral"])
+    def test_sort_by_modulus_is_the_library_on_the_sorted_sequence(self, tmp_path, strategy):
+        z = mixed_points(np.random.default_rng(43), 80)
+        pts = write_points(tmp_path, z)
+        out, csv = tmp_path / "part.json", tmp_path / "part.csv"
+        argv = ["partition", "--points", pts, "--strategy", strategy, "--out", str(out), "--csv", str(csv)]
+        assert main(argv + ["--sort-by-modulus"]) == 0
+        seq = PointSequence(list(z))
+        ordered = seq.subsequence(modulus_order(z))
+        if strategy == "carleson":
+            want = partition_carleson(ordered, 0.1)
+        else:
+            want = partition_spectral(ordered, 0.1)
+        assert read_json(out) == json.loads(json.dumps(partition_to_json(want)))
+        assert csv.read_text(encoding="utf-8").splitlines() == partition_csv_lines(seq, want)
+
+    @pytest.mark.parametrize("labels,named", [(None, "0 and 2"), ([7, 3, 9], "7 and 9")])
+    def test_sorted_duplicates_are_named_by_label(self, tmp_path, capsys, labels, named):
+        pairs = [[0.5, 0.0], [0.1, 0.0], [0.5, 0.0]]
+        pts = write_json(tmp_path / "points.json", pairs if labels is None else {"points": pairs, "labels": labels})
+        rc = main(["partition", "--points", pts, "--strategy", "carleson", "--sort-by-modulus"])
+        assert rc == 3
+        assert f"points {named} coincide" in capsys.readouterr().err
 
     def test_missing_strategy_is_input_error(self, tmp_path):
         pts = write_points(tmp_path, [0.1, 0.5])

@@ -34,6 +34,8 @@ from hardyframes import (
     szego_gram,
 )
 from hardyframes.kernels import _szego_entries
+from hardyframes.operators import InnerFunction, PositiveOperator, projection_phi_H2
+from hardyframes.verify import sample_clustered
 
 
 def oracle_entry(zi, zj, order):
@@ -316,6 +318,72 @@ class TestRangeSpaceGram:
         assert g.provenance.space == "H(P)"
         assert g.provenance.operator_id == "identity(N=64)"
         assert g.provenance.truncation_error > 0.0
+
+
+def double_symmetrized_range_space_gram(op, seq, ctx):
+    """The earlier route: average V* P V with its adjoint, scale, then wrap (and average again)."""
+    v = kernel_matrix(seq, ctx)
+    m = v.conj().T @ op.apply(v)
+    m = (m + m.conj().T) / 2.0
+    norms = np.sqrt(np.clip(np.real(np.diagonal(m)).copy(), 0.0, None))
+    g = m / np.outer(norms, norms)
+    np.fill_diagonal(g, 1.0)
+    return HermitianMatrix(g).matrix
+
+
+def near_boundary_points(rng, count):
+    return rng.uniform(0.9, 0.985, size=count) * np.exp(2j * np.pi * rng.uniform(size=count))
+
+
+class TestRangeSpaceGramSymmetrizesOnce:
+    """One ``HermitianMatrix`` of V* P V, then the scaling, gives the same bits as averaging twice."""
+
+    @pytest.mark.parametrize("family", ["clustered", "near_boundary"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_and_exactly_hermitian(self, family, seed):
+        rng = np.random.default_rng([53, seed])
+        if family == "clustered":
+            pts = sample_clustered(rng, 24)
+        else:
+            pts = near_boundary_points(rng, 24)
+        seq = PointSequence(list(pts))
+        ctx = TruncationContext(order=128)
+        x = rng.normal(size=(ctx.order, ctx.order)) + 1j * rng.normal(size=(ctx.order, ctx.order))
+        operators = (
+            diagonal_operator(rng.uniform(0.2, 1.0, size=ctx.order)),
+            projection_phi_H2(InnerFunction((0.5 * rng.uniform() + 0.2j,), 1.0, 1), ctx),
+            PositiveOperator(x @ x.conj().T / ctx.order, "dense", "custom"),
+        )
+        for op in operators:
+            g = range_space_gram(op, seq, ctx).matrix.matrix
+            want = double_symmetrized_range_space_gram(op, seq, ctx)
+            assert np.array_equal(g.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(g, g.conj().T)
+
+
+class TestProvenance:
+    def test_truncated_routes_record_the_tail_bound(self):
+        seq = PointSequence([0.2, -0.7j, 0.5 + 0.1j])
+        ctx = TruncationContext(order=40)
+        op = projection_monomial_span([3], ctx.order)
+        tail = ctx.tail_bound(seq.max_modulus())
+        for g, space, op_id in (
+            (range_space_gram(op, seq, ctx), "H(P)", op.id),
+            (image_gram(op, seq, ctx), "H2", op.id),
+            (normalized_gram(seq, ctx), "H2", None),
+        ):
+            assert g.provenance == Provenance(space, op_id, seq.points, seq.labels, truncation_error=tail)
+        assert szego_gram(seq).provenance == Provenance("H2", None, seq.points, seq.labels)
+
+    def test_congruence_keeps_the_provenance_and_appends_its_transform(self):
+        seq = PointSequence([0.2, -0.7j])
+        ctx = TruncationContext(order=40)
+        g = normalized_gram(seq, ctx)
+        once = congruence_diag(g, [1.0, 2.0])
+        twice = congruence_diag(once, [1.0, 1.0j])
+        assert once.provenance == dataclasses.replace(g.provenance, transform="diag_congruence")
+        assert twice.provenance.transform == "diag_congruence;diag_congruence"
+        assert twice.provenance.truncation_error == g.provenance.truncation_error > 0.0
 
 
 class TestImageGram:

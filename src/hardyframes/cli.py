@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from . import io
-from .errors import ConfigInvalidError, HardyFramesError
+from .errors import ConfigInvalidError, HardyFramesError, IndexOutOfRangeError, NegativeWeightError
 from .frames import DEFAULT_RIESZ_TOL, analyze
 from .hermitian import HermitianMatrix
 from .kernels import DEFAULT_ORDER, TruncationContext, check_buffer, range_space_gram, szego_gram
@@ -222,6 +222,10 @@ def _config_defaults(sp: argparse.ArgumentParser, cfg) -> dict:
     return {key: checks[key](value) for key, value in cfg.items() if key in checks and value is not None}
 
 
+# Library errors that can only come from a bad spec or config, so exit 2 like other bad input.
+_INPUT_ERRORS = (ConfigInvalidError, IndexOutOfRangeError, NegativeWeightError)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -238,7 +242,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (HardyFramesError, np.linalg.LinAlgError) as exc:
         _err(exc)
-        return 2 if isinstance(exc, ConfigInvalidError) else 3
+        return 2 if isinstance(exc, _INPUT_ERRORS) else 3
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         _err(exc)
         return 2

@@ -122,10 +122,13 @@ def _rho(a, b) -> np.ndarray:
 def _rho_matrix(z: np.ndarray) -> np.ndarray:
     """Pairwise pseudo-hyperbolic distances with an exact unit diagonal.
 
-    The diagonal is set to 1 so it contributes nothing in log space.
+    Pairs run over the last axis of ``z``; leading axes index independent
+    sequences, so an (m, k) array gives an (m, k, k) stack. The diagonal is
+    set to 1 so it contributes nothing in log space.
     """
-    rho = _rho(z[:, None], z[None, :])
-    np.fill_diagonal(rho, 1.0)
+    rho = _rho(z[..., :, None], z[..., None, :])
+    diagonal = np.arange(z.shape[-1])
+    rho[..., diagonal, diagonal] = 1.0
     return rho
 
 
@@ -141,27 +144,31 @@ def _rho_column(z: np.ndarray, j: int) -> np.ndarray:
     return rho
 
 
+def _separation_products(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point products prod_{i != j} rho(z_i, z_j) over the last axis of ``z``.
+
+    Leading axes index independent sequences, as in ``_rho_matrix``. The
+    products are accumulated as sums of log rho to avoid underflow; a sum
+    below ``LOG_UNDERFLOW`` gives exactly 0.0 and is flagged in the returned
+    mask, and a product that rounds above 1 is reported as 1.
+    """
+    sums = np.log(_rho_matrix(z)).sum(axis=-1)
+    clamped = sums < LOG_UNDERFLOW
+    return np.minimum(np.where(clamped, 0.0, np.exp(sums)), 1.0), clamped
+
+
 def carleson_constants(seq: PointSequence, delta: float = 0.0) -> CarlesonReport:
     """Evaluate the separation products prod_{i != j} rho(z_i, z_j).
 
-    All products are accumulated as sums of log rho to avoid underflow;
-    a sum below ``LOG_UNDERFLOW`` clamps the product to exactly 0.0 with
-    the index flagged in the report. Exactly coincident points raise
+    The products come from ``_separation_products``; a clamped one is
+    flagged in the report. Exactly coincident points raise
     ``DuplicatePointError`` because the products would be identically zero.
     """
-    z = seq.values()
-    n = len(z)
-    if n == 1:
-        return CarlesonReport((1.0,), 1.0, delta)
     _check_distinct(seq)
-    log_rho = np.log(_rho_matrix(z))
-    sums = log_rho.sum(axis=1)
-    clamped = tuple(int(i) for i in np.nonzero(sums < LOG_UNDERFLOW)[0])
-    products = np.where(sums < LOG_UNDERFLOW, 0.0, np.exp(sums))
-    products = np.minimum(products, 1.0)
+    products, clamped = _separation_products(seq.values())
     return CarlesonReport(
         per_index_products=tuple(float(p) for p in products),
         infimum=float(products.min()),
         satisfied_at=delta,
-        clamped=clamped,
+        clamped=tuple(int(i) for i in np.flatnonzero(clamped)),
     )

@@ -28,6 +28,13 @@ PSD_REL_TOL = 1e-10
 SYMMETRIZE_BLOCK = 128
 
 
+_NON_FINITE = "matrix entries must be finite (found NaN or infinity)"
+
+
+def _defect_error(defect: float, scale: float) -> NonHermitianError:
+    return NonHermitianError(f"anti-Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e} * scale {scale:.3e}")
+
+
 class HermitianMatrix:
     """A square complex matrix symmetrized on construction.
 
@@ -54,7 +61,7 @@ class HermitianMatrix:
                     top = float(np.abs(block).max(initial=0.0))
                     # |x| overflows to inf for some finite x, so only then look closer
                     if not (math.isfinite(top) or np.isfinite(block).all()):
-                        raise ValueError("matrix entries must be finite (found NaN or infinity)")
+                        raise ValueError(_NON_FINITE)
                     scale = max(scale, top)
                 # |m_ij - conj(m_ji)| = |m_ji - conj(m_ij)|, so one side gives the defect.
                 # Mirror copies in C order spare numpy an iteration buffer in the updates.
@@ -67,9 +74,7 @@ class HermitianMatrix:
                 upper += lower_adj
                 upper /= 2.0
         if defect > HERMITIAN_TOL * scale:
-            raise NonHermitianError(
-                f"anti-Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e} * scale {scale:.3e}"
-            )
+            raise _defect_error(defect, scale)
         self.matrix = m
 
     @property
@@ -78,6 +83,28 @@ class HermitianMatrix:
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"
+
+
+def _symmetrize_stack(g: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Each matrix of the (m, k, k) stack ``g`` as ``HermitianMatrix`` stores it.
+
+    ``g`` is overwritten with (g + g*) / 2.0 per matrix, bit for bit the
+    values ``HermitianMatrix`` keeps, and returned with the error that
+    ``HermitianMatrix`` would raise for each matrix it rejects, keyed by
+    position in the stack: a non-finite entry, or an anti-Hermitian defect
+    above ``HERMITIAN_TOL`` times that matrix's own scale.
+    """
+    adjoint = np.conj(np.swapaxes(g, -1, -2))
+    finite = np.isfinite(g).all(axis=(-2, -1))
+    scale = np.maximum(np.abs(g).max(axis=(-2, -1), initial=0.0), 1.0)
+    defect = np.abs(g - adjoint).max(axis=(-2, -1), initial=0.0)
+    rejected = {
+        int(i): _defect_error(float(defect[i]), float(scale[i])) if finite[i] else ValueError(_NON_FINITE)
+        for i in np.flatnonzero(~finite | (defect > HERMITIAN_TOL * scale))
+    }
+    g += adjoint
+    g /= 2.0
+    return g, rejected
 
 
 def as_hermitian(h) -> HermitianMatrix:

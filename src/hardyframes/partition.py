@@ -25,11 +25,19 @@ caller that wants another order (the CLI's ``--sort-by-modulus``) passes
   Szegő closed form on demand, so memory is O(classes * n) with no n x n
   matrix.
 
-Neither loop certifies itself: the final certificates are recomputed per
-class from scratch (``carleson_constants`` and a fresh ``eigvalsh`` of the
-class's Grammian block; for points, that block is a fresh ``szego_gram``
-of the class), and an exhaustive minimal-partition search (viable up to
-12 points) is provided as an oracle for testing the greedy counts.
+Both loops keep their per-class tables only for the points still to come:
+when a table doubles, it drops the columns of the points already placed.
+
+Neither loop certifies itself: the final certificates are recomputed from
+the points (or the Grammian), never read from the greedy's state. The
+classes are grouped by size k; each group's class blocks are built as one
+(m, k, k) stack (for points, bitwise the ``szego_gram`` of each class's
+points, under the same Hermitian gate) and get one stacked ``eigvalsh``,
+and for ``carleson`` the separation products are recomputed the same way,
+with ``carleson_constants``' formula. ``verify_partition`` solves a
+Grammian's class blocks the same way. An exhaustive minimal-partition
+search (viable up to 12 points) is provided as an oracle for testing the
+greedy counts.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DuplicatePointError, NotAPartitionError, TargetTooHighError
-from .geometry import PointSequence, _check_distinct, _rho_column, _rho_matrix, carleson_constants
+from .geometry import PointSequence, _check_distinct, _rho_column, _rho_matrix, _separation_products
+from .hermitian import _symmetrize_stack
 from .kernels import Grammian, _szego_entries, szego_gram
 
 CARLESON_GREEDY = "carleson_greedy"
@@ -118,8 +127,8 @@ def partition_carleson(seq: PointSequence, delta_target: float) -> Partition:
     log-product plus log rho(z_i, z_j) stay at or above
     log(delta) + ``_LOG_MARGIN``; all classes are tested in one vectorised
     step over the placed points [:j]. The final certificates are recomputed
-    per class with ``carleson_constants`` and a fresh eigensolve of the
-    class's Grammian block.
+    from the class's points: the separation products and lambda_min of the
+    class's Szegő Grammian, one stacked solve per class size.
     """
     if not 0.0 < delta_target < 1.0:
         raise ValueError(f"delta target {delta_target} must lie in (0, 1)")
@@ -128,9 +137,11 @@ def partition_carleson(seq: PointSequence, delta_target: float) -> Partition:
     n = len(z)
     log_target = float(np.log(delta_target)) + _LOG_MARGIN
 
-    # sums[k, i]: log-product of point i against the members of class k;
+    # sums[k, i - offset]: log-product of point i against the members of
+    # class k, for the columns i >= offset still live;
     # log_products[i]: a placed point's log-product within its own class.
     sums = np.zeros((_INITIAL_CLASSES, n))
+    offset = 0
     log_products = np.zeros(n)
     class_of = np.zeros(n, dtype=np.intp)
     count = 0
@@ -140,57 +151,103 @@ def partition_carleson(seq: PointSequence, delta_target: float) -> Partition:
         updated = log_products[:j] + column[:j]
         worst = np.full(count, np.inf)
         np.minimum.at(worst, placed_class, updated)
-        fits = np.flatnonzero((sums[:count, j] >= log_target) & (worst >= log_target))
+        fits = np.flatnonzero((sums[:count, j - offset] >= log_target) & (worst >= log_target))
         if fits.size:
             k = fits[0]
             joined = placed_class == k
             log_products[:j][joined] = updated[joined]
-            log_products[j] = sums[k, j]
-            sums[k] += column
+            log_products[j] = sums[k, j - offset]
+            sums[k] += column[offset:]
         else:
             k = count
             count += 1
-            sums = _room(sums, k)
-            sums[k] = column
+            sums, offset = _room(sums, k, offset, j)
+            sums[k] = column[offset:]
         class_of[j] = k
 
     members = [np.flatnonzero(class_of == k).tolist() for k in range(count)]
-    classes = tuple(tuple(seq.labels[i] for i in cls) for cls in members)
-    certificates = tuple(_carleson_certificate(seq, cls) for cls in members)
+    groups = _size_groups(members)
+    lambda_min = _lambda_mins(_szego_blocks(z, groups), count)
+    carleson_inf = np.empty(count)
+    for which, positions in groups:
+        carleson_inf[which] = _separation_products(z[positions])[0].min(axis=-1)
+    certificates = tuple(
+        ClassCertificate(tuple(seq.labels[i] for i in cls), len(cls), lam, inf)
+        for cls, lam, inf in zip(members, lambda_min.tolist(), carleson_inf.tolist())
+    )
+    classes = tuple(cert.labels for cert in certificates)
     return Partition(classes, CARLESON_GREEDY, certificates, {"delta_target": delta_target})
 
 
-def _room(table: np.ndarray, used: int) -> np.ndarray:
-    """``table`` with a free row at index ``used``, doubling when full."""
+def _room(table: np.ndarray, used: int, offset: int, j: int) -> tuple[np.ndarray, int]:
+    """``table`` with a free row at index ``used``, and its column offset.
+
+    ``table`` holds the columns from ``offset`` on. When it is full it
+    doubles, keeping only the columns from ``j`` on: a greedy placing point
+    j never reads an earlier column again.
+    """
     if used < len(table):
-        return table
-    grown = np.zeros((2 * len(table), table.shape[1]), dtype=table.dtype)
-    grown[:used] = table
-    return grown
+        return table, offset
+    grown = np.zeros((2 * len(table), table.shape[1] - (j - offset)), dtype=table.dtype)
+    grown[:used] = table[:, j - offset :]
+    return grown, j
 
 
-def _carleson_certificate(seq: PointSequence, positions: list[int]) -> ClassCertificate:
-    sub = seq.subsequence(positions)
-    report = carleson_constants(sub)
-    lam_min = float(np.linalg.eigvalsh(szego_gram(sub).matrix.matrix)[0])
-    return ClassCertificate(
-        labels=tuple(sub.labels),
-        size=len(sub),
-        lambda_min=lam_min,
-        carleson_inf=report.infimum,
-    )
+def _size_groups(members: list[list[int]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Classes grouped by size: per size k, the class indices and their (m, k) positions."""
+    sizes = np.fromiter(map(len, members), dtype=np.intp, count=len(members))
+    groups = []
+    for size in np.unique(sizes):
+        which = np.flatnonzero(sizes == size)
+        groups.append((which, np.array([members[i] for i in which], dtype=np.intp)))
+    return groups
+
+
+def _lambda_mins(stacks, count: int) -> np.ndarray:
+    """lambda_min of every class block, one ``eigvalsh`` per (class indices, (m, k, k) blocks) stack."""
+    lam = np.empty(count)
+    for which, blocks in stacks:
+        lam[which] = np.linalg.eigvalsh(blocks)[:, 0]
+    return lam
+
+
+def _gathered_blocks(m: np.ndarray, groups):
+    """The class blocks m[positions][:, positions] of each size group, as one stack."""
+    return [(which, m[pos[:, :, None], pos[:, None, :]]) for which, pos in groups]
+
+
+def _szego_blocks(z: np.ndarray, groups):
+    """Each size group's class Grammians, as ``szego_gram`` of the class's points gives them.
+
+    The blocks come from ``_szego_entries`` with a unit diagonal and are
+    symmetrized by ``_symmetrize_stack``, so they are bitwise the matrices
+    ``szego_gram`` keeps. A class that ``HermitianMatrix`` would reject
+    raises its error; with several, the first in class order.
+    """
+    one_minus = 1.0 - np.abs(z) ** 2
+    stacks, rejected = [], {}
+    for which, pos in groups:
+        g = _szego_entries(z[pos], z[pos], one_minus[pos], one_minus[pos])
+        diagonal = np.arange(pos.shape[1])
+        g[:, diagonal, diagonal] = 1.0
+        g, errors = _symmetrize_stack(g)
+        rejected.update((int(which[i]), error) for i, error in errors.items())
+        stacks.append((which, g))
+    if rejected:
+        raise rejected[min(rejected)]
+    return stacks
 
 
 def _spectral_matrix(source):
-    """``(diagonal, rows, block)`` of the matrix a spectral partition reads.
+    """``(diagonal, rows, blocks)`` of the matrix a spectral partition reads.
 
-    ``rows(idx, start)`` is ``m[idx, start:]`` and ``block(positions)`` the
-    class block ``m[positions][:, positions]``. A normalized ``Grammian``
-    serves slices of its matrix. A ``PointSequence`` stands for its Szegő
-    Grammian: rows come from the closed form on demand (before the
-    symmetrization ``HermitianMatrix`` applies, so an entry may differ from
-    ``szego_gram``'s in the last bit), and a block is a fresh
-    ``szego_gram`` of the class's points.
+    ``rows(idx, start)`` is ``m[idx, start:]`` and ``blocks(groups)`` the
+    class blocks of each ``_size_groups`` group as one stack. A normalized
+    ``Grammian`` serves slices of its matrix. A ``PointSequence`` stands
+    for its Szegő Grammian: rows come from the closed form on demand
+    (before the symmetrization ``HermitianMatrix`` applies, so an entry may
+    differ from ``szego_gram``'s in the last bit), and blocks are the class
+    Grammians ``szego_gram`` would build from each class's points.
     """
     if isinstance(source, PointSequence):
         z = source.values()
@@ -199,17 +256,14 @@ def _spectral_matrix(source):
         def rows(idx, start):
             return _szego_entries(z[idx], z[start:], one_minus[idx], one_minus[start:])
 
-        def block(positions):
-            return szego_gram(source.subsequence(positions)).matrix.matrix
-
-        return np.ones(len(z)), rows, block
+        return np.ones(len(z)), rows, lambda groups: _szego_blocks(z, groups)
     if not source.normalized:
         raise ValueError("spectral partitioning expects a normalized Grammian")
     m = source.matrix.matrix
     return (
         np.real(np.diagonal(m)),
         lambda idx, start: m[idx, start:],
-        lambda positions: m[np.ix_(positions, positions)],
+        lambda groups: _gathered_blocks(m, groups),
     )
 
 
@@ -231,7 +285,9 @@ def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Par
     in one call, appends a row to R_k and adds the new member's term to the
     class's row, O(class size * n). A singleton whose own slack
     m[j, j] - c is within the margin (c near 1) opens a class that admits
-    nobody. Certificates are a fresh eigensolve of each final class block.
+    nobody. Certificates are recomputed from the class blocks, not the
+    Schur state: one stacked ``eigvalsh`` per class size, over blocks that
+    are, for points, bitwise the ``szego_gram`` of each class's points.
     """
     if not math.isfinite(c_target):
         raise ValueError(f"c target {c_target} must be a finite number")
@@ -239,15 +295,17 @@ def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Par
         raise TargetTooHighError(f"c target {c_target} exceeds the normalized diagonal")
     if c_target <= 0.0:
         raise ValueError(f"c target {c_target} must be positive")
-    diagonal, rows, block = _spectral_matrix(source)
+    diagonal, rows, blocks = _spectral_matrix(source)
     n = source.dim
     own_slack = diagonal - c_target
 
+    # schur[k, j' - offset] for the columns j' >= offset still live
     schur = np.zeros((_INITIAL_CLASSES, n))
+    offset = 0
     members: list[list[int]] = []
     inv_factors: list[np.ndarray] = []
     for j in range(n):
-        slack = own_slack[j] - schur[: len(members), j]
+        slack = own_slack[j] - schur[: len(members), j - offset]
         fits = np.flatnonzero(slack > _SCHUR_MARGIN)
         if fits.size:
             k = int(fits[0])
@@ -255,7 +313,7 @@ def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Par
         else:
             k = len(members)
             slack_j = own_slack[j]
-            schur = _room(schur, k)
+            schur, offset = _room(schur, k, offset, j)
             members.append([])
             inv_factors.append(np.zeros((0, 0), dtype=np.complex128))
             if slack_j <= _SCHUR_MARGIN:
@@ -272,7 +330,7 @@ def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Par
         known = rows(cls, j)  # m[cls, j:] over the old members and, last, j's own row
         yr = np.conj(r @ known[:size, 0]) @ r
         w = (known[size, 1:] - yr @ known[:size, 1:]) / d
-        schur[k, j + 1 :] += w.real**2 + w.imag**2
+        schur[k, j + 1 - offset :] += w.real**2 + w.imag**2
         grown = np.zeros((size + 1, size + 1), dtype=r.dtype)
         grown[:size, :size] = r
         grown[size, :size] = -yr / d
@@ -280,18 +338,13 @@ def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Par
         inv_factors[k] = grown
 
     labels = source.labels
-    certificates = []
-    for cls in members:
-        certificates.append(
-            ClassCertificate(
-                labels=tuple(labels[i] for i in cls),
-                size=len(cls),
-                lambda_min=float(np.linalg.eigvalsh(block(cls))[0]),
-                carleson_inf=None,
-            )
-        )
+    lambda_min = _lambda_mins(blocks(_size_groups(members)), len(members))
+    certificates = tuple(
+        ClassCertificate(tuple(labels[i] for i in cls), len(cls), lam)
+        for cls, lam in zip(members, lambda_min.tolist())
+    )
     classes = tuple(cert.labels for cert in certificates)
-    return Partition(classes, SPECTRAL_GREEDY, tuple(certificates), {"c_target": c_target})
+    return Partition(classes, SPECTRAL_GREEDY, certificates, {"c_target": c_target})
 
 
 def verify_partition(g: Grammian, partition: Partition, level: float) -> PartitionCheck:
@@ -309,14 +362,13 @@ def verify_partition(g: Grammian, partition: Partition, level: float) -> Partiti
     if seen != set(g.labels) or total != len(g.labels):
         raise NotAPartitionError("classes do not tile the Grammian labels")
 
-    m = g.matrix.matrix
     position = {lab: i for i, lab in enumerate(g.labels)}
-    checks = []
-    for cls in partition.classes:
-        idx = [position[lab] for lab in cls]
-        lam = float(np.linalg.eigvalsh(m[np.ix_(idx, idx)])[0])
-        checks.append(ClassCheck(tuple(cls), lam, lam >= level))
-    return PartitionCheck(tuple(checks), all(c.passed for c in checks), level)
+    members = [[position[lab] for lab in cls] for cls in partition.classes]
+    lambda_min = _lambda_mins(_gathered_blocks(g.matrix.matrix, _size_groups(members)), len(members))
+    checks = tuple(
+        ClassCheck(tuple(cls), lam, lam >= level) for cls, lam in zip(partition.classes, lambda_min.tolist())
+    )
+    return PartitionCheck(checks, all(c.passed for c in checks), level)
 
 
 def _minimal_classes(n: int, feasible) -> int:
@@ -367,8 +419,7 @@ def minimal_carleson_classes(seq: PointSequence, delta_target: float) -> int:
         raise ValueError(f"exhaustive search is capped at {_BRUTE_FORCE_CAP} points")
     z = seq.values()
     _check_distinct(seq)
-    log_rho = np.log(_rho_matrix(z)) if n > 1 else np.zeros((1, 1))
-    np.fill_diagonal(log_rho, 0.0)
+    log_rho = np.log(_rho_matrix(z))
     log_target = float(np.log(delta_target))
 
     def feasible(s: frozenset) -> bool:

@@ -147,6 +147,22 @@ class TestGram:
         assert f"N={sizes[0]} " in captured.err and f"order {sizes[1]}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "spec,flags,message",
+        [
+            ({"type": "projection_monomial", "excluded": [600]}, ["--N", "512"], "monomial index 600 outside [0, 512)"),
+            ({"type": "diagonal", "weights": [1, -0.5]}, [], "weight p[1] = -0.5 is negative"),
+        ],
+        ids=["monomial-index-out-of-range", "negative-diagonal-weight"],
+    )
+    def test_bad_operator_spec_is_input_error(self, tmp_path, capsys, spec, flags, message):
+        pts = write_points(tmp_path, [0.5, -0.4])
+        path = write_json(tmp_path / "op.json", spec)
+        assert main(["gram", "--points", pts, "--operator", path, *flags]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_matching_or_absent_order_keeps_the_operator(self, tmp_path):
         pts = write_points(tmp_path, [0.5, -0.4])
         for extra, flags in (({}, []), ({"N": 6}, []), ({}, ["--N", "6"])):
@@ -180,15 +196,25 @@ class TestValidateOnce:
         assert main(["gram", "--points", pts, "--operator", spec]) == 0
         assert eigensolves == [(3, 3), (5, 5)]
 
-    def test_carleson_partition_solves_once_per_class(self, tmp_path, eigensolves):
+    @staticmethod
+    def assert_one_stack_per_class_size(tmp_path, eigensolves, strategy, flag):
+        # every class is solved once, inside the one (m, k, k) stack of its size k
         rng = np.random.default_rng(8)
         pts = write_points(tmp_path, [complex(*p) for p in rng.uniform(-0.6, 0.6, size=(12, 2))])
         out = tmp_path / "part.json"
-        argv = ["partition", "--points", pts, "--strategy", "carleson", "--delta-target", "0.3"]
+        argv = ["partition", "--points", pts, "--strategy", strategy, flag, "0.3"]
         assert main(argv + ["--out", str(out)]) == 0
-        classes = read_json(out)["classes"]
-        assert len(classes) > 1
-        assert sorted(eigensolves) == sorted((len(c), len(c)) for c in classes)
+        sizes = sorted(len(c) for c in read_json(out)["classes"])
+        assert len(set(sizes)) > 1
+        assert all(len(shape) == 3 and shape[1] == shape[2] for shape in eigensolves)
+        assert len({shape[-1] for shape in eigensolves}) == len(eigensolves)
+        assert sorted(k for m, k, _ in eigensolves for _ in range(m)) == sizes
+
+    def test_carleson_partition_solves_once_per_class(self, tmp_path, eigensolves):
+        self.assert_one_stack_per_class_size(tmp_path, eigensolves, "carleson", "--delta-target")
+
+    def test_spectral_partition_solves_once_per_class(self, tmp_path, eigensolves):
+        self.assert_one_stack_per_class_size(tmp_path, eigensolves, "spectral", "--c-target")
 
 
 class TestPartition:

@@ -8,15 +8,19 @@ a fresh eigensolve per candidate block, and first fit over the full
 log-rho matrix.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hardyframes import (
     DuplicatePointError,
+    NonHermitianError,
     NotAPartitionError,
     Partition,
     PointSequence,
     TargetTooHighError,
+    carleson_constants,
     minimal_carleson_classes,
     minimal_spectral_classes,
     partition_carleson,
@@ -26,7 +30,7 @@ from hardyframes import (
     verify_partition,
 )
 from hardyframes.geometry import _rho_matrix
-from hardyframes.partition import _LOG_MARGIN, modulus_order
+from hardyframes.partition import _LOG_MARGIN, _size_groups, _szego_blocks, modulus_order
 from hardyframes.verify import _FAMILY_SAMPLERS, POINT_FAMILIES as VERIFY_FAMILIES
 
 
@@ -382,6 +386,147 @@ class TestSpectralFromPoints:
             block = szego_gram(seq.subsequence(cls)).matrix.matrix
             assert cert.labels == cls
             assert cert.lambda_min == float(np.linalg.eigvalsh(block)[0])
+
+
+def near_boundary_arc(rng, count, eps=1e-6):
+    """Points with 1 - |z| in [0.5, 2] * eps on an arc about 100 * eps long."""
+    theta = rng.uniform(0.0, 2.0 * np.pi) + 100 * eps * rng.uniform(0.0, 1.0, size=count)
+    return (1.0 - eps * rng.uniform(0.5, 2.0, size=count)) * np.exp(1j * theta)
+
+
+def real_axis_signed_zeros(rng, count):
+    """Distinct real points whose imaginary parts are +0.0 or -0.0 (and real part -0.0 once)."""
+    x = rng.permutation(np.linspace(-0.9, 0.9, count))
+    z = [complex(v, -0.0 if k % 2 else 0.0) for k, v in enumerate(x)]
+    return np.array(z + [complex(-0.0, 0.35)])
+
+
+CERTIFICATE_FAMILIES = {
+    "boundary_clusters": lambda rng: boundary_clusters(rng, 120),
+    "near_boundary_arc": lambda rng: near_boundary_arc(rng, 40),
+    "real_axis_signed_zeros": lambda rng: real_axis_signed_zeros(rng, 40),
+    "mixed_70_30": lambda rng: mixed_points(rng, 300),
+}
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("family", sorted(CERTIFICATE_FAMILIES))
+class TestStackedCertificates:
+    """One stacked solve per class size gives the per-class certificates bit for bit.
+
+    The per-class route is a fresh ``szego_gram`` of the class's points (or
+    the class block of a Grammian) with its own ``eigvalsh``, and
+    ``carleson_constants`` of the class's points. Targets run from mixed
+    class sizes down to all singletons.
+    """
+
+    def sequence(self, family):
+        rng = np.random.default_rng(sorted(CERTIFICATE_FAMILIES).index(family) + 71)
+        z = CERTIFICATE_FAMILIES[family](rng)
+        # permuted labels, so a position is never mistaken for a label
+        return PointSequence(list(z)).subsequence(rng.permutation(len(z)))
+
+    def test_spectral(self, family):
+        seq = self.sequence(family)
+        g = szego_gram(seq)
+        m = g.matrix.matrix
+        position = {lab: i for i, lab in enumerate(seq.labels)}
+        sizes = set()
+        for c in (0.1, 0.3, 0.6, 1.0):
+            for part in (partition_spectral(seq, c), partition_spectral(g, c)):
+                idx = [[position[lab] for lab in cls] for cls in part.classes]
+                want = [np.linalg.eigvalsh(szego_gram(seq.subsequence(i)).matrix.matrix)[0] for i in idx]
+                assert hexes(c.lambda_min for c in part.certificates) == hexes(want)
+                blocks = [np.linalg.eigvalsh(m[np.ix_(i, i)])[0] for i in idx]
+                assert hexes(c.lambda_min for c in verify_partition(g, part, c).per_class) == hexes(blocks)
+                sizes.add(frozenset(len(cls) for cls in part.classes))
+        assert frozenset({1}) in sizes  # c = 1: all singletons
+        assert any(len(s) > 2 for s in sizes)
+
+    def test_class_grammians_are_the_bytes_of_szego_gram(self, family):
+        # signed zeros included, which lambda_min does not show
+        seq = self.sequence(family)
+        members = [list(range(k, len(seq), 7)) for k in range(7)] + [[0, 3], [5]]
+        stacks = _szego_blocks(seq.values(), _size_groups(members))
+        assert sorted(k for which, _ in stacks for k in which) == list(range(len(members)))
+        for which, blocks in stacks:
+            for k, block in zip(which, blocks):
+                assert block.tobytes() == szego_gram(seq.subsequence(members[k])).matrix.matrix.tobytes()
+
+    def test_carleson(self, family):
+        seq = self.sequence(family)
+        position = {lab: i for i, lab in enumerate(seq.labels)}
+        sizes = set()
+        for delta in (0.05, 0.3, 0.9, 0.999999):
+            part = partition_carleson(seq, delta)
+            subs = [seq.subsequence([position[lab] for lab in cls]) for cls in part.classes]
+            want = [np.linalg.eigvalsh(szego_gram(sub).matrix.matrix)[0] for sub in subs]
+            assert hexes(c.lambda_min for c in part.certificates) == hexes(want)
+            assert hexes(c.carleson_inf for c in part.certificates) == hexes(carleson_constants(sub).infimum for sub in subs)
+            sizes.add(frozenset(len(cls) for cls in part.classes))
+        assert frozenset({1}) in sizes
+        assert any(len(s) > 2 for s in sizes)
+
+
+def eps_clusters(rng, clusters=3, count=8, eps=1e-9):
+    """Clusters of ``count`` points about 0.3 * eps wide at 1 - |z| ~ eps."""
+    out = []
+    for _ in range(clusters):
+        theta = rng.uniform(0.0, 2.0 * np.pi) + 0.3 * eps * rng.standard_normal(count)
+        out.append((1.0 - eps * rng.uniform(0.5, 1.5, size=count)) * np.exp(1j * theta))
+    return np.concatenate(out)
+
+
+class TestCertificateGate:
+    """Class Grammians pass the gate ``HermitianMatrix`` applies to ``szego_gram``."""
+
+    def test_carleson_raises_for_the_first_rejected_class(self):
+        # several classes of different sizes fail here, the first not always the smallest
+        rejected = 0
+        for seed in range(12):
+            z = eps_clusters(np.random.default_rng(seed))
+            seq = PointSequence(list(z))
+            errors = []
+            for cls in reference_carleson(z, 0.1):
+                try:
+                    szego_gram(seq.subsequence(cls))
+                except NonHermitianError as exc:
+                    errors.append(str(exc))
+            if not errors:
+                assert partition_carleson(seq, 0.1).class_count > 0
+                continue
+            rejected += 1
+            with pytest.raises(NonHermitianError) as info:
+                partition_carleson(seq, 0.1)
+            assert str(info.value) == errors[0]
+            assert str(info.value).startswith("anti-Hermitian defect ")
+        assert rejected > 6
+
+    def test_spectral_from_points_applies_the_gate(self):
+        seq = PointSequence(list(eps_clusters(np.random.default_rng(0), clusters=1)))
+        with pytest.raises(NonHermitianError, match=r"anti-Hermitian defect .* exceeds 1\.0e-08 \* scale 1\.000e\+00"):
+            partition_spectral(seq, 0.1)
+
+
+@pytest.mark.parametrize(
+    "strategy, classes, peak_mb",
+    # measured: 22.18 and 12.40 MB; 37.27 and 37.01 MB when the tables kept every column
+    [(partition_spectral, 1020, 23.0), (partition_carleson, 622, 13.5)],
+    ids=["spectral", "carleson"],
+)
+def test_greedy_tables_keep_only_live_columns(strategy, classes, peak_mb):
+    seq = PointSequence(list(uniform_points(np.random.default_rng(5), 3000, 0.95)))
+    tracemalloc.start()
+    try:
+        part = strategy(seq, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part.class_count == classes
+    assert peak < peak_mb * 1e6
 
 
 class TestVerifyPartition:

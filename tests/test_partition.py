@@ -439,9 +439,9 @@ class TestStackedCertificates:
             for part in (partition_spectral(seq, c), partition_spectral(g, c)):
                 idx = [[position[lab] for lab in cls] for cls in part.classes]
                 want = [np.linalg.eigvalsh(szego_gram(seq.subsequence(i)).matrix.matrix)[0] for i in idx]
-                assert hexes(c.lambda_min for c in part.certificates) == hexes(want)
+                assert hexes(cert.lambda_min for cert in part.certificates) == hexes(want)
                 blocks = [np.linalg.eigvalsh(m[np.ix_(i, i)])[0] for i in idx]
-                assert hexes(c.lambda_min for c in verify_partition(g, part, c).per_class) == hexes(blocks)
+                assert hexes(check.lambda_min for check in verify_partition(g, part, c).per_class) == hexes(blocks)
                 sizes.add(frozenset(len(cls) for cls in part.classes))
         assert frozenset({1}) in sizes  # c = 1: all singletons
         assert any(len(s) > 2 for s in sizes)
@@ -464,8 +464,10 @@ class TestStackedCertificates:
             part = partition_carleson(seq, delta)
             subs = [seq.subsequence([position[lab] for lab in cls]) for cls in part.classes]
             want = [np.linalg.eigvalsh(szego_gram(sub).matrix.matrix)[0] for sub in subs]
-            assert hexes(c.lambda_min for c in part.certificates) == hexes(want)
-            assert hexes(c.carleson_inf for c in part.certificates) == hexes(carleson_constants(sub).infimum for sub in subs)
+            assert hexes(cert.lambda_min for cert in part.certificates) == hexes(want)
+            assert hexes(cert.carleson_inf for cert in part.certificates) == hexes(
+                carleson_constants(sub).infimum for sub in subs
+            )
             sizes.add(frozenset(len(cls) for cls in part.classes))
         assert frozenset({1}) in sizes
         assert any(len(s) > 2 for s in sizes)

@@ -7,14 +7,16 @@ eigendecomposition is the reference path and no iterative machinery is used.
 ``psd_sqrt`` and ``psd_inverse`` have no production caller; they remain as
 the dense route that tests check the ST construction against.
 
-``HermitianMatrix`` checks finiteness and symmetry only; PSD needs an
+One gate, ``_symmetrize``, admits every matrix, single (``HermitianMatrix``)
+or stacked (the partition certificates' class blocks): finite entries, a
+finite (H + H*) / 2 and a small anti-Hermitian defect; PSD needs an
 eigensolve, so it is checked where one is made anyway.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -24,26 +26,62 @@ DEFAULT_RANK_TOL = 1e-10
 HERMITIAN_TOL = 1e-8
 # Eigenvalues down to -PSD_REL_TOL * max(1, lambda_max) count as rounding noise.
 PSD_REL_TOL = 1e-10
-# Side of the square blocks HermitianMatrix symmetrizes at a time.
+# Side of the square blocks _symmetrize walks at a time.
 SYMMETRIZE_BLOCK = 128
+# A sum of two doubles can overflow only if one of them is at least this large.
+_HALF_MAX = np.finfo(np.float64).max / 2.0
 
 
-_NON_FINITE = "matrix entries must be finite (found NaN or infinity)"
+def _symmetrize(m: np.ndarray) -> dict[int, Exception]:
+    """Overwrite each matrix of the (s, n, n) stack ``m`` with (m + m*) / 2.0.
 
-
-def _defect_error(defect: float, scale: float) -> NonHermitianError:
-    return NonHermitianError(f"anti-Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e} * scale {scale:.3e}")
+    Returns each rejected matrix's error, keyed by stack position: ``ValueError``
+    for a non-finite entry, then for an entry modulus or a result that
+    overflows, then ``NonHermitianError`` for an anti-Hermitian defect above
+    ``HERMITIAN_TOL`` times the scale (the largest entry modulus, at least 1).
+    Upper-triangle ``SYMMETRIZE_BLOCK`` blocks are walked, each paired with
+    its mirror below the diagonal, so temporaries stay block-sized.
+    """
+    n, b = m.shape[-1], SYMMETRIZE_BLOCK
+    tops, defects = [], []  # each member's largest |m_ij| per block and |m_ij - conj(m_ji)| per block pair
+    huge, non_finite = set(), set()  # members with an entry |x| >= _HALF_MAX or NaN, and the non-finite ones
+    with np.errstate(over="ignore", invalid="ignore"):  # the errors report what numpy would warn about
+        for i in range(0, n, b):
+            for j in range(i, n, b):
+                upper, lower = m[:, i : i + b, j : j + b], m[:, j : j + b, i : i + b]
+                for block in (upper, lower) if i != j else (upper,):
+                    tops.append(top := np.abs(block).max(axis=(1, 2)))
+                    if not top.max() < _HALF_MAX:  # NaN, inf, or big enough that |x| or a sum overflows
+                        at = np.flatnonzero(~(top < _HALF_MAX))
+                        huge.update(at.tolist())
+                        non_finite.update(at[~np.isfinite(block[at]).all(axis=(1, 2))].tolist())
+                # |m_ij - conj(m_ji)| = |m_ji - conj(m_ij)|, so one side gives the defect.
+                # Mirror copies in C order spare numpy an iteration buffer in the updates.
+                lower_adj = np.conj(lower.transpose(0, 2, 1), order="C")
+                defects.append(np.abs(upper - lower_adj).max(axis=(1, 2)))
+                # (m + m*) / 2.0 in place, bit for bit; m *= 0.5 would flip the sign of some zeros
+                if i != j:
+                    lower += np.conj(upper.transpose(0, 2, 1), order="C")
+                    lower /= 2.0
+                upper += lower_adj
+                upper /= 2.0
+    scale, defect = reduce(np.maximum, tops, 1.0), reduce(np.maximum, defects, 0.0)
+    rejected = {k: ValueError("matrix entries must be finite (found NaN or infinity)") for k in non_finite}
+    for k in huge - non_finite:  # an infinite scale would let any defect pass
+        if not (scale[k] < np.inf and np.isfinite(m[k]).all()):
+            rejected[k] = ValueError("matrix entries too large: |H_ij| or (H + H*) / 2 overflows to infinity")
+    for k in np.flatnonzero(defect > HERMITIAN_TOL * scale).tolist():
+        message = f"anti-Hermitian defect {defect[k]:.3e} exceeds {HERMITIAN_TOL:.1e} * scale {scale[k]:.3e}"
+        rejected.setdefault(k, NonHermitianError(message))
+    return rejected
 
 
 class HermitianMatrix:
-    """A square complex matrix symmetrized on construction.
+    """A square complex matrix stored as (H + H*) / 2 once ``_symmetrize`` admits it.
 
-    The stored matrix is (H + H*) / 2. Non-finite entries raise
-    ``ValueError``. If the anti-Hermitian part exceeds ``HERMITIAN_TOL``
-    relative to the entry scale the input is rejected instead of silently
-    symmetrized. This takes one copy plus block-sized temporaries: the upper
-    triangle is walked in ``SYMMETRIZE_BLOCK`` square blocks, each paired
-    with its mirror block below the diagonal.
+    Its errors are raised: ``ValueError`` for non-finite or overflowing
+    entries, ``NonHermitianError`` for an anti-Hermitian part too large to
+    symmetrize away. Takes one copy plus block-sized temporaries.
     """
 
     __slots__ = ("matrix",)
@@ -52,29 +90,9 @@ class HermitianMatrix:
         m = np.array(entries, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-        n, b = m.shape[0], SYMMETRIZE_BLOCK
-        scale, defect = 1.0, 0.0
-        for i in range(0, n, b):
-            for j in range(i, n, b):
-                upper, lower = m[i : i + b, j : j + b], m[j : j + b, i : i + b]
-                for block in (upper, lower) if i != j else (upper,):
-                    top = float(np.abs(block).max(initial=0.0))
-                    # |x| overflows to inf for some finite x, so only then look closer
-                    if not (math.isfinite(top) or np.isfinite(block).all()):
-                        raise ValueError(_NON_FINITE)
-                    scale = max(scale, top)
-                # |m_ij - conj(m_ji)| = |m_ji - conj(m_ij)|, so one side gives the defect.
-                # Mirror copies in C order spare numpy an iteration buffer in the updates.
-                lower_adj = np.conj(lower.T, order="C")
-                defect = max(defect, float(np.abs(upper - lower_adj).max(initial=0.0)))
-                # (m + m*) / 2.0 in place, bit for bit; m *= 0.5 would flip the sign of some zeros
-                if i != j:
-                    lower += np.conj(upper.T, order="C")
-                    lower /= 2.0
-                upper += lower_adj
-                upper /= 2.0
-        if defect > HERMITIAN_TOL * scale:
-            raise _defect_error(defect, scale)
+        rejected = _symmetrize(m[None])
+        if rejected:
+            raise rejected[0]
         self.matrix = m
 
     @property
@@ -83,28 +101,6 @@ class HermitianMatrix:
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"
-
-
-def _symmetrize_stack(g: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-    """Each matrix of the (m, k, k) stack ``g`` as ``HermitianMatrix`` stores it.
-
-    ``g`` is overwritten with (g + g*) / 2.0 per matrix, bit for bit the
-    values ``HermitianMatrix`` keeps, and returned with the error that
-    ``HermitianMatrix`` would raise for each matrix it rejects, keyed by
-    position in the stack: a non-finite entry, or an anti-Hermitian defect
-    above ``HERMITIAN_TOL`` times that matrix's own scale.
-    """
-    adjoint = np.conj(np.swapaxes(g, -1, -2))
-    finite = np.isfinite(g).all(axis=(-2, -1))
-    scale = np.maximum(np.abs(g).max(axis=(-2, -1), initial=0.0), 1.0)
-    defect = np.abs(g - adjoint).max(axis=(-2, -1), initial=0.0)
-    rejected = {
-        int(i): _defect_error(float(defect[i]), float(scale[i])) if finite[i] else ValueError(_NON_FINITE)
-        for i in np.flatnonzero(~finite | (defect > HERMITIAN_TOL * scale))
-    }
-    g += adjoint
-    g /= 2.0
-    return g, rejected
 
 
 def as_hermitian(h) -> HermitianMatrix:

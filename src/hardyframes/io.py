@@ -106,6 +106,8 @@ def matrix_to_json(m) -> dict:
 
 def matrix_from_json(d) -> np.ndarray:
     n = json_int(d["dim"], "dim")
+    if n < 1:
+        raise ValueError(f"'dim' must be at least 1, got {n}")
     entries = d["entries"]
     if len(entries) != n * n:
         raise ValueError(f"matrix of dim {n} needs {n * n} entries, got {len(entries)}")

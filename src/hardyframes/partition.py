@@ -32,7 +32,7 @@ Neither loop certifies itself: the final certificates are recomputed from
 the points (or the Grammian), never read from the greedy's state. The
 classes are grouped by size k; each group's class blocks are built as one
 (m, k, k) stack (for points, bitwise the ``szego_gram`` of each class's
-points, under the same Hermitian gate) and get one stacked ``eigvalsh``,
+points, through the one Hermitian gate) and get one stacked ``eigvalsh``,
 and for ``carleson`` the separation products are recomputed the same way,
 with ``carleson_constants``' formula. ``verify_partition`` solves a
 Grammian's class blocks the same way. An exhaustive minimal-partition
@@ -49,8 +49,8 @@ import numpy as np
 
 from .errors import DuplicatePointError, NotAPartitionError, TargetTooHighError
 from .geometry import PointSequence, _check_distinct, _rho_column, _rho_matrix, _separation_products
-from .hermitian import _symmetrize_stack
-from .kernels import Grammian, _szego_entries, szego_gram
+from .hermitian import _symmetrize
+from .kernels import Grammian, _szego_entries
 
 CARLESON_GREEDY = "carleson_greedy"
 SPECTRAL_GREEDY = "spectral_greedy"
@@ -219,10 +219,10 @@ def _gathered_blocks(m: np.ndarray, groups):
 def _szego_blocks(z: np.ndarray, groups):
     """Each size group's class Grammians, as ``szego_gram`` of the class's points gives them.
 
-    The blocks come from ``_szego_entries`` with a unit diagonal and are
-    symmetrized by ``_symmetrize_stack``, so they are bitwise the matrices
-    ``szego_gram`` keeps. A class that ``HermitianMatrix`` would reject
-    raises its error; with several, the first in class order.
+    The blocks come from ``_szego_entries`` with a unit diagonal, and each
+    group's stack passes the one gate ``_symmetrize`` that ``HermitianMatrix``
+    runs, so they are bitwise the matrices ``szego_gram`` keeps. A class the
+    gate rejects raises its error; with several, the first in class order.
     """
     one_minus = 1.0 - np.abs(z) ** 2
     stacks, rejected = [], {}
@@ -230,8 +230,7 @@ def _szego_blocks(z: np.ndarray, groups):
         g = _szego_entries(z[pos], z[pos], one_minus[pos], one_minus[pos])
         diagonal = np.arange(pos.shape[1])
         g[:, diagonal, diagonal] = 1.0
-        g, errors = _symmetrize_stack(g)
-        rejected.update((int(which[i]), error) for i, error in errors.items())
+        rejected.update((int(which[i]), error) for i, error in _symmetrize(g).items())
         stacks.append((which, g))
     if rejected:
         raise rejected[min(rejected)]
@@ -245,9 +244,10 @@ def _spectral_matrix(source):
     class blocks of each ``_size_groups`` group as one stack. A normalized
     ``Grammian`` serves slices of its matrix. A ``PointSequence`` stands
     for its Szegő Grammian: rows come from the closed form on demand
-    (before the symmetrization ``HermitianMatrix`` applies, so an entry may
-    differ from ``szego_gram``'s in the last bit), and blocks are the class
-    Grammians ``szego_gram`` would build from each class's points.
+    (before the Hermitian gate averages them, so an entry may differ from
+    ``szego_gram``'s in the last bit), and blocks are the class Grammians
+    ``szego_gram`` would build from each class's points, through the same
+    gate (``_szego_blocks``).
     """
     if isinstance(source, PointSequence):
         z = source.values()

@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import ConfigInvalidError
 from .geometry import PointSequence, carleson_constants
+from .hermitian import HermitianMatrix
 from .io import to_pairs
 from .kernels import DEFAULT_ORDER, TruncationContext, kernel_matrix, range_space_gram, image_gram, szego_gram
 from .operators import (
@@ -355,7 +356,7 @@ def _sandwich(alpha, beta, weights, basis, core, vectors, v) -> _Sandwich:
     """
     mid = PositiveOperator(core, "diag_sandwich_middle", "custom", basis=basis, shift=alpha)
     compressed = basis.conj().T @ mid.apply(basis)
-    mid_eigs = np.append(np.linalg.eigvalsh((compressed + compressed.conj().T) / 2.0), alpha)
+    mid_eigs = np.append(np.linalg.eigvalsh(HermitianMatrix(compressed).matrix), alpha)
     spectrum = max(alpha - float(mid_eigs.min()), float(mid_eigs.max()) - beta)
 
     d_half = np.sqrt(weights)[:, None]
@@ -368,8 +369,8 @@ def _sandwich(alpha, beta, weights, basis, core, vectors, v) -> _Sandwich:
     w = d_half * v
     g_d = v.conj().T @ (weights[:, None] * v)
     g_p = w.conj().T @ mid.apply(w)
-    gd_eigs = np.linalg.eigvalsh((g_d + g_d.conj().T) / 2.0)
-    gp_eigs = np.linalg.eigvalsh((g_p + g_p.conj().T) / 2.0)
+    gd_eigs = np.linalg.eigvalsh(HermitianMatrix(g_d).matrix)
+    gp_eigs = np.linalg.eigvalsh(HermitianMatrix(g_p).matrix)
     gram = max(
         alpha * float(gd_eigs[0]) - float(gp_eigs[0]),
         float(gp_eigs[-1]) - beta * float(gd_eigs[-1]),

@@ -366,18 +366,27 @@ class TestPartition:
         assert peak < 4 * 2**20
 
     def test_spectral_never_builds_the_full_grammian(self, tmp_path, monkeypatch):
-        original = szego_gram
+        n = 200
+        original_gram, original_entries = szego_gram, hardyframes.partition._szego_entries
+        row_counts = []
 
         def small_only(seq):
             assert len(seq) <= 64, f"szego_gram called on {len(seq)} points"
-            return original(seq)
+            return original_gram(seq)
 
-        for module in (hardyframes.kernels, hardyframes.partition, cli):
+        def fewer_than_n_rows(*args):
+            g = original_entries(*args)
+            row_counts.append(g.shape[-2])
+            return g
+
+        for module in (hardyframes.kernels, cli):
             monkeypatch.setattr(module, "szego_gram", small_only)
-        pts = write_points(tmp_path, mixed_points(np.random.default_rng(43), 200))
+        monkeypatch.setattr(hardyframes.partition, "_szego_entries", fewer_than_n_rows)
+        pts = write_points(tmp_path, mixed_points(np.random.default_rng(43), n))
         out = tmp_path / "part.json"
         assert main(["partition", "--points", pts, "--strategy", "spectral", "--c-target", "0.3", "--out", str(out)]) == 0
-        assert sum(c["size"] for c in read_json(out)["certificates"]) == 200
+        assert sum(c["size"] for c in read_json(out)["certificates"]) == n
+        assert row_counts and max(row_counts) < n
 
     @pytest.mark.parametrize("strategy", ["carleson", "spectral"])
     def test_reports_are_byte_identical_across_runs(self, tmp_path, strategy):
@@ -439,6 +448,15 @@ class TestConstructSt:
         q_path = write_json(tmp_path / "q.json", q)
         assert main(["construct-st", "--points", pts, "--Q", q_path, "--N", "64"]) == 2
         assert "must be finite" in capsys.readouterr().err
+
+    def test_overflowing_q_is_input_error(self, tmp_path, capsys):
+        # finite entries whose (Q + Q*) / 2 overflows to infinity
+        pts = write_points(tmp_path, ring(2, 0.5))
+        q = write_json(tmp_path / "q.json", matrix_to_json(1e308 * np.eye(2)))
+        assert main(["construct-st", "--points", pts, "--Q", q, "--N", "64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: matrix entries too large: |H_ij| or (H + H*) / 2 overflows to infinity\n"
+        assert captured.out == ""
 
     def test_nearly_coincident_points_construct(self, tmp_path):
         # the kernel Gram matrix sits just above the conditioning floor
@@ -797,22 +815,36 @@ def _fractional_dim(t):
     return ["construct-st", "--points", write_points(t, [0.3]), "--Q", q, "--N", "64"]
 
 
+EMPTY_MATRIX = {"dim": 0, "entries": []}
+
+
+def _empty_q(t):
+    q = write_json(t / "q.json", EMPTY_MATRIX)
+    return ["construct-st", "--points", write_points(t, [0.3]), "--Q", q, "--N", "64"]
+
+
+# case -> (key stderr must name, argv builder)
 MALFORMED_SCALARS = {
-    "weights": lambda t: _malformed_spec(t, {"type": "diagonal", "weights": ["0.5", True, 1]}),
-    "excluded": lambda t: _malformed_spec(t, {"type": "projection_monomial", "excluded": [1.7]}),
-    "labels": _labels,
-    "dim": _fractional_dim,
-    "delta": lambda t: _malformed_spec(t, {**ST_SPEC, "delta": "0.5"}),
-    "buffer": lambda t: _malformed_spec(t, {**PHI_SPEC, "buffer": 2.5}),
+    "weights": ("weights", lambda t: _malformed_spec(t, {"type": "diagonal", "weights": ["0.5", True, 1]})),
+    "excluded": ("excluded", lambda t: _malformed_spec(t, {"type": "projection_monomial", "excluded": [1.7]})),
+    "labels": ("labels", _labels),
+    "dim": ("dim", _fractional_dim),
+    "dim-zero-Q": ("dim", _empty_q),
+    "dim-zero-custom": ("dim", lambda t: _malformed_spec(t, {"type": "custom", "matrix": EMPTY_MATRIX})),
+    "delta": ("delta", lambda t: _malformed_spec(t, {**ST_SPEC, "delta": "0.5"})),
+    "buffer": ("buffer", lambda t: _malformed_spec(t, {**PHI_SPEC, "buffer": 2.5})),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_SCALARS))
 def test_malformed_file_scalar_is_input_error(tmp_path, capsys, case):
-    """Integers in a spec, point file or matrix file are JSON integers, numbers are JSON numbers."""
-    assert main(MALFORMED_SCALARS[case](tmp_path)) == 2
+    """Integers in a spec, point file or matrix file are JSON integers, numbers are JSON numbers,
+    and a matrix has at least one row."""
+    key, argv = MALFORMED_SCALARS[case]
+    assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and repr(case) in err
+    assert err.startswith("error:") and repr(key) in err
+    assert "Traceback" not in err
 
 
 def _construct_st(t):

@@ -19,7 +19,7 @@ from hardyframes import (
     eig_extremes,
     psd_sqrt,
 )
-from hardyframes.hermitian import SYMMETRIZE_BLOCK
+from hardyframes.hermitian import SYMMETRIZE_BLOCK, _symmetrize
 
 B = SYMMETRIZE_BLOCK
 
@@ -150,9 +150,50 @@ class TestHermitianMatrix:
         with pytest.raises(ValueError, match="finite"):
             HermitianMatrix(m)
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[1e308, 0.0], [0.0, 1e308]],
+            [[1.0, 1e308j], [-1e308j, 1.0]],
+            [[1.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 1.0]],
+            [[0.0, 1.5e308 + 1.5e308j], [0.0, 0.0]],  # |H_01| = inf: the relative defect test is void
+        ],
+        ids=["diagonal", "off-diagonal", "modulus-overflows", "modulus-overflows-non-hermitian"],
+    )
+    def test_rejects_a_half_sum_or_modulus_that_overflows(self, m):
+        with pytest.raises(ValueError, match=r"too large: \|H_ij\| or \(H \+ H\*\) / 2 overflows"):
+            HermitianMatrix(m)
+
+    def test_keeps_huge_entries_whose_half_sum_is_finite(self):
+        m = np.array([[0.8e308, 0.0], [0.0, 1.0]])
+        assert HermitianMatrix(m).matrix.tobytes() == m.astype(np.complex128).tobytes()
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
             HermitianMatrix(np.zeros((2, 3)))
+
+
+def test_stack_matches_each_member_alone():
+    """One gate call on a stack gives each member's bits and error, as HermitianMatrix does alone."""
+    rng = np.random.default_rng(10)
+    n = 2 * B + 1
+    stack = np.array([random_hermitian(rng, n) for _ in range(3)])
+    stack += 1e-12 * rng.standard_normal(stack.shape)
+    stack[0, B + 3, 2] += 1e-6j  # a defect in an off-diagonal block of member 0
+    stack[2, 5, 2 * B] = np.nan
+    got = stack.copy()
+    errors = _symmetrize(got)
+    assert sorted(errors) == [0, 2]
+    assert isinstance(errors[0], NonHermitianError) and "finite" in str(errors[2])
+    for k, member in enumerate(stack):
+        try:
+            want = HermitianMatrix(member).matrix
+        except (ValueError, NonHermitianError) as exc:
+            assert (type(errors[k]), str(errors[k])) == (type(exc), str(exc))
+        else:
+            assert k not in errors
+            assert got[k].tobytes() == want.tobytes()
+            assert want.tobytes() != member.tobytes()  # the averaging changed bits
 
 
 class TestEigExtremes:

@@ -122,7 +122,7 @@ MATRICES.append(pytest.param(hermitian_repeats_matrix(), id="hermitian-repeats")
 MATRICES.append(pytest.param(np.zeros((0, 0), dtype=np.complex128), id="empty"))
 
 
-@pytest.mark.parametrize("a", MATRICES)
+@pytest.mark.parametrize("a", [m for m in MATRICES if m.id != "empty"])
 def test_matrix_json_roundtrip_is_bitwise_exact(tmp_path, a):
     target = tmp_path / "matrix.json"
     io.write_json_atomic(target, io.matrix_to_json(a))
@@ -130,6 +130,17 @@ def test_matrix_json_roundtrip_is_bitwise_exact(tmp_path, a):
         back = io.matrix_from_json(json.load(fh))
     assert back.shape == a.shape
     assert back.tobytes() == a.tobytes()
+
+
+def test_matrix_from_json_rejects_an_empty_matrix(tmp_path):
+    """An empty matrix is written like any other, but no matrix file may be empty."""
+    target = tmp_path / "matrix.json"
+    io.write_json_atomic(target, io.matrix_to_json(np.zeros((0, 0), dtype=np.complex128)))
+    with open(target, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc == {"dim": 0, "entries": []}
+    with pytest.raises(ValueError, match="'dim' must be at least 1, got 0"):
+        io.matrix_from_json(doc)
 
 
 POINT_SETS = [

@@ -132,18 +132,6 @@ def _rho_matrix(z: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _rho_column(z: np.ndarray, j: int) -> np.ndarray:
-    """Column ``j`` of ``_rho_matrix(z)`` without forming the matrix.
-
-    Entry i is rho(z_i, z_j) from the same elementwise formula, so the
-    values are bitwise those of the matrix column (the matrix itself is
-    symmetric only up to rounding).
-    """
-    rho = _rho(z, z[j])
-    rho[j] = 1.0
-    return rho
-
-
 def _separation_products(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-point products prod_{i != j} rho(z_i, z_j) over the last axis of ``z``.
 

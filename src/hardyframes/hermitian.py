@@ -43,34 +43,36 @@ def _symmetrize(m: np.ndarray) -> dict[int, Exception]:
     its mirror below the diagonal, so temporaries stay block-sized.
     """
     n, b = m.shape[-1], SYMMETRIZE_BLOCK
-    tops, defects = [], []  # each member's largest |m_ij| per block and |m_ij - conj(m_ji)| per block pair
+    # each member's largest |m_ij| (at least 1) per block and |m_ij - conj(m_ji)| per block pair
+    tops, defects = [], []
     huge, non_finite = set(), set()  # members with an entry |x| >= _HALF_MAX or NaN, and the non-finite ones
     with np.errstate(over="ignore", invalid="ignore"):  # the errors report what numpy would warn about
-        for i in range(0, n, b):
-            for j in range(i, n, b):
-                upper, lower = m[:, i : i + b, j : j + b], m[:, j : j + b, i : i + b]
+        for i in range(0, max(n, 1), b):  # one pass at n = 0 gives each member a scale and a defect
+            for j in range(i, max(n, 1), b):
+                upper = m[:, i : i + b, j : j + b]
+                lower = m[:, j : j + b, i : i + b] if i != j else upper
                 for block in (upper, lower) if i != j else (upper,):
-                    tops.append(top := np.abs(block).max(axis=(1, 2)))
-                    if not top.max() < _HALF_MAX:  # NaN, inf, or big enough that |x| or a sum overflows
+                    tops.append(top := np.maximum.reduce(np.abs(block), axis=(1, 2), initial=1.0))
+                    if not np.maximum.reduce(top) < _HALF_MAX:  # NaN, inf, or big enough that |x| or a sum overflows
                         at = np.flatnonzero(~(top < _HALF_MAX))
                         huge.update(at.tolist())
                         non_finite.update(at[~np.isfinite(block[at]).all(axis=(1, 2))].tolist())
                 # |m_ij - conj(m_ji)| = |m_ji - conj(m_ij)|, so one side gives the defect.
                 # Mirror copies in C order spare numpy an iteration buffer in the updates.
                 lower_adj = np.conj(lower.transpose(0, 2, 1), order="C")
-                defects.append(np.abs(upper - lower_adj).max(axis=(1, 2)))
+                defects.append(np.maximum.reduce(np.abs(upper - lower_adj), axis=(1, 2), initial=0.0))
                 # (m + m*) / 2.0 in place, bit for bit; m *= 0.5 would flip the sign of some zeros
                 if i != j:
                     lower += np.conj(upper.transpose(0, 2, 1), order="C")
                     lower /= 2.0
                 upper += lower_adj
                 upper /= 2.0
-    scale, defect = reduce(np.maximum, tops, 1.0), reduce(np.maximum, defects, 0.0)
+    scale, defect = reduce(np.maximum, tops), reduce(np.maximum, defects)
     rejected = {k: ValueError("matrix entries must be finite (found NaN or infinity)") for k in non_finite}
     for k in huge - non_finite:  # an infinite scale would let any defect pass
         if not (scale[k] < np.inf and np.isfinite(m[k]).all()):
             rejected[k] = ValueError("matrix entries too large: |H_ij| or (H + H*) / 2 overflows to infinity")
-    for k in np.flatnonzero(defect > HERMITIAN_TOL * scale).tolist():
+    for k in (defect > HERMITIAN_TOL * scale).nonzero()[0].tolist():
         message = f"anti-Hermitian defect {defect[k]:.3e} exceeds {HERMITIAN_TOL:.1e} * scale {scale[k]:.3e}"
         rejected.setdefault(k, NonHermitianError(message))
     return rejected

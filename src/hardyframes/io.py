@@ -22,6 +22,9 @@ Hermitian matrix holds each magnitude about twice. The rest of the
 payload goes through the C encoder, and the matrix text is spliced in
 where it left a marker. Non-finite entries, which have no JSON spelling,
 raise ``ValueError``. ``matrix_to_json`` still returns plain lists.
+``matrix_csv_lines`` formats its cells the same way, one ``%.17g`` per
+distinct magnitude with the signs added as text, which holds for ``%.17g``
+as for ``repr``.
 
 All file writes go through a uniquely named temp file in the target
 directory and a rename, so an interrupted run never leaves a partial
@@ -35,7 +38,7 @@ import json
 import os
 import sys
 import tempfile
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -114,11 +117,27 @@ def matrix_from_json(d) -> np.ndarray:
     return from_pairs(entries).reshape(n, n)
 
 
+# The text before a number in a CSV row, indexed by 2 * (it is an imaginary
+# part) + (it is negative), plus 4 for the real part that starts a row.
+_CSV_SEPARATORS = np.array(["j,", "j,-", "+", "-", "", "-"], dtype=object)
+
+
 def matrix_csv_lines(m) -> list[str]:
-    a = np.asarray(getattr(m, "matrix", m), dtype=np.complex128)
-    row_format = ",".join(["%.17g%+.17gj"] * a.shape[1])
-    rows = np.stack((a.real, a.imag), -1).reshape(a.shape[0], 2 * a.shape[1]).tolist()
-    return [row_format % tuple(row) for row in rows]
+    """One ``"%.17g%+.17gj"`` cell per entry, comma-separated rows, with one
+    ``%.17g`` per distinct magnitude (a NaN is printed without its sign)."""
+    a = np.ascontiguousarray(getattr(m, "matrix", m), dtype=np.complex128)
+    rows, cols = a.shape
+    if not a.size:
+        return [""] * rows
+    f = a.reshape(-1).view(np.float64)  # re, im interleaved
+    texts = _magnitude_texts(f, float.__format__, ".17g")
+    kind = (np.signbit(f) & ~np.isnan(f)) + np.tile([0, 2], a.size)
+    kind[:: 2 * cols] += 4
+    parts = [None] * (2 * f.size)
+    parts[0::2] = _CSV_SEPARATORS[kind].tolist()
+    parts[1::2] = texts
+    width = 4 * cols
+    return ["".join(parts[r * width : (r + 1) * width]) + "j" for r in range(rows)]
 
 
 def points_from_json(data) -> PointSequence:
@@ -268,16 +287,24 @@ def _pairs_text(z: np.ndarray) -> str:
         raise ValueError(f"entry {k} is {z[k]}, not a finite complex number; reports hold finite numbers only")
     if not f.size:
         return "[]"
-    mags, inv = np.unique(np.abs(f), return_inverse=True)
-    reprs = np.array(list(map(float.__repr__, mags.tolist())), dtype=object)
+    texts = _magnitude_texts(f, float.__repr__)
     kind = np.signbit(f) + np.tile([0, 2], z.size)
     parts = [None] * (2 * f.size)
     parts[0::2] = _PAIR_SEPARATORS[kind].tolist()
     parts[0] = "[[-" if kind[0] else "[["
-    parts[1::2] = reprs[inv].tolist()
+    parts[1::2] = texts
     parts.append("]]")
-    del mags, inv, reprs, kind  # 3 MB at N=256; freed before the text is built, to keep peak RSS down
+    del texts, kind  # freed before the text is built, to keep peak RSS down
     return "".join(parts)
+
+
+def _magnitude_texts(f: np.ndarray, fmt, *args) -> list[str]:
+    """``fmt(abs(x), *args)`` for each x of the float array ``f``, called
+    once per distinct magnitude; its temporaries (3 MB at N=256) are freed
+    on return."""
+    mags, inv = np.unique(np.abs(f), return_inverse=True)
+    texts = np.array(list(map(fmt, mags.tolist(), *map(repeat, args))), dtype=object)
+    return texts[inv].tolist()
 
 
 # What the encoder writes for each array; no report string holds a NUL.

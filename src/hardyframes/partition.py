@@ -7,26 +7,22 @@ caller that wants another order (the CLI's ``--sort-by-modulus``) passes
 
 - ``carleson_greedy`` keeps, inside every class, each member's product of
   pseudo-hyperbolic distances to the others at or above a target delta.
-  It streams one column of log rho per point, in the greedy's order, and
-  keeps per-class running log-sums over all points (a candidate's own
-  product against each class) and each placed point's log-product within
-  its class, so a candidate is tested against every class in one
-  vectorised step: O(n^2) work and O(classes * n) memory, with no n x n
-  matrix.
+  For each point it computes one column of log rho against the points
+  already placed, which gives both the members' updated log-products and
+  (one ``bincount``) the candidate's own log-product against every class,
+  so a candidate is tested against every class in one vectorised step:
+  n^2 / 2 distances and O(n) memory, with no n x n matrix.
 - ``spectral_greedy`` keeps the smallest eigenvalue of every class's
   normalized Grammian block at or above a target c, through the equivalent
-  condition B - cI > 0. Each class carries the inverse R of the Cholesky
-  factor of B - cI and one row of Schur-complement terms
-  ||R m[class, j']||^2 for the points still to come, so a candidate is
-  tested against every class in one vectorised comparison and an
-  acceptance costs O(class size * n); no candidate is ever eigensolved.
-  The loop reads its matrix only through rows m[idx, start:]. Given a
+  condition B - cI > 0. First fit is built one class at a time: the class
+  carries the inverse R of the Cholesky factor of B - cI, its members'
+  rows and one row of Schur-complement terms ||R m[class, j']||^2 over the
+  points no earlier class took, so the next member is one vectorised
+  comparison and no candidate is ever eigensolved. The loop reads its
+  matrix only through rows m[idx, cols], each member's row once. Given a
   point sequence instead of a Grammian, it computes those rows from the
-  Szegő closed form on demand, so memory is O(classes * n) with no n x n
-  matrix.
-
-Both loops keep their per-class tables only for the points still to come:
-when a table doubles, it drops the columns of the points already placed.
+  Szegő closed form on demand, so memory is O(n * largest class) with no
+  n x n matrix.
 
 Neither loop certifies itself: the final certificates are recomputed from
 the points (or the Grammian), never read from the greedy's state. The
@@ -48,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DuplicatePointError, NotAPartitionError, TargetTooHighError
-from .geometry import PointSequence, _check_distinct, _rho_column, _rho_matrix, _separation_products
+from .geometry import PointSequence, _check_distinct, _rho, _rho_matrix, _separation_products
 from .hermitian import _symmetrize
 from .kernels import Grammian, _szego_entries
 
@@ -66,8 +62,6 @@ _LOG_MARGIN = 1e-9
 # when its enlarged block has lambda_min >= c (then lambda_min - c <= slack
 # <= margin), where an eigensolve comparison would accept lambda_min == c.
 _SCHUR_MARGIN = 1e-9
-
-_INITIAL_CLASSES = 8
 
 _BRUTE_FORCE_CAP = 12
 
@@ -121,12 +115,13 @@ def partition_carleson(seq: PointSequence, delta_target: float) -> Partition:
     Points are consumed in sequence order; first-fit results are
     order-sensitive, so a caller that wants another order (the CLI's
     ``--sort-by-modulus``, through ``modulus_order``) reorders the sequence
-    first. For each point j the column log rho(z_i, z_j) over all i is
-    computed once. Point j joins the first class where its own log-product
-    (a running per-class sum of those columns) and every member's
-    log-product plus log rho(z_i, z_j) stay at or above
-    log(delta) + ``_LOG_MARGIN``; all classes are tested in one vectorised
-    step over the placed points [:j]. The final certificates are recomputed
+    first. For each point j the column log rho(z_j, z_i) over the placed
+    points i < j is computed once. Point j joins the first class where its
+    own log-product (the column summed over the class's members in join
+    order, one ``bincount``) and every member's log-product plus
+    log rho(z_j, z_i) stay at or above log(delta) + ``_LOG_MARGIN``; all
+    classes are tested in one vectorised step over the placed points [:j],
+    and only O(n) state is kept. The final certificates are recomputed
     from the class's points: the separation products and lambda_min of the
     class's Szegő Grammian, one stacked solve per class size.
     """
@@ -137,32 +132,25 @@ def partition_carleson(seq: PointSequence, delta_target: float) -> Partition:
     n = len(z)
     log_target = float(np.log(delta_target)) + _LOG_MARGIN
 
-    # sums[k, i - offset]: log-product of point i against the members of
-    # class k, for the columns i >= offset still live;
-    # log_products[i]: a placed point's log-product within its own class.
-    sums = np.zeros((_INITIAL_CLASSES, n))
-    offset = 0
+    # log_products[i]: a placed point's log-product within its own class
     log_products = np.zeros(n)
     class_of = np.zeros(n, dtype=np.intp)
     count = 0
     for j in range(n):
-        column = np.log(_rho_column(z, j))
+        column = np.log(_rho(z[j], z[:j]))  # log rho(z_j, z_i) over the placed points i < j
         placed_class = class_of[:j]
-        updated = log_products[:j] + column[:j]
-        worst = np.full(count, np.inf)
-        np.minimum.at(worst, placed_class, updated)
-        fits = np.flatnonzero((sums[:count, j - offset] >= log_target) & (worst >= log_target))
-        if fits.size:
-            k = fits[0]
-            joined = placed_class == k
-            log_products[:j][joined] = updated[joined]
-            log_products[j] = sums[k, j - offset]
-            sums[k] += column[offset:]
+        updated = log_products[:j] + column
+        # j's own log-product against each class, summed in join order
+        own = np.bincount(placed_class, weights=column, minlength=count)
+        fits = own >= log_target
+        fits[placed_class[updated < log_target]] = False
+        k = int(fits.argmax()) if count else 0
+        if count and fits[k]:
+            np.copyto(log_products[:j], updated, where=placed_class == k)
+            log_products[j] = own[k]
         else:
             k = count
             count += 1
-            sums, offset = _room(sums, k, offset, j)
-            sums[k] = column[offset:]
         class_of[j] = k
 
     members = [np.flatnonzero(class_of == k).tolist() for k in range(count)]
@@ -177,20 +165,6 @@ def partition_carleson(seq: PointSequence, delta_target: float) -> Partition:
     )
     classes = tuple(cert.labels for cert in certificates)
     return Partition(classes, CARLESON_GREEDY, certificates, {"delta_target": delta_target})
-
-
-def _room(table: np.ndarray, used: int, offset: int, j: int) -> tuple[np.ndarray, int]:
-    """``table`` with a free row at index ``used``, and its column offset.
-
-    ``table`` holds the columns from ``offset`` on. When it is full it
-    doubles, keeping only the columns from ``j`` on: a greedy placing point
-    j never reads an earlier column again.
-    """
-    if used < len(table):
-        return table, offset
-    grown = np.zeros((2 * len(table), table.shape[1] - (j - offset)), dtype=table.dtype)
-    grown[:used] = table[:, j - offset :]
-    return grown, j
 
 
 def _size_groups(members: list[list[int]]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -240,9 +214,10 @@ def _szego_blocks(z: np.ndarray, groups):
 def _spectral_matrix(source):
     """``(diagonal, rows, blocks)`` of the matrix a spectral partition reads.
 
-    ``rows(idx, start)`` is ``m[idx, start:]`` and ``blocks(groups)`` the
-    class blocks of each ``_size_groups`` group as one stack. A normalized
-    ``Grammian`` serves slices of its matrix. A ``PointSequence`` stands
+    ``rows(idx, cols)`` is ``m[np.ix_(idx, cols)]`` for position arrays
+    ``idx`` and ``cols``, and ``blocks(groups)`` the class blocks of each
+    ``_size_groups`` group as one stack. A normalized ``Grammian`` serves
+    entries of its matrix. A ``PointSequence`` stands
     for its Szegő Grammian: rows come from the closed form on demand
     (before the Hermitian gate averages them, so an entry may differ from
     ``szego_gram``'s in the last bit), and blocks are the class Grammians
@@ -253,8 +228,8 @@ def _spectral_matrix(source):
         z = source.values()
         one_minus = 1.0 - np.abs(z) ** 2
 
-        def rows(idx, start):
-            return _szego_entries(z[idx], z[start:], one_minus[idx], one_minus[start:])
+        def rows(idx, cols):
+            return _szego_entries(z[idx], z[cols], one_minus[idx], one_minus[cols])
 
         return np.ones(len(z)), rows, lambda groups: _szego_blocks(z, groups)
     if not source.normalized:
@@ -262,7 +237,7 @@ def _spectral_matrix(source):
     m = source.matrix.matrix
     return (
         np.real(np.diagonal(m)),
-        lambda idx, start: m[idx, start:],
+        lambda idx, cols: m[np.ix_(idx, cols)],
         lambda groups: _gathered_blocks(m, groups),
     )
 
@@ -276,18 +251,19 @@ def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Par
     interlacing makes class feasibility monotone, so the greedy pass
     terminates with every certificate at or above the target.
 
-    lambda_min(B) >= c is tested as B - cI > 0. Class k keeps R_k, the
-    inverse of the Cholesky factor of its B_k - cI, and a row
-    ``schur[k, j'] = ||R_k m[class_k, j']||^2`` for every later point j'.
-    Point j joins the first class with Schur complement
-    (m[j, j] - c) - schur[k, j] > ``_SCHUR_MARGIN``, one vectorised
-    comparison over all classes; acceptance reads the rows m[class_k + j, j:]
-    in one call, appends a row to R_k and adds the new member's term to the
-    class's row, O(class size * n). A singleton whose own slack
-    m[j, j] - c is within the margin (c near 1) opens a class that admits
-    nobody. Certificates are recomputed from the class blocks, not the
-    Schur state: one stacked ``eigvalsh`` per class size, over blocks that
-    are, for points, bitwise the ``szego_gram`` of each class's points.
+    lambda_min(B) >= c is tested as B - cI > 0. A point's test against
+    class k depends only on class k's earlier members, so first fit is
+    built one class at a time (``_spectral_class``): the first point no
+    earlier class took opens the class, and the next member is the first
+    later such point whose Schur complement (m[j, j] - c) - ||R m[class, j]||^2
+    exceeds ``_SCHUR_MARGIN``, one vectorised comparison over the
+    candidates. Acceptance computes the new member's row once, appends a
+    row to R and adds its term to the class's Schur row, O(class size * n).
+    A singleton whose own slack m[j, j] - c is within the margin (c near 1)
+    opens a class that admits nobody. Certificates are recomputed from the
+    class blocks, not the Schur state: one stacked ``eigvalsh`` per class
+    size, over blocks that are, for points, bitwise the ``szego_gram`` of
+    each class's points.
     """
     if not math.isfinite(c_target):
         raise ValueError(f"c target {c_target} must be a finite number")
@@ -299,43 +275,11 @@ def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Par
     n = source.dim
     own_slack = diagonal - c_target
 
-    # schur[k, j' - offset] for the columns j' >= offset still live
-    schur = np.zeros((_INITIAL_CLASSES, n))
-    offset = 0
     members: list[list[int]] = []
-    inv_factors: list[np.ndarray] = []
-    for j in range(n):
-        slack = own_slack[j] - schur[: len(members), j - offset]
-        fits = np.flatnonzero(slack > _SCHUR_MARGIN)
-        if fits.size:
-            k = int(fits[0])
-            slack_j = slack[k]
-        else:
-            k = len(members)
-            slack_j = own_slack[j]
-            schur, offset = _room(schur, k, offset, j)
-            members.append([])
-            inv_factors.append(np.zeros((0, 0), dtype=np.complex128))
-            if slack_j <= _SCHUR_MARGIN:
-                # c within the margin of m[j, j]: a singleton that admits nobody.
-                schur[k] = np.inf
-                members[k].append(j)
-                continue
-        # B - cI = L L* grows by the row [y*, d] with y = R m[cls, j] and
-        # d = sqrt(slack), so R = L^-1 grows by [-y* R / d, 1 / d].
-        cls, r = members[k], inv_factors[k]
-        size = len(cls)
-        d = math.sqrt(slack_j)
-        cls.append(j)
-        known = rows(cls, j)  # m[cls, j:] over the old members and, last, j's own row
-        yr = np.conj(r @ known[:size, 0]) @ r
-        w = (known[size, 1:] - yr @ known[:size, 1:]) / d
-        schur[k, j + 1 - offset :] += w.real**2 + w.imag**2
-        grown = np.zeros((size + 1, size + 1), dtype=r.dtype)
-        grown[:size, :size] = r
-        grown[size, :size] = -yr / d
-        grown[size, size] = 1.0 / d
-        inv_factors[k] = grown
+    tail = np.arange(n)
+    while tail.size:
+        cls, tail = _spectral_class(tail, own_slack, rows)
+        members.append(cls)
 
     labels = source.labels
     lambda_min = _lambda_mins(blocks(_size_groups(members)), len(members))
@@ -345,6 +289,48 @@ def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Par
     )
     classes = tuple(cert.labels for cert in certificates)
     return Partition(classes, SPECTRAL_GREEDY, certificates, {"c_target": c_target})
+
+
+def _spectral_class(tail: np.ndarray, own_slack: np.ndarray, rows) -> tuple[list[int], np.ndarray]:
+    """The class ``tail[0]`` opens, by first fit over the unassigned positions ``tail``.
+
+    Returns the class's positions and the rest of ``tail``, in order. The
+    class keeps R = L^-1 (L the Cholesky factor of B - cI), ``known``, its
+    members' rows m[class, tail], each filled only past the member's own
+    place, and ``schur[t] = ||R m[class, tail[t]]||^2``.
+    """
+    own = own_slack[tail]
+    if own[0] <= _SCHUR_MARGIN:
+        # c within the margin of m[j, j]: a singleton that admits nobody.
+        return [int(tail[0])], tail[1:]
+    schur = np.zeros(len(tail))
+    known = np.empty((8, len(tail)), dtype=np.complex128)
+    r = np.zeros((0, 0), dtype=np.complex128)
+    taken: list[int] = []
+    q = 0
+    while True:
+        size = len(taken)
+        taken.append(q)
+        if size == len(known):
+            known = np.concatenate((known, np.empty_like(known)))
+        known[size, q + 1 :] = rows(tail[q : q + 1], tail[q + 1 :])[0]
+        # B - cI = L L* grows by the row [y*, d] with y = R m[class, j] and
+        # d = sqrt(slack), so R = L^-1 grows by [-y* R / d, 1 / d].
+        d = math.sqrt(own[q] - schur[q])
+        yr = np.conj(r @ known[:size, q]) @ r
+        w = (known[size, q + 1 :] - yr @ known[:size, q + 1 :]) / d
+        schur[q + 1 :] += w.real**2 + w.imag**2
+        grown = np.zeros((size + 1, size + 1), dtype=r.dtype)
+        grown[:size, :size] = r
+        grown[size, :size] = -yr / d
+        grown[size, size] = 1.0 / d
+        r = grown
+        fits = (own[q + 1 :] - schur[q + 1 :] > _SCHUR_MARGIN).nonzero()[0]
+        if not fits.size:
+            refused = np.ones(len(tail), dtype=bool)
+            refused[taken] = False
+            return tail[taken].tolist(), tail[refused]
+        q += 1 + int(fits[0])
 
 
 def verify_partition(g: Grammian, partition: Partition, level: float) -> PartitionCheck:

@@ -216,6 +216,15 @@ def test_matrix_csv_lines_match_per_entry_formatter(a):
     assert io.matrix_csv_lines(a) == reference_csv_lines(a)
 
 
+def test_matrix_csv_lines_print_non_finite_cells_as_the_formatter_does():
+    # the formatter drops a NaN's sign bit: "nan+nanj", never "-nan"
+    nan, inf = np.nan, np.inf
+    a = np.array([[complex(-nan, -nan), complex(nan, inf)], [complex(-inf, -nan), complex(-0.0, -inf)]])
+    assert np.signbit(a.real[0, 0]) and np.signbit(a.imag[1, 0])
+    assert io.matrix_csv_lines(a) == reference_csv_lines(a)
+    assert io.matrix_csv_lines(a)[0] == "nan+nanj,nan+infj"
+
+
 def reference_pair(z):
     """The per-entry encoder the vectorized one must reproduce."""
     zc = complex(z)

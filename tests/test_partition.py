@@ -29,7 +29,9 @@ from hardyframes import (
     szego_gram,
     verify_partition,
 )
+from hardyframes import partition
 from hardyframes.geometry import _rho_matrix
+from hardyframes.kernels import _szego_entries
 from hardyframes.partition import _LOG_MARGIN, _size_groups, _szego_blocks, modulus_order
 from hardyframes.verify import _FAMILY_SAMPLERS, POINT_FAMILIES as VERIFY_FAMILIES
 
@@ -132,10 +134,13 @@ def mixed_points(rng, count):
     return z[rng.permutation(count)]
 
 
+# family: (seed, sampler); a family's seed stays fixed when others are added
 POINT_FAMILIES = {
-    "uniform": lambda rng: uniform_points(rng, 150, 0.9),
-    "boundary_clusters": lambda rng: boundary_clusters(rng, 120),
-    "mixed_70_30": lambda rng: mixed_points(rng, 300),
+    "boundary_clusters": (41, lambda rng: boundary_clusters(rng, 120)),
+    "mixed_70_30": (42, lambda rng: mixed_points(rng, 300)),
+    "uniform": (43, lambda rng: uniform_points(rng, 150, 0.9)),
+    "near_boundary_arc": (44, lambda rng: near_boundary_arc(rng, 40)),
+    "real_axis_signed_zeros": (45, lambda rng: real_axis_signed_zeros(rng, 40)),
 }
 
 
@@ -321,10 +326,15 @@ class TestPartitionSpectral:
 @pytest.mark.parametrize("sort_by_modulus", [False, True])
 @pytest.mark.parametrize("family", sorted(POINT_FAMILIES))
 class TestAgainstReferenceLoops:
-    """Class-for-class equality with the reference loops on seeded inputs."""
+    """Class-for-class equality with the reference loops on seeded inputs.
+
+    The spectral greedy is run on the Grammian and on the points, the route
+    the CLI takes.
+    """
 
     def _points(self, family):
-        return POINT_FAMILIES[family](np.random.default_rng(sorted(POINT_FAMILIES).index(family) + 41))
+        seed, sampler = POINT_FAMILIES[family]
+        return sampler(np.random.default_rng(seed))
 
     def test_spectral(self, family, sort_by_modulus):
         z = self._points(family)
@@ -332,10 +342,10 @@ class TestAgainstReferenceLoops:
         seq = PointSequence(list(z[order]), tuple(int(i) for i in order))
         g = szego_gram(seq)
         for c in (0.1, 0.3, 0.6):
-            part = partition_spectral(g, c)
             want = reference_spectral(g.matrix.matrix, c)
-            assert part.classes == tuple(tuple(seq.labels[i] for i in cls) for cls in want)
-            assert min(cert.lambda_min for cert in part.certificates) >= c
+            for part in (partition_spectral(g, c), partition_spectral(seq, c)):
+                assert part.classes == tuple(tuple(seq.labels[i] for i in cls) for cls in want)
+                assert min(cert.lambda_min for cert in part.certificates) >= c
 
     def test_carleson(self, family, sort_by_modulus):
         z = self._points(family)
@@ -515,11 +525,11 @@ class TestCertificateGate:
 
 @pytest.mark.parametrize(
     "strategy, classes, peak_mb",
-    # measured: 22.18 and 12.40 MB; 37.27 and 37.01 MB when the tables kept every column
-    [(partition_spectral, 1020, 23.0), (partition_carleson, 622, 13.5)],
+    # measured: 0.82 and 0.71 MB; 22.18 and 12.40 MB with (classes x n) tables
+    [(partition_spectral, 1020, 3.0), (partition_carleson, 622, 1.5)],
     ids=["spectral", "carleson"],
 )
-def test_greedy_tables_keep_only_live_columns(strategy, classes, peak_mb):
+def test_greedy_loops_keep_no_class_table(strategy, classes, peak_mb):
     seq = PointSequence(list(uniform_points(np.random.default_rng(5), 3000, 0.95)))
     tracemalloc.start()
     try:
@@ -529,6 +539,29 @@ def test_greedy_tables_keep_only_live_columns(strategy, classes, peak_mb):
         tracemalloc.stop()
     assert part.class_count == classes
     assert peak < peak_mb * 1e6
+
+
+@pytest.mark.parametrize("c", [0.1, 0.3, 0.6])
+def test_spectral_from_points_computes_each_greedy_entry_once(monkeypatch, c):
+    """The greedy reads at most one Szegő entry per pair of points.
+
+    Greedy rows are the 2-D results of ``_szego_entries``; the certificate
+    blocks are (m, k, k) stacks and are not counted.
+    """
+    counted = []
+
+    def counting(*args):
+        entries = _szego_entries(*args)
+        if entries.ndim == 2:
+            counted.append(entries.size)
+        return entries
+
+    monkeypatch.setattr(partition, "_szego_entries", counting)
+    seq = PointSequence(list(mixed_points(np.random.default_rng(83), 300)))
+    part = partition_spectral(seq, c)
+    n = len(seq)
+    assert max(len(cls) for cls in part.classes) > 1
+    assert sum(counted) <= n * (n - 1) // 2
 
 
 class TestVerifyPartition:

@@ -2,8 +2,10 @@
 
 Thin, deterministic wrappers around LAPACK's Hermitian eigensolver: extreme
 eigenvalues with a rank cutoff and positive-semidefinite square roots and
-inverses. Matrices here are small (a few hundred rows), so full dense
-eigendecomposition is the reference path and no iterative machinery is used.
+inverses. Full dense eigendecomposition is the reference path and no
+iterative machinery is used. Matrices range from class blocks of a few
+rows to Grammians of thousands (n = 3000), which the gate symmetrizes
+block by block.
 ``psd_sqrt`` and ``psd_inverse`` have no production caller; they remain as
 the dense route that tests check the ST construction against.
 

@@ -140,7 +140,7 @@ class PositiveOperator:
     eigenvalue whenever the basis has fewer than N columns. ``contraction``
     is set exactly when lambda_max <= 1 + 1e-10, so every projection and
     every diagonal with weights in [0, 1] reports True. The dense matrix is
-    built only when ``matrix`` or ``array`` is read.
+    built only when ``matrix`` is read.
     """
 
     def __init__(self, core, id: str, kind: str, *, basis=None, shift: float = 0.0):
@@ -185,10 +185,6 @@ class PositiveOperator:
         if self._dense is None:
             self._dense = HermitianMatrix(self.apply(np.eye(self.dim, dtype=np.complex128)))
         return self._dense
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.matrix.matrix
 
 
 def identity(order: int) -> PositiveOperator:

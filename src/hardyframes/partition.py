@@ -14,15 +14,15 @@ caller that wants another order (the CLI's ``--sort-by-modulus``) passes
   n^2 / 2 distances and O(n) memory, with no n x n matrix.
 - ``spectral_greedy`` keeps the smallest eigenvalue of every class's
   normalized Grammian block at or above a target c, through the equivalent
-  condition B - cI > 0. First fit is built one class at a time: the class
-  carries the inverse R of the Cholesky factor of B - cI, its members'
-  rows and one row of Schur-complement terms ||R m[class, j']||^2 over the
-  points no earlier class took, so the next member is one vectorised
-  comparison and no candidate is ever eigensolved. The loop reads its
-  matrix only through rows m[idx, cols], each member's row once. Given a
-  point sequence instead of a Grammian, it computes those rows from the
-  Szegő closed form on demand, so memory is O(n * largest class) with no
-  n x n matrix.
+  condition B - cI > 0. First fit is built one class at a time over the
+  points no earlier class took: the class carries W = L^-1 m[class, tail]
+  (L the Cholesky factor of B - cI), one row per member, and the row of
+  Schur-complement terms ||W[:, j']||^2, so the next member is one
+  vectorised comparison and no candidate is ever eigensolved. The loop
+  reads its matrix only through rows m[idx, cols], each member's row once.
+  Given a point sequence instead of a Grammian, it computes those rows
+  from the Szegő closed form on demand, so memory is O(n * largest class)
+  with no n x n matrix.
 
 Neither loop certifies itself: the final certificates are recomputed from
 the points (or the Grammian), never read from the greedy's state. The
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicatePointError, NotAPartitionError, TargetTooHighError
+from .errors import NotAPartitionError, TargetTooHighError
 from .geometry import PointSequence, _check_distinct, _rho, _rho_matrix, _separation_products
 from .hermitian import _symmetrize
 from .kernels import Grammian, _szego_entries
@@ -56,7 +56,7 @@ SPECTRAL_GREEDY = "spectral_greedy"
 _LOG_MARGIN = 1e-9
 
 # A candidate joins a spectral class only when the Schur complement of the
-# enlarged block, (m[j, j] - c) - ||R m[class, j]||^2, exceeds this, so that
+# enlarged block, (m[j, j] - c) - ||L^-1 m[class, j]||^2, exceeds this, so that
 # certificates recomputed with a fresh eigensolve still clear the target.
 # Ties go to a later class: a candidate with slack <= margin is refused even
 # when its enlarged block has lambda_min >= c (then lambda_min - c <= slack
@@ -153,7 +153,9 @@ def partition_carleson(seq: PointSequence, delta_target: float) -> Partition:
             count += 1
         class_of[j] = k
 
-    members = [np.flatnonzero(class_of == k).tolist() for k in range(count)]
+    # positions grouped by class, ascending within each class
+    by_class = np.argsort(class_of, kind="stable")
+    members = [cls.tolist() for cls in np.split(by_class, np.cumsum(np.bincount(class_of, minlength=count))[:-1])]
     groups = _size_groups(members)
     lambda_min = _lambda_mins(_szego_blocks(z, groups), count)
     carleson_inf = np.empty(count)
@@ -255,10 +257,12 @@ def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Par
     class k depends only on class k's earlier members, so first fit is
     built one class at a time (``_spectral_class``): the first point no
     earlier class took opens the class, and the next member is the first
-    later such point whose Schur complement (m[j, j] - c) - ||R m[class, j]||^2
-    exceeds ``_SCHUR_MARGIN``, one vectorised comparison over the
-    candidates. Acceptance computes the new member's row once, appends a
-    row to R and adds its term to the class's Schur row, O(class size * n).
+    later such point whose Schur complement (m[j, j] - c) - ||L^-1 m[class, j]||^2
+    (L the Cholesky factor of B - cI) exceeds ``_SCHUR_MARGIN``, one
+    vectorised comparison over the candidates. Acceptance computes the new
+    member's row of m once, turns it into its row of W = L^-1 m[class, tail]
+    and adds that row's squared moduli to the class's Schur row,
+    O(class size * n).
     A singleton whose own slack m[j, j] - c is within the margin (c near 1)
     opens a class that admits nobody. Certificates are recomputed from the
     class blocks, not the Schur state: one stacked ``eigvalsh`` per class
@@ -295,36 +299,29 @@ def _spectral_class(tail: np.ndarray, own_slack: np.ndarray, rows) -> tuple[list
     """The class ``tail[0]`` opens, by first fit over the unassigned positions ``tail``.
 
     Returns the class's positions and the rest of ``tail``, in order. The
-    class keeps R = L^-1 (L the Cholesky factor of B - cI), ``known``, its
-    members' rows m[class, tail], each filled only past the member's own
-    place, and ``schur[t] = ||R m[class, tail[t]]||^2``.
+    class keeps W = L^-1 m[class, tail] (L the Cholesky factor of B - cI),
+    one row per member, each filled only past the member's own place, and
+    ``schur[t] = ||W[:, t]||^2``.
     """
     own = own_slack[tail]
     if own[0] <= _SCHUR_MARGIN:
         # c within the margin of m[j, j]: a singleton that admits nobody.
         return [int(tail[0])], tail[1:]
     schur = np.zeros(len(tail))
-    known = np.empty((8, len(tail)), dtype=np.complex128)
-    r = np.zeros((0, 0), dtype=np.complex128)
+    w = np.empty((8, len(tail)), dtype=np.complex128)
     taken: list[int] = []
     q = 0
     while True:
         size = len(taken)
         taken.append(q)
-        if size == len(known):
-            known = np.concatenate((known, np.empty_like(known)))
-        known[size, q + 1 :] = rows(tail[q : q + 1], tail[q + 1 :])[0]
-        # B - cI = L L* grows by the row [y*, d] with y = R m[class, j] and
-        # d = sqrt(slack), so R = L^-1 grows by [-y* R / d, 1 / d].
+        if size == len(w):
+            w = np.concatenate((w, np.empty_like(w)))
+        # B - cI = L L* grows by the row [y*, d] with y = W[:, q] = L^-1 m[class, j]
+        # and d = sqrt(slack), so W grows by the row (m[j, tail] - y* W) / d.
         d = math.sqrt(own[q] - schur[q])
-        yr = np.conj(r @ known[:size, q]) @ r
-        w = (known[size, q + 1 :] - yr @ known[:size, q + 1 :]) / d
-        schur[q + 1 :] += w.real**2 + w.imag**2
-        grown = np.zeros((size + 1, size + 1), dtype=r.dtype)
-        grown[:size, :size] = r
-        grown[size, :size] = -yr / d
-        grown[size, size] = 1.0 / d
-        r = grown
+        row = w[size, q + 1 :]
+        row[:] = (rows(tail[q : q + 1], tail[q + 1 :])[0] - np.conj(w[:size, q]) @ w[:size, q + 1 :]) / d
+        schur[q + 1 :] += row.real**2 + row.imag**2
         fits = (own[q + 1 :] - schur[q + 1 :] > _SCHUR_MARGIN).nonzero()[0]
         if not fits.size:
             refused = np.ones(len(tail), dtype=bool)

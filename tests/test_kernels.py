@@ -400,7 +400,7 @@ class TestImageGram:
         op = projection_monomial_span([0, 2, 5], ctx.order)
         g = image_gram(op, seq, ctx).matrix.matrix
         v = kernel_matrix(seq, ctx, normalize=True)
-        w = op.array @ v
+        w = op.matrix.matrix @ v
         assert np.abs(g - w.conj().T @ w).max() < 1e-13
 
     def test_diagonal_below_one_for_projection(self):

@@ -246,7 +246,7 @@ class TestPositiveOperator:
     def test_dim_and_array(self):
         op = identity(7)
         assert op.dim == 7
-        assert np.allclose(op.array, np.eye(7))
+        assert np.allclose(op.matrix.matrix, np.eye(7))
 
     @pytest.mark.parametrize("shape", [(6,), (8, 3)])
     def test_apply_rejects_wrong_length(self, shape):
@@ -259,7 +259,7 @@ class TestPositiveOperator:
 class TestDiagonalOperator:
     def test_builds_diag(self):
         op = diagonal_operator([0.5, 1.0, 0.0])
-        assert np.allclose(op.array, np.diag([0.5, 1.0, 0.0]))
+        assert np.allclose(op.matrix.matrix, np.diag([0.5, 1.0, 0.0]))
         assert op.contraction
         assert op.kind == "diagonal"
 
@@ -278,7 +278,7 @@ class TestDiagonalOperator:
 class TestProjectionMonomialSpan:
     def test_excluded_indices_zeroed(self):
         op = projection_monomial_span([1, 3], 5)
-        assert np.allclose(op.array, np.diag([1.0, 0.0, 1.0, 0.0, 1.0]))
+        assert np.allclose(op.matrix.matrix, np.diag([1.0, 0.0, 1.0, 0.0, 1.0]))
 
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
@@ -295,7 +295,7 @@ class TestProjectionPhiH2:
             InnerFunction(zeros=(0.3, -0.4j), monomial_power=1),
         ):
             op = projection_phi_H2(phi, ctx)
-            p = op.array
+            p = op.matrix.matrix
             assert np.abs(p @ p - p).max() < 1e-8
             assert op.contraction
             assert op.kind == "projection_phiH2"
@@ -315,7 +315,7 @@ class TestProjectionPhiH2:
         op = projection_phi_H2(phi, ctx)
         for w in (0.2, -0.4j, 0.3 + 0.3j):
             k = normalized_kernel(w, ctx.order)
-            assert np.linalg.norm(op.array @ k) == pytest.approx(abs(phi(w)), abs=1e-10)
+            assert np.linalg.norm(op.matrix.matrix @ k) == pytest.approx(abs(phi(w)), abs=1e-10)
 
     def test_escalation_raises_when_capped(self):
         with pytest.raises(TruncationTooCoarseError):
@@ -326,8 +326,8 @@ class TestProjectionModelSpace:
     def test_complements_phi_projection(self):
         ctx = TruncationContext(order=96)
         phi = InnerFunction(zeros=(0.4,), monomial_power=1)
-        p = projection_phi_H2(phi, ctx).array
-        m = projection_model_space(phi, ctx).array
+        p = projection_phi_H2(phi, ctx).matrix.matrix
+        m = projection_model_space(phi, ctx).matrix.matrix
         assert np.abs(p + m - np.eye(ctx.order)).max() < 1e-14
 
     def test_rank_equals_degree(self):
@@ -336,13 +336,13 @@ class TestProjectionModelSpace:
             InnerFunction(zeros=(0.5,)),
             InnerFunction(zeros=(0.5, -0.3), monomial_power=2),
         ):
-            m = projection_model_space(phi, ctx).array
+            m = projection_model_space(phi, ctx).matrix.matrix
             assert np.real(np.trace(m)) == pytest.approx(phi.degree, abs=1e-6)
 
     def test_contains_kernels_at_zeros(self):
         ctx = TruncationContext(order=256)
         phi = InnerFunction(zeros=(0.5, -0.2 + 0.3j))
-        m = projection_model_space(phi, ctx).array
+        m = projection_model_space(phi, ctx).matrix.matrix
         for a in phi.zeros:
             k = normalized_kernel(a, ctx.order)
             assert np.linalg.norm(m @ k - k) < 1e-9
@@ -353,7 +353,7 @@ class TestProjectionCPlusPhi:
         # constants + z H^2 is the whole space
         ctx = TruncationContext(order=64)
         op = projection_c_plus_phi(InnerFunction(monomial_power=1), ctx)
-        assert np.abs(op.array - np.eye(64)).max() < 1e-12
+        assert np.abs(op.matrix.matrix - np.eye(64)).max() < 1e-12
 
     def test_contains_constants_and_phi(self):
         ctx = TruncationContext(order=128)
@@ -361,21 +361,21 @@ class TestProjectionCPlusPhi:
         op = projection_c_plus_phi(phi, ctx)
         e0 = np.zeros(128, dtype=complex)
         e0[0] = 1.0
-        assert np.linalg.norm(op.array @ e0 - e0) < 1e-7
+        assert np.linalg.norm(op.matrix.matrix @ e0 - e0) < 1e-7
         cols = phi_columns(phi, ctx.order, 64)
         assert np.abs(op.apply(cols) - cols).max() < 1e-12
 
     def test_idempotent(self):
         ctx = TruncationContext(order=128)
         op = projection_c_plus_phi(InnerFunction(zeros=(0.4, -0.2)), ctx)
-        p = op.array
+        p = op.matrix.matrix
         assert np.abs(p @ p - p).max() < 1e-7
 
     def test_codimension_drops_by_one(self):
         # deg-2 symbol: phi H^2 has codim 2, adding constants leaves codim 1
         ctx = TruncationContext(order=96)
         phi = InnerFunction(zeros=(0.5, -0.3))
-        tr = float(np.real(np.trace(projection_c_plus_phi(phi, ctx).array)))
+        tr = float(np.real(np.trace(projection_c_plus_phi(phi, ctx).matrix.matrix)))
         assert tr == pytest.approx(96 - 1, abs=1e-5)
 
 
@@ -413,7 +413,7 @@ class TestStConstruct:
         ctx = TruncationContext(order=128)
         q = np.eye(4)
         op = st_construct(q, seq, ctx, delta=0.9)
-        p = op.array
+        p = op.matrix.matrix
         assert np.abs(p - p.conj().T).max() == 0.0
         assert float(np.linalg.eigvalsh(p)[0]) >= -1e-10
 
@@ -458,13 +458,13 @@ class TestRangeContainsPhi:
 class TestFromSpec:
     def test_diagonal(self):
         op = from_spec({"type": "diagonal", "weights": [1.0, 0.5]})
-        assert np.allclose(op.array, np.diag([1.0, 0.5]))
+        assert np.allclose(op.matrix.matrix, np.diag([1.0, 0.5]))
 
     def test_projection_phiH2_matches_direct(self):
         spec = {"type": "projection_phiH2", "N": 64, "inner": {"zeros": [[0.5, 0.0]]}}
         op = from_spec(spec)
         direct = projection_phi_H2(InnerFunction(zeros=(0.5,)), TruncationContext(64))
-        assert np.abs(op.array - direct.array).max() < 1e-14
+        assert np.abs(op.matrix.matrix - direct.matrix.matrix).max() < 1e-14
 
     def test_projection_model(self):
         spec = {
@@ -474,11 +474,11 @@ class TestFromSpec:
         }
         op = from_spec(spec)
         assert op.kind == "projection_model"
-        assert np.real(np.trace(op.array)) == pytest.approx(2.0, abs=1e-6)
+        assert np.real(np.trace(op.matrix.matrix)) == pytest.approx(2.0, abs=1e-6)
 
     def test_projection_monomial(self):
         op = from_spec({"type": "projection_monomial", "N": 6, "excluded": [0, 2]})
-        assert np.allclose(op.array, np.diag([0.0, 1.0, 0.0, 1.0, 1.0, 1.0]))
+        assert np.allclose(op.matrix.matrix, np.diag([0.0, 1.0, 0.0, 1.0, 1.0, 1.0]))
 
     def test_c_plus_phi(self):
         spec = {"type": "c_plus_phi", "N": 64, "inner": {"zeros": [[0.5, 0.0]]}}
@@ -515,7 +515,7 @@ class TestFromSpec:
         old = from_spec({"type": legacy, "N": 64, **fields})
         assert op.kind == old.kind == kind
         assert op.id == old.id
-        assert op.array.tobytes() == old.array.tobytes()
+        assert op.matrix.matrix.tobytes() == old.matrix.matrix.tobytes()
 
     def test_every_operator_kind_is_a_spec_type(self):
         weights = list(np.linspace(1.0, 0.0, 32))
@@ -537,7 +537,7 @@ class TestFromSpec:
         m = np.array([[2.0, 1.0], [1.0, 2.0]])
         spec = {"type": "custom", "matrix": matrix_to_json(m)}
         op = from_spec(spec)
-        assert np.allclose(op.array, m)
+        assert np.allclose(op.matrix.matrix, m)
         assert not op.contraction
 
     def test_missing_and_unknown_type(self):
@@ -609,16 +609,16 @@ class TestStructuredProjections:
                 projection_phi_H2(phi, ctx)
             return
         p = projection_phi_H2(phi, ctx)
-        assert np.abs(p.array - ref).max() <= 1e-12
+        assert np.abs(p.matrix.matrix - ref).max() <= 1e-12
         m = projection_model_space(phi, ctx)
-        assert np.abs(m.array - (np.eye(order) - ref)).max() <= 1e-12
+        assert np.abs(m.matrix.matrix - (np.eye(order) - ref)).max() <= 1e-12
         ref_c = dense_c_plus_phi(ref)
         if idempotency_defect(ref_c) > 1e-8:
             with pytest.raises(TruncationTooCoarseError):
                 projection_c_plus_phi(phi, ctx)
             return
         c = projection_c_plus_phi(phi, ctx)
-        assert np.abs(c.array - ref_c).max() <= 1e-12
+        assert np.abs(c.matrix.matrix - ref_c).max() <= 1e-12
         assert p.contraction and m.contraction
         # lambda_max may sit a truncation tail above 1; the flag follows the spectrum
         assert c.contraction == (np.linalg.eigvalsh(ref_c)[-1] <= 1.0 + 1e-10)
@@ -630,10 +630,10 @@ class TestStructuredProjections:
 
     def test_constant_symbol_gives_identity(self):
         op = projection_phi_H2(InnerFunction(unimodular=1j), TruncationContext(32))
-        assert np.array_equal(op.array, np.eye(32))
+        assert np.array_equal(op.matrix.matrix, np.eye(32))
 
     def test_dense_matrix_is_exactly_hermitian(self):
-        p = projection_c_plus_phi(HARD_SYMBOLS["mixed"], TruncationContext(128)).array
+        p = projection_c_plus_phi(HARD_SYMBOLS["mixed"], TruncationContext(128)).matrix.matrix
         assert np.abs(p - p.conj().T).max() == 0.0
 
 
@@ -664,7 +664,7 @@ class TestStructuredSt:
         op = st_construct(q, seq, ctx, delta=0.2)
         assert op.basis.shape == (order, count)
         dense, dense_defect = dense_st(q, seq, ctx)
-        assert np.abs(op.array - dense).max() <= 1e-7
+        assert np.abs(op.matrix.matrix - dense).max() <= 1e-7
         # the dense route's explicit G^-1 carries roundoff of order
         # eps * cond(G) into its roundtrip (cond(G) is 8 for 3 points, 1.3e3
         # for 8); the QR route forms no inverse and stays within a few times that
@@ -766,5 +766,5 @@ class TestStructuredForm:
             PositiveOperator(HermitianMatrix(np.eye(12) + 0.1), "x", "custom"),
         ]
         for op in ops:
-            assert np.abs(op.apply(x) - op.array @ x).max() < 1e-14
-            assert np.abs(op.apply(x[:, 0]) - op.array @ x[:, 0]).max() < 1e-14
+            assert np.abs(op.apply(x) - op.matrix.matrix @ x).max() < 1e-14
+            assert np.abs(op.apply(x[:, 0]) - op.matrix.matrix @ x[:, 0]).max() < 1e-14

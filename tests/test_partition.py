@@ -15,17 +15,24 @@ import pytest
 
 from hardyframes import (
     DuplicatePointError,
+    InnerFunction,
     NonHermitianError,
     NotAPartitionError,
     Partition,
     PointSequence,
     TargetTooHighError,
+    TruncationContext,
     carleson_constants,
+    diagonal_operator,
     minimal_carleson_classes,
     minimal_spectral_classes,
     partition_carleson,
     partition_spectral,
+    projection_c_plus_phi,
+    projection_model_space,
+    projection_phi_H2,
     pseudo_hyperbolic,
+    range_space_gram,
     szego_gram,
     verify_partition,
 )
@@ -315,7 +322,7 @@ class TestPartitionSpectral:
                 partition_spectral(g, bad)
 
     def test_requires_normalized(self):
-        from hardyframes import image_gram, projection_monomial_span, TruncationContext
+        from hardyframes import image_gram, projection_monomial_span
 
         ctx = TruncationContext(order=32)
         g = image_gram(projection_monomial_span([0], 32), PointSequence([0.3, 0.5]), ctx)
@@ -396,6 +403,38 @@ class TestSpectralFromPoints:
             block = szego_gram(seq.subsequence(cls)).matrix.matrix
             assert cert.labels == cls
             assert cert.lambda_min == float(np.linalg.eigvalsh(block)[0])
+
+
+def random_blaschke(rng, degree):
+    """A Blaschke product with ``degree`` zeros uniform in |a| <= 0.8."""
+    zeros = 0.8 * np.sqrt(rng.uniform(size=degree)) * np.exp(2j * np.pi * rng.uniform(size=degree))
+    return InnerFunction(tuple(zeros))
+
+
+# kind: builder(rng, ctx, degree); the model space has rank deg phi, and the
+# geometric diagonal ignores the degree (its ratio is drawn from rng)
+RANGE_SPACE_OPERATORS = {
+    "c_plus_phi": lambda rng, ctx, degree: projection_c_plus_phi(random_blaschke(rng, degree), ctx),
+    "phi_H2": lambda rng, ctx, degree: projection_phi_H2(random_blaschke(rng, degree), ctx),
+    "model_space": lambda rng, ctx, degree: projection_model_space(random_blaschke(rng, degree), ctx),
+    "geometric_diagonal": lambda rng, ctx, degree: diagonal_operator(rng.uniform(0.9, 0.99) ** np.arange(ctx.order)),
+}
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", sorted(RANGE_SPACE_OPERATORS))
+def test_spectral_on_range_space_grammians(kind, degree):
+    """The greedy reads a Grammian that is not Szegő's: an H(P) range-space Grammian."""
+    rng = np.random.default_rng([sorted(RANGE_SPACE_OPERATORS).index(kind), degree])
+    ctx = TruncationContext(order=256)
+    op = RANGE_SPACE_OPERATORS[kind](rng, ctx, degree)
+    g = range_space_gram(op, PointSequence(list(uniform_points(rng, 40, 0.9))), ctx)
+    for c in (0.1, 0.3, 0.6):
+        part = partition_spectral(g, c)
+        assert part.classes == tuple(tuple(cls) for cls in reference_spectral(g.matrix.matrix, c))
+        assert verify_partition(g, part, c).all_pass
+        if kind == "model_space":
+            assert max(map(len, part.classes)) <= degree
 
 
 def near_boundary_arc(rng, count, eps=1e-6):

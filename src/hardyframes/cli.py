@@ -11,10 +11,13 @@ Exit codes: 0 success, 2 unusable input, 3 numerical or domain failure,
 violations.
 
 Each option's type, default and choices are declared once, in its
-``add_argument`` call. A JSON ``--config`` object can predefine any flag:
-``main`` checks each value against that declaration, makes the checked
-values the subcommand's defaults and parses argv again, so explicit flags
-win. A ``null`` value, or a key the subcommand does not declare, is ignored.
+``add_argument`` call. ``main`` builds that parser once per process and
+reuses it. A JSON ``--config`` object can predefine any flag: ``main``
+checks each value against that declaration, makes the checked values the
+subcommand's defaults on a freshly built parser, never the reused one, and
+parses argv again, so explicit flags win and one call's config never
+reaches the next. A ``null`` value, or a key the subcommand does not
+declare, is ignored.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -184,6 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses across calls; nothing ever sets its defaults."""
+    return build_parser()
+
+
 def _tolerances(value) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"'tolerances' must be a JSON object, got {value!r}")
@@ -227,13 +236,13 @@ _INPUT_ERRORS = (ConfigInvalidError, IndexOutOfRangeError, NegativeWeightError)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (None, 0) else 2
     try:
         if args.config:
+            parser = build_parser()
             (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
             sp = sub.choices[args.command]
             sp.set_defaults(**_config_defaults(sp, io.load_json(args.config)))

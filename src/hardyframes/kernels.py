@@ -121,18 +121,19 @@ def kernel_matrix(seq: PointSequence, ctx: TruncationContext, normalize: bool = 
     return v
 
 
-def _szego_entries(z_rows, z_cols, one_minus_rows, one_minus_cols) -> np.ndarray:
+def _szego_entries(z_rows, z_cols, one_minus_rows, one_minus_cols, *, out=None) -> np.ndarray:
     """Closed-form entries sqrt((1 - |z_i|^2)(1 - |z_k|^2)) / (1 - z_i conj(z_k)).
 
     Rows run over the last axis of ``z_rows`` and columns over the last
     axis of ``z_cols``; leading axes broadcast, so an (m, k) pair gives the
     m class blocks as one (m, k, k) stack. ``one_minus_*`` hold the matching
-    1 - |z|^2. The result is built in one complex buffer, which holds the
-    denominator and is then divided in place by the real numerator. Every
-    step is elementwise, so a block equals the same block of the full
-    matrix bit for bit. A diagonal entry is left as the formula gives it.
+    1 - |z|^2. The result is built in one complex buffer (``out`` when
+    given, of the result's shape), which holds the denominator and is then
+    divided in place by the real numerator. Every step is elementwise, so a
+    block equals the same block of the full matrix bit for bit. A diagonal
+    entry is left as the formula gives it.
     """
-    g = z_rows[..., :, None] * np.conj(z_cols)[..., None, :]
+    g = np.multiply(z_rows[..., :, None], np.conj(z_cols)[..., None, :], out=out)
     np.subtract(1.0, g, out=g)
     num = one_minus_rows[..., :, None] * one_minus_cols[..., None, :]
     np.sqrt(num, out=num)

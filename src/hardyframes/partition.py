@@ -7,11 +7,12 @@ caller that wants another order (the CLI's ``--sort-by-modulus``) passes
 
 - ``carleson_greedy`` keeps, inside every class, each member's product of
   pseudo-hyperbolic distances to the others at or above a target delta.
-  For each point it computes one column of log rho against the points
-  already placed, which gives both the members' updated log-products and
-  (one ``bincount``) the candidate's own log-product against every class,
-  so a candidate is tested against every class in one vectorised step:
-  n^2 / 2 distances and O(n) memory, with no n x n matrix.
+  Each point's column of log rho against the points already placed gives
+  both the members' updated log-products and (one ``bincount``) the
+  candidate's own log-product against every class, so a candidate is
+  tested against every class in one vectorised step. The columns come in
+  blocks of consecutive points, one broadcast per block of about
+  ``_BLOCK_ENTRIES`` distances: O(n) memory, with no n x n matrix.
 - ``spectral_greedy`` keeps the smallest eigenvalue of every class's
   normalized Grammian block at or above a target c, through the equivalent
   condition B - cI > 0. First fit is built one class at a time over the
@@ -19,10 +20,11 @@ caller that wants another order (the CLI's ``--sort-by-modulus``) passes
   (L the Cholesky factor of B - cI), one row per member, and the row of
   Schur-complement terms ||W[:, j']||^2, so the next member is one
   vectorised comparison and no candidate is ever eigensolved. The loop
-  reads its matrix only through rows m[idx, cols], each member's row once.
-  Given a point sequence instead of a Grammian, it computes those rows
-  from the Szegő closed form on demand, so memory is O(n * largest class)
-  with no n x n matrix.
+  reads its matrix only through a row source built once per class, which
+  writes each member's row m[j, later tail] once, straight into W's
+  buffer. Given a point sequence instead of a Grammian, the source computes
+  those rows from the Szegő closed form over the class's gathered tail, so
+  memory is O(n * largest class) with no n x n matrix.
 
 Neither loop certifies itself: the final certificates are recomputed from
 the points (or the Grammian), never read from the greedy's state. The
@@ -54,6 +56,13 @@ SPECTRAL_GREEDY = "spectral_greedy"
 # Greedy acceptance applies this slack in log space so that certificates
 # recomputed with a different summation order still clear the target.
 _LOG_MARGIN = 1e-9
+
+# Entries of one block of log-rho columns in the Carleson greedy: sets how
+# many consecutive points share one broadcast, keeping the block O(n). Its
+# complex temporaries then stay within 128 KiB, below glibc's default mmap
+# threshold; larger ones measured several times slower, faulting in fresh
+# pages on every allocation.
+_BLOCK_ENTRIES = 2**13
 
 # A candidate joins a spectral class only when the Schur complement of the
 # enlarged block, (m[j, j] - c) - ||L^-1 m[class, j]||^2, exceeds this, so that
@@ -116,7 +125,8 @@ def partition_carleson(seq: PointSequence, delta_target: float) -> Partition:
     order-sensitive, so a caller that wants another order (the CLI's
     ``--sort-by-modulus``, through ``modulus_order``) reorders the sequence
     first. For each point j the column log rho(z_j, z_i) over the placed
-    points i < j is computed once. Point j joins the first class where its
+    points i < j is computed once, in blocks of consecutive points
+    (``_log_rho_rows``). Point j joins the first class where its
     own log-product (the column summed over the class's members in join
     order, one ``bincount``) and every member's log-product plus
     log rho(z_j, z_i) stay at or above log(delta) + ``_LOG_MARGIN``; all
@@ -136,22 +146,25 @@ def partition_carleson(seq: PointSequence, delta_target: float) -> Partition:
     log_products = np.zeros(n)
     class_of = np.zeros(n, dtype=np.intp)
     count = 0
-    for j in range(n):
-        column = np.log(_rho(z[j], z[:j]))  # log rho(z_j, z_i) over the placed points i < j
-        placed_class = class_of[:j]
-        updated = log_products[:j] + column
-        # j's own log-product against each class, summed in join order
-        own = np.bincount(placed_class, weights=column, minlength=count)
-        fits = own >= log_target
-        fits[placed_class[updated < log_target]] = False
-        k = int(fits.argmax()) if count else 0
-        if count and fits[k]:
-            np.copyto(log_products[:j], updated, where=placed_class == k)
-            log_products[j] = own[k]
-        else:
-            k = count
-            count += 1
-        class_of[j] = k
+    rows = _block_rows(n)
+    for start in range(0, n, rows):
+        block = _log_rho_rows(z, start, min(start + rows, n))
+        for j in range(start, start + len(block)):
+            column = block[j - start, :j]  # log rho(z_j, z_i) over the placed points i < j
+            placed_class = class_of[:j]
+            updated = log_products[:j] + column
+            # j's own log-product against each class, summed in join order
+            own = np.bincount(placed_class, weights=column, minlength=count)
+            fits = own >= log_target
+            fits[placed_class[updated < log_target]] = False
+            k = int(fits.argmax()) if count else 0
+            if count and fits[k]:
+                np.copyto(log_products[:j], updated, where=placed_class == k)
+                log_products[j] = own[k]
+            else:
+                k = count
+                count += 1
+            class_of[j] = k
 
     # positions grouped by class, ascending within each class
     by_class = np.argsort(class_of, kind="stable")
@@ -167,6 +180,23 @@ def partition_carleson(seq: PointSequence, delta_target: float) -> Partition:
     )
     classes = tuple(cert.labels for cert in certificates)
     return Partition(classes, CARLESON_GREEDY, certificates, {"delta_target": delta_target})
+
+
+def _block_rows(n: int) -> int:
+    """Consecutive points per block of log-rho columns against up to ``n`` placed points."""
+    return max(1, _BLOCK_ENTRIES // n)
+
+
+def _log_rho_rows(z: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """log rho(z_j, z_i) for j in [start, stop) and i < stop, one (stop - start, stop) broadcast.
+
+    Row j - start, cut at [:j], is the column ``np.log(_rho(z[j], z[:j]))``
+    bit for bit. Entries at and past j are never read; j's own (rho = 0) is
+    set to rho = 1 first, so no log of zero is taken.
+    """
+    rho = _rho(z[start:stop, None], z[:stop])
+    rho[np.arange(stop - start), np.arange(start, stop)] = 1.0
+    return np.log(rho, out=rho)
 
 
 def _size_groups(members: list[list[int]]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -214,34 +244,36 @@ def _szego_blocks(z: np.ndarray, groups):
 
 
 def _spectral_matrix(source):
-    """``(diagonal, rows, blocks)`` of the matrix a spectral partition reads.
+    """``(diagonal, class_rows, blocks)`` of the matrix a spectral partition reads.
 
-    ``rows(idx, cols)`` is ``m[np.ix_(idx, cols)]`` for position arrays
-    ``idx`` and ``cols``, and ``blocks(groups)`` the class blocks of each
+    ``class_rows(tail)`` is the row source of one class over the unassigned
+    positions ``tail``: ``row(q, out)`` writes m[tail[q], tail[q + 1:]] into
+    the 1-D array ``out``. ``blocks(groups)`` gives the class blocks of each
     ``_size_groups`` group as one stack. A normalized ``Grammian`` serves
-    entries of its matrix. A ``PointSequence`` stands
-    for its Szegő Grammian: rows come from the closed form on demand
-    (before the Hermitian gate averages them, so an entry may differ from
-    ``szego_gram``'s in the last bit), and blocks are the class Grammians
-    ``szego_gram`` would build from each class's points, through the same
-    gate (``_szego_blocks``).
+    entries of its matrix. A ``PointSequence`` stands for its Szegő
+    Grammian: a class gathers its tail's points once, and each row comes
+    from the closed form (before the Hermitian gate averages it, so an entry
+    may differ from ``szego_gram``'s in the last bit); blocks are the class
+    Grammians ``szego_gram`` would build from each class's points, through
+    the same gate (``_szego_blocks``).
     """
     if isinstance(source, PointSequence):
         z = source.values()
         one_minus = 1.0 - np.abs(z) ** 2
 
-        def rows(idx, cols):
-            return _szego_entries(z[idx], z[cols], one_minus[idx], one_minus[cols])
+        def points_rows(tail):
+            zt, om = z[tail], one_minus[tail]
+            return lambda q, out: _szego_entries(zt[q : q + 1], zt[q + 1 :], om[q : q + 1], om[q + 1 :], out=out[None])
 
-        return np.ones(len(z)), rows, lambda groups: _szego_blocks(z, groups)
+        return np.ones(len(z)), points_rows, lambda groups: _szego_blocks(z, groups)
     if not source.normalized:
         raise ValueError("spectral partitioning expects a normalized Grammian")
     m = source.matrix.matrix
-    return (
-        np.real(np.diagonal(m)),
-        lambda idx, cols: m[np.ix_(idx, cols)],
-        lambda groups: _gathered_blocks(m, groups),
-    )
+
+    def matrix_rows(tail):
+        return lambda q, out: m[tail[q]].take(tail[q + 1 :], out=out)
+
+    return np.real(np.diagonal(m)), matrix_rows, lambda groups: _gathered_blocks(m, groups)
 
 
 def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Partition:
@@ -259,10 +291,10 @@ def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Par
     earlier class took opens the class, and the next member is the first
     later such point whose Schur complement (m[j, j] - c) - ||L^-1 m[class, j]||^2
     (L the Cholesky factor of B - cI) exceeds ``_SCHUR_MARGIN``, one
-    vectorised comparison over the candidates. Acceptance computes the new
-    member's row of m once, turns it into its row of W = L^-1 m[class, tail]
-    and adds that row's squared moduli to the class's Schur row,
-    O(class size * n).
+    vectorised comparison over the candidates. Acceptance writes the new
+    member's row of m once, from the class's row source, into its row of
+    W = L^-1 m[class, tail], turns it into that row in place and adds its
+    squared moduli to the class's Schur row, O(class size * n).
     A singleton whose own slack m[j, j] - c is within the margin (c near 1)
     opens a class that admits nobody. Certificates are recomputed from the
     class blocks, not the Schur state: one stacked ``eigvalsh`` per class
@@ -275,14 +307,14 @@ def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Par
         raise TargetTooHighError(f"c target {c_target} exceeds the normalized diagonal")
     if c_target <= 0.0:
         raise ValueError(f"c target {c_target} must be positive")
-    diagonal, rows, blocks = _spectral_matrix(source)
+    diagonal, class_rows, blocks = _spectral_matrix(source)
     n = source.dim
     own_slack = diagonal - c_target
 
     members: list[list[int]] = []
     tail = np.arange(n)
     while tail.size:
-        cls, tail = _spectral_class(tail, own_slack, rows)
+        cls, tail = _spectral_class(tail, own_slack, class_rows)
         members.append(cls)
 
     labels = source.labels
@@ -295,18 +327,19 @@ def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Par
     return Partition(classes, SPECTRAL_GREEDY, certificates, {"c_target": c_target})
 
 
-def _spectral_class(tail: np.ndarray, own_slack: np.ndarray, rows) -> tuple[list[int], np.ndarray]:
+def _spectral_class(tail: np.ndarray, own_slack: np.ndarray, class_rows) -> tuple[list[int], np.ndarray]:
     """The class ``tail[0]`` opens, by first fit over the unassigned positions ``tail``.
 
     Returns the class's positions and the rest of ``tail``, in order. The
     class keeps W = L^-1 m[class, tail] (L the Cholesky factor of B - cI),
     one row per member, each filled only past the member's own place, and
-    ``schur[t] = ||W[:, t]||^2``.
+    ``schur[t] = ||W[:, t]||^2``. Rows of m come from ``class_rows(tail)``.
     """
     own = own_slack[tail]
     if own[0] <= _SCHUR_MARGIN:
         # c within the margin of m[j, j]: a singleton that admits nobody.
         return [int(tail[0])], tail[1:]
+    row_of = class_rows(tail)
     schur = np.zeros(len(tail))
     w = np.empty((8, len(tail)), dtype=np.complex128)
     taken: list[int] = []
@@ -320,7 +353,10 @@ def _spectral_class(tail: np.ndarray, own_slack: np.ndarray, rows) -> tuple[list
         # and d = sqrt(slack), so W grows by the row (m[j, tail] - y* W) / d.
         d = math.sqrt(own[q] - schur[q])
         row = w[size, q + 1 :]
-        row[:] = (rows(tail[q : q + 1], tail[q + 1 :])[0] - np.conj(w[:size, q]) @ w[:size, q + 1 :]) / d
+        row_of(q, out=row)
+        if size:
+            row -= np.conj(w[:size, q]) @ w[:size, q + 1 :]
+        row /= d
         schur[q + 1 :] += row.real**2 + row.imag**2
         fits = (own[q + 1 :] - schur[q + 1 :] > _SCHUR_MARGIN).nonzero()[0]
         if not fits.size:

@@ -374,8 +374,8 @@ class TestPartition:
             assert len(seq) <= 64, f"szego_gram called on {len(seq)} points"
             return original_gram(seq)
 
-        def fewer_than_n_rows(*args):
-            g = original_entries(*args)
+        def fewer_than_n_rows(*args, **kwargs):
+            g = original_entries(*args, **kwargs)
             row_counts.append(g.shape[-2])
             return g
 
@@ -937,6 +937,28 @@ def test_config_equals_flags(tmp_path, capsys, command):
         cfg = write_json(tmp_path / "bad.json", {**values, a.dest: wrong_json_type(values[a.dest])})
         assert main([command, "--config", cfg]) == 2, a.dest
         assert repr(a.dest) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]], ids=["split", "equals", "abbreviated"])
+def test_config_defaults_apply_to_their_own_call_only(tmp_path, capsys, spelling):
+    """``main`` reuses one parser, but a config's defaults never reach the next call."""
+    argv = ["partition", "--points", write_points(tmp_path, ring(4, 0.6)), "--strategy", "spectral"]
+    cfg = write_json(tmp_path / "cfg.json", {"c_target": 0.5})
+    assert main(argv + [word.format(cfg) for word in spelling]) == 0
+    assert " c=0.5 " in capsys.readouterr().out
+    assert main(argv) == 0
+    assert " c=0.1 " in capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    argv = ["partition", "--points", write_points(tmp_path, ring(4, 0.6)), "--strategy", "carleson"]
+    assert main(argv) == 0
+
+    def rebuilt():
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    assert main(argv) == 0
 
 
 class TestPlumbing:

@@ -37,9 +37,9 @@ from hardyframes import (
     verify_partition,
 )
 from hardyframes import partition
-from hardyframes.geometry import _rho_matrix
+from hardyframes.geometry import _rho, _rho_matrix
 from hardyframes.kernels import _szego_entries
-from hardyframes.partition import _LOG_MARGIN, _size_groups, _szego_blocks, modulus_order
+from hardyframes.partition import _LOG_MARGIN, _block_rows, _log_rho_rows, _size_groups, _szego_blocks, modulus_order
 from hardyframes.verify import _FAMILY_SAMPLERS, POINT_FAMILIES as VERIFY_FAMILIES
 
 
@@ -522,6 +522,60 @@ class TestStackedCertificates:
         assert any(len(s) > 2 for s in sizes)
 
 
+@pytest.mark.parametrize("family", sorted(CERTIFICATE_FAMILIES))
+def test_blocked_log_rho_rows_are_the_per_point_columns(family):
+    """Each row of a block, cut before its own point, is that point's column bit for bit.
+
+    Blocks run at the greedy's own rows and at 1, 2 and 7 rows, and no
+    block takes the log of its zero diagonal (numpy would warn).
+    """
+    z = CERTIFICATE_FAMILIES[family](np.random.default_rng(sorted(CERTIFICATE_FAMILIES).index(family) + 89))
+    n = len(z)
+    for rows in sorted({_block_rows(n), 1, 2, 7}):
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            with np.errstate(all="raise"):
+                block = _log_rho_rows(z, start, stop)
+            assert block.shape == (stop - start, stop)
+            for j in range(start, stop):
+                assert block[j - start, :j].tobytes() == np.log(_rho(z[j], z[:j])).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, rows",
+    # one point; fewer points than one block; a whole number of blocks; one
+    # more point than that; then, at the default entry budget, two full
+    # blocks and two full blocks followed by a short one
+    [(1, 1), (50, 64), (48, 8), (49, 8), (128, None), (129, None)],
+)
+def test_carleson_at_block_edges(monkeypatch, n, rows):
+    seq = PointSequence(list(mixed_points(np.random.default_rng(n), n)))
+    want = {delta: partition_carleson(seq, delta) for delta in (0.1, 0.3)}
+    if rows is not None:
+        monkeypatch.setattr(partition, "_BLOCK_ENTRIES", rows * n)
+    assert _block_rows(n) == (rows or {128: 64, 129: 63}[n])
+    for delta, whole in want.items():
+        part = partition_carleson(seq, delta)
+        assert part.classes == tuple(tuple(cls) for cls in reference_carleson(seq.values(), delta))
+        assert part == whole
+
+
+@pytest.mark.parametrize("n", [600, 3000])
+def test_carleson_computes_distances_block_by_block(monkeypatch, n):
+    """The greedy makes one ``_rho`` broadcast per block of points, not one per point."""
+    calls = []
+
+    def counting(a, b):
+        calls.append(np.broadcast_shapes(np.shape(a), np.shape(b)))
+        return _rho(a, b)
+
+    monkeypatch.setattr(partition, "_rho", counting)
+    partition_carleson(PointSequence(list(uniform_points(np.random.default_rng(5), n, 0.95))), 0.3)
+    # 47 calls at n = 600 (13 points a block), 1500 at n = 3000 (2 a block)
+    assert 0 < len(calls) <= -(-n // (partition._BLOCK_ENTRIES // n))
+    assert sum(shape[0] for shape in calls) == n
+
+
 def eps_clusters(rng, clusters=3, count=8, eps=1e-9):
     """Clusters of ``count`` points about 0.3 * eps wide at 1 - |z| ~ eps."""
     out = []
@@ -564,7 +618,7 @@ class TestCertificateGate:
 
 @pytest.mark.parametrize(
     "strategy, classes, peak_mb",
-    # measured: 0.82 and 0.71 MB; 22.18 and 12.40 MB with (classes x n) tables
+    # measured: 0.76 and 0.76 MB; 22.18 and 12.40 MB with (classes x n) tables
     [(partition_spectral, 1020, 3.0), (partition_carleson, 622, 1.5)],
     ids=["spectral", "carleson"],
 )
@@ -584,13 +638,15 @@ def test_greedy_loops_keep_no_class_table(strategy, classes, peak_mb):
 def test_spectral_from_points_computes_each_greedy_entry_once(monkeypatch, c):
     """The greedy reads at most one Szegő entry per pair of points.
 
-    Greedy rows are the 2-D results of ``_szego_entries``; the certificate
-    blocks are (m, k, k) stacks and are not counted.
+    Greedy rows are the 2-D results of ``_szego_entries``, written into the
+    ``out`` the greedy passes; the certificate blocks are (m, k, k) stacks
+    and are not counted. Rows computed by any other formula are not counted
+    either, so ``counted`` must not be empty.
     """
     counted = []
 
-    def counting(*args):
-        entries = _szego_entries(*args)
+    def counting(*args, **kwargs):
+        entries = _szego_entries(*args, **kwargs)
         if entries.ndim == 2:
             counted.append(entries.size)
         return entries
@@ -600,7 +656,7 @@ def test_spectral_from_points_computes_each_greedy_entry_once(monkeypatch, c):
     part = partition_spectral(seq, c)
     n = len(seq)
     assert max(len(cls) for cls in part.classes) > 1
-    assert sum(counted) <= n * (n - 1) // 2
+    assert counted and sum(counted) <= n * (n - 1) // 2
 
 
 class TestVerifyPartition:

@@ -15,16 +15,28 @@ for reading.
 The matrices in reports (``grammian_to_json``, ``operator_to_json``) stay
 complex arrays until ``write_json_atomic``. It writes each one as the
 text ``json.dumps`` gives for its ``to_pairs`` list, so the bytes are the
-same as when reports held those lists, but it formats each distinct
-magnitude once and adds the sign as text: ``repr(-x)`` is
-``"-" + repr(x)`` for every finite double, signed zeros included, and a
-Hermitian matrix holds each magnitude about twice. The rest of the
-payload goes through the C encoder, and the matrix text is spliced in
-where it left a marker. Non-finite entries, which have no JSON spelling,
-raise ``ValueError``. ``matrix_to_json`` still returns plain lists.
-``matrix_csv_lines`` formats its cells the same way, one ``%.17g`` per
-distinct magnitude with the signs added as text, which holds for ``%.17g``
-as for ``repr``.
+same as when reports held those lists, and splices it into what the C
+encoder writes for the rest of the payload where it left a marker.
+Non-finite entries, which have no JSON spelling, raise ``ValueError``.
+``matrix_to_json`` still returns plain lists. ``matrix_csv_lines`` and
+``partition_csv_lines`` write ``%.17g`` numbers.
+
+Those numbers come from one vectorized kernel (``_decimal``, laid out as
+text by ``_texts``), not a formatter call each. For a magnitude x in the
+band 1e-29 <= x < 1e17, x * 10**k with k = 16 - floor(log10 x) in 0..45
+lies in [1e16, 1e17), and Dekker's error-free product, with 10**k held
+exactly as a sum of two doubles, gives it as an int64 and a fraction
+that is off by at most 4e-15. ``%.17g`` rounds that half to even; ``repr``
+takes the nearest multiple of 100, 10 or 1 that lies within half the gap
+to the neighbouring double, the shortest digits that read back as x. A
+comparison within 1e-9 of its threshold (ties and round-trip boundaries),
+a magnitude outside the band, a subnormal and a non-finite CSV entry go
+to ``float.__repr__`` or ``format(x, ".17g")`` instead, so the text is
+byte for byte what those give; zero is written directly. Signs are added
+as text: ``fmt(-x)`` is ``"-" + fmt(x)`` for every double but NaN, whose
+sign ``%.17g`` drops. The kernel works on blocks of ``_BLOCK`` numbers,
+each temporary under 128 KiB, and writes the text into one anonymous
+map, which goes back to the system when freed.
 
 All file writes go through a uniquely named temp file in the target
 directory and a rename, so an interrupted run never leaves a partial
@@ -35,10 +47,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import mmap
 import os
 import sys
 import tempfile
-from itertools import chain, repeat
+from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -117,27 +131,26 @@ def matrix_from_json(d) -> np.ndarray:
     return from_pairs(entries).reshape(n, n)
 
 
-# The text before a number in a CSV row, indexed by 2 * (it is an imaginary
-# part) + (it is negative), plus 4 for the real part that starts a row.
-_CSV_SEPARATORS = np.array(["j,", "j,-", "+", "-", "", "-"], dtype=object)
+# The text before a number in a CSV matrix, indexed by 2 * (it is an
+# imaginary part) + (it is negative), plus 4 for the real part that starts a
+# row and 6 for the one that starts the matrix.
+_CSV_SEPARATORS = ("j,", "j,-", "+", "-", "j\n", "j\n-", "", "-")
 
 
 def matrix_csv_lines(m) -> list[str]:
-    """One ``"%.17g%+.17gj"`` cell per entry, comma-separated rows, with one
-    ``%.17g`` per distinct magnitude (a NaN is printed without its sign)."""
+    """One ``"%.17g%+.17gj"`` cell per entry, comma-separated rows (a NaN is
+    printed without its sign), the numbers formatted by ``_texts``."""
     a = np.ascontiguousarray(getattr(m, "matrix", m), dtype=np.complex128)
     rows, cols = a.shape
     if not a.size:
         return [""] * rows
     f = a.reshape(-1).view(np.float64)  # re, im interleaved
-    texts = _magnitude_texts(f, float.__format__, ".17g")
-    kind = (np.signbit(f) & ~np.isnan(f)) + np.tile([0, 2], a.size)
+    kind = (np.signbit(f) & ~np.isnan(f)).view(np.uint8) + np.tile(np.array([0, 2], np.uint8), a.size)
     kind[:: 2 * cols] += 4
-    parts = [None] * (2 * f.size)
-    parts[0::2] = _CSV_SEPARATORS[kind].tolist()
-    parts[1::2] = texts
-    width = 4 * cols
-    return ["".join(parts[r * width : (r + 1) * width]) + "j" for r in range(rows)]
+    kind[0] += 2
+    text = _texts(f, False, kind, _CSV_SEPARATORS, "j")
+    breaks = np.flatnonzero(text == ord("\n")).tolist()  # decoded a row at a time, never whole
+    return [str(text[a:b], "ascii") for a, b in zip([0] + [i + 1 for i in breaks], breaks + [text.size])]
 
 
 def points_from_json(data) -> PointSequence:
@@ -206,20 +219,27 @@ def partition_to_json(p) -> dict:
     }
 
 
+# The text before a modulus (a new line, or nothing for the first point) and
+# before a non-negative or a negative argument.
+_POINT_SEPARATORS = ("\n", ",", ",-", "")
+
+
 def partition_csv_lines(seq: PointSequence, p) -> list[str]:
-    """One row per point: label, class index, modulus, argument."""
+    """One row per point: label, class index, and modulus and argument in
+    ``%.17g`` form, formatted by ``_texts``."""
     class_of = {}
     for k, cls in enumerate(p.classes):
         for lab in cls:
             class_of[lab] = k
     # np.angle over the array gives the scalar call's bits; np.abs would not
     # match abs() on a Python complex, so the modulus stays a per-point abs.
-    angles = np.angle(seq.values()).tolist()
-    lines = ["label,class,modulus,argument"]
-    lines += [
-        f"{lab},{class_of[lab]},{abs(z):.17g},{arg:.17g}" for lab, z, arg in zip(seq.labels, seq.points, angles)
-    ]
-    return lines
+    f = np.empty(2 * len(seq.points))
+    f[0::2] = list(map(abs, seq.points))
+    f[1::2] = np.angle(seq.values())
+    kind = np.signbit(f).view(np.uint8) + np.tile(np.array([0, 1], np.uint8), len(seq.points))
+    kind[:1] = 3
+    numbers = str(_texts(f, False, kind, _POINT_SEPARATORS), "ascii").split("\n")
+    return ["label,class,modulus,argument"] + [f"{lab},{class_of[lab]},{t}" for lab, t in zip(seq.labels, numbers)]
 
 
 def suite_report_to_json(cfg, results) -> dict:
@@ -246,18 +266,24 @@ def suite_report_to_json(cfg, results) -> dict:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Replace ``path`` with ``text`` in one rename.
+    """Replace ``path`` with ``text``, UTF-8 encoded, in one rename."""
+    _write_atomic(path, [text.encode("utf-8")])
 
-    The text goes to a ``tempfile.mkstemp`` file beside the target, which
-    is then renamed over it; on any failure the temp file is removed. The
-    final file gets the mode a plain open would give, 0o666 & ~umask,
-    rather than mkstemp's 0o600.
+
+def _write_atomic(path, chunks) -> None:
+    """Replace ``path`` with the bytes-like ``chunks``, written in turn, in one rename.
+
+    They go to a ``tempfile.mkstemp`` file beside the target, which is then
+    renamed over it; on any failure, making a chunk included, the temp file
+    is removed. The final file gets the mode a plain open would give,
+    0o666 & ~umask, rather than mkstemp's 0o600.
     """
     target = Path(path)
     fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, target)
     except BaseException:
@@ -272,39 +298,250 @@ def _umask() -> int:
     return mask
 
 
-# The text before a number in a [[re,im],...] list, indexed by
-# 2 * (it is an imaginary part) + (it is negative).
-_PAIR_SEPARATORS = np.array(["],[", "],[-", ",", ",-"], dtype=object)
+# The text before a number in a [[re,im],...] list, indexed by 2 * (it is an
+# imaginary part) + (it is negative), plus 4 for the first.
+_PAIR_SEPARATORS = ("],[", "],[-", ",", ",-", "[[", "[[-")
 
 
-def _pairs_text(z: np.ndarray) -> str:
+def _pairs_text(z: np.ndarray):
     """``json.dumps(to_pairs(z), separators=(",", ":"))`` for a finite 1-D
-    complex array, with one ``repr`` per distinct magnitude."""
+    complex array, as ASCII bytes (a uint8 array), the numbers formatted by
+    ``_texts``."""
     f = z.view(np.float64)  # re, im interleaved
     bad = np.flatnonzero(~np.isfinite(f))
     if bad.size:
         k = int(bad[0]) // 2
         raise ValueError(f"entry {k} is {z[k]}, not a finite complex number; reports hold finite numbers only")
     if not f.size:
-        return "[]"
-    texts = _magnitude_texts(f, float.__repr__)
-    kind = np.signbit(f) + np.tile([0, 2], z.size)
-    parts = [None] * (2 * f.size)
-    parts[0::2] = _PAIR_SEPARATORS[kind].tolist()
-    parts[0] = "[[-" if kind[0] else "[["
-    parts[1::2] = texts
-    parts.append("]]")
-    del texts, kind  # freed before the text is built, to keep peak RSS down
-    return "".join(parts)
+        return np.frombuffer(b"[]", np.uint8)
+    kind = np.signbit(f).view(np.uint8) + np.tile(np.array([0, 2], np.uint8), z.size)
+    kind[0] += 4
+    return _texts(f, True, kind, _PAIR_SEPARATORS, "]]")
 
 
-def _magnitude_texts(f: np.ndarray, fmt, *args) -> list[str]:
-    """``fmt(abs(x), *args)`` for each x of the float array ``f``, called
-    once per distinct magnitude; its temporaries (3 MB at N=256) are freed
-    on return."""
-    mags, inv = np.unique(np.abs(f), return_inverse=True)
-    texts = np.array(list(map(fmt, mags.tolist(), *map(repeat, args))), dtype=object)
-    return texts[inv].tolist()
+# Decimal text of float64 arrays without a formatter call per number (see the
+# module docstring). _decimal finds the digits of x in the band
+# 1e-29 <= x < 1e17, where x * 10**k, k = 16 - floor(log10 x) in 0.._BAND,
+# lies in [1e16, 1e17); _texts lays them out as text.
+_P10 = 10 ** np.arange(19, dtype=np.int64)
+_BAND = 45  # 10**k is a sum of two doubles exactly up to here: 5**45 < 2**105
+_EPS = 1e-9  # closer than this to a threshold, a comparison is left to the exact formatter
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
+_BLOCK = 4000  # numbers per block; the largest temporary, 32 bytes a number, stays under 128 KiB
+_EMIN = 16 - _BAND  # the least decimal exponent in the band
+_SLOW = (17 - _EMIN + 1) * 18  # the layout key of a number left to the exact formatter
+
+
+@lru_cache(maxsize=None)
+def _powers_of_ten():
+    """10**k = hi + lo exactly for k in 0.._BAND, and hi split into two 26-bit halves."""
+    hi = np.array([float(10**k) for k in range(_BAND + 1)])
+    lo = np.array([float(10**k - int(h)) for k, h in enumerate(hi.tolist())])
+    c = _SPLIT * hi
+    hh = c - (c - hi)
+    return hi, hh, hi - hh, lo
+
+
+@lru_cache(maxsize=None)
+def _digit_words():
+    """The four zero-padded ASCII digits of 0..9999, one uint32 each."""
+    v = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    return (v + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+
+
+@lru_cache(maxsize=None)
+def _layouts(shortest: bool):
+    """Per layout key (E - _EMIN) * 18 + p of p digits d with decimal
+    exponent E, for repr (``shortest``) or ``%.17g``:
+
+    - ``div``, ``mul``: m = d + d // div * mul puts a 0 digit where the
+      point goes, and the zeros of an integer;
+    - ``mask``, ``over`` (three uint64 words each): m's 24 zero-padded
+      digits, ANDed with ``mask`` and ORed with ``over``, are the number's
+      text, NUL before it;
+    - ``exp``: the exponent ("e-05"), none in fixed notation;
+    - ``shift``: the bit where the next number's separator starts after it.
+
+    Fixed notation covers -4 <= E < 16 for repr, which writes ".0" after an
+    integer, and -4 <= E < 17 for ``%.17g``, which writes no bare point. The
+    key _SLOW writes the byte 1 in place of a number.
+    """
+    div = np.ones(_SLOW + 1, np.int64)
+    mul = np.zeros(_SLOW + 1, np.int64)
+    lay = np.zeros((3, _SLOW + 1, 24), np.uint8)
+    shift = np.zeros(_SLOW + 1, np.uint64)
+    for key in range(_SLOW):
+        E, p = divmod(key, 18)
+        E += _EMIN
+        if p == 0:
+            continue
+        fixed = -4 <= E < 17 - shortest
+        a = E + 1 if fixed else 1  # digits before the point, "0" if none
+        f = max(p - a, int(shortest and fixed))  # digits after it
+        point = f > 0
+        if a > 0:
+            div[key] = 10 ** max(p - a, 0)
+            mul[key] = 10 ** (max(a - p, 0) + f + point) - div[key]
+        lay[0, key, 24 - max(a, 1) - point - f :] = 0xFF
+        if point:
+            lay[0, key, 23 - f] = 0
+            lay[1, key, 23 - f] = ord(".")
+        if not fixed:
+            text = f"e{E:+03d}".encode()
+            lay[2, key, : len(text)] = list(text)
+            shift[key] = 8 * len(text)
+    lay[1, _SLOW, 23] = 1
+    mask, over, exp = lay.view(np.uint64)
+    return div, mul, mask, over, exp[:, 0].copy(), shift
+
+
+def _scaled(x, k):
+    """x * 10**k as an int64 I plus a float F in [0, 1), and 10**k rounded.
+
+    Dekker's product of x and hi is exact, and so is x * lo but for its
+    rounding, so F is off by at most 4e-15.
+    """
+    hi, hh, hl, lo = (t.take(k) for t in _powers_of_ten())
+    p = x * hi
+    c = _SPLIT * x
+    xh = c - (c - x)
+    xl = x - xh
+    r = ((xh * hh - p) + xh * hl + xl * hh) + xl * hl + x * lo
+    fl = np.floor(r)
+    return p.astype(np.int64) + fl.astype(np.int64), r - fl, hi
+
+
+def _strip(d):
+    """``d`` without its trailing zeros, and how many there were."""
+    z = np.zeros(d.size, np.int64)
+    for s in (16, 8, 4, 2, 1):
+        q = d // _P10[s]
+        cut = q * _P10[s] == d
+        d = np.where(cut, q, d)
+        z += s * cut
+    return d, z
+
+
+def _decimal(x, shortest: bool):
+    """Digits d (int64, p of them), p and the decimal exponent E of the
+    leading digit of each x >= 0, zero giving d = 0, p = 1, E = 0, and a mask
+    of the magnitudes left to the exact formatter."""
+    k = np.maximum(np.minimum((16 - np.floor(np.log10(x))).astype(np.int64), _BAND), 0)
+    I, F, H = _scaled(x, k)
+    undecided = np.zeros(x.size, bool)
+    off = np.flatnonzero((I - _P10[16]).view(np.uint64) >= 9 * _P10[16])
+    if off.size:  # log10 missed the decade by one, or x is zero or out of the band
+        k[off] = np.clip(k[off] + (I[off] < _P10[16]) - (I[off] >= _P10[17]), 0, _BAND)
+        I[off], F[off], H[off] = _scaled(x[off], k[off])
+        undecided[off] = (I[off] - _P10[16]).view(np.uint64) >= 9 * _P10[16]
+    E = 16 - k
+    d = I + (F > 0.5)
+    tie = np.abs(F - 0.5) < _EPS
+    if shortest:
+        # The shortest digits are those of the nearest multiple of 100
+        # (p <= 15 once its trailing zeros go), else of 10 (p = 16), else of 1
+        # (p = 17) that lies within h, half the gap to the next double, of
+        # I + F = 100 q + t. Ties go to the exact formatter.
+        h = np.spacing(x) * H * 0.5
+        q = I // 100
+        t = (I - q * 100) + F
+        u = np.floor(t * 0.1)
+        t10 = t - 10 * u
+        d10 = np.minimum(t10, 10 - t10)
+        d100 = np.minimum(t, 100 - t)
+        ok16 = d10 < h
+        ok15 = d100 < h
+        undecided |= (np.abs(d10 - h) < _EPS) | (np.abs(d100 - h) < _EPS) | (np.abs(t10 - 5) < _EPS) | tie
+        p = np.where(ok16, 16, 17)
+        d = np.where(ok16, 10 * q + u.astype(np.int64) + (t10 > 5), d)
+        two = np.flatnonzero((x.view(np.int64) & ((1 << 52) - 1)) == 0)
+        if two.size:  # below a power of two the gap halves: a candidate under x must be within h / 2
+            below = np.where(
+                ok15[two],
+                np.where(t[two] > 50, 100 - t[two], -t[two]),
+                np.where(ok16[two], np.where(t10[two] > 5, 10 - t10[two], -t10[two]), 1.0),
+            )
+            undecided[two] |= below < _EPS - 0.5 * h[two]
+        short = np.flatnonzero(ok15)
+        if short.size:
+            d[short], z = _strip(100 * (q[short] + (t[short] > 50)))
+            p[short] = 17 - z
+    else:
+        undecided |= tie
+        p = np.full(x.size, 17)
+        zeros = np.flatnonzero(d - d // 10 * 10 == 0)
+        if zeros.size:
+            d[zeros], z = _strip(d[zeros])
+            p[zeros] -= z
+    carry = p == 0  # rounded up to 10**17
+    E += carry
+    p[carry] = 1
+    zero = off[x[off] == 0]
+    d[zero], p[zero], E[zero] = 0, 1, 0
+    undecided[zero] = False
+    return d, p, E, undecided
+
+
+def _exact_text(x: float, shortest: bool) -> str:
+    """The exact formatter, for the magnitudes ``_decimal`` leaves."""
+    return float.__repr__(x) if shortest else format(x, ".17g")
+
+
+def _texts(f: np.ndarray, shortest: bool, kind: np.ndarray, seps, suffix: str = "") -> np.ndarray:
+    """``"".join(seps[kind[i]] + fmt(abs(f[i])) for i in range(f.size))`` for a
+    float array ``f``, with ``fmt`` ``float.__repr__`` (``shortest``) or
+    ``format(x, ".17g")``. ``_decimal`` gives the digits of a block of numbers
+    and ``fmt`` formats the ones it leaves. Signs go in the separators:
+    ``fmt(-x)`` is ``"-" + fmt(x)`` for every double x but NaN."""
+    div, mul, mask, over, exp, shift = _layouts(shortest)
+    digits = _digit_words()
+    codes = np.zeros((len(seps) + 1, 8), np.uint8)
+    for i, s in enumerate(seps):
+        codes[i, : len(s)] = np.frombuffer(s.encode(), np.uint8)
+    tail = (exp[:, None] | codes.view(np.uint64).T << shift[:, None]).ravel()  # exponent, next separator
+    # At most 32 bytes a number, separator included, in pages of their own:
+    # freed, they go back to the system rather than stay in the heap.
+    out = np.frombuffer(mmap.mmap(-1, 32 * f.size + 4 + len(suffix)), np.uint8)
+    head = seps[kind[0]].encode()
+    out[: len(head)] = np.frombuffer(head, np.uint8)
+    end = len(head)
+    for start in range(0, f.size, _BLOCK):
+        x = np.abs(f[start : start + _BLOCK])
+        with np.errstate(all="ignore"):
+            d, p, E, undecided = _decimal(x, shortest)
+        key = (E - _EMIN) * 18 + p
+        slow = np.flatnonzero(undecided)
+        key[slow] = _SLOW
+        d[slow] = 0
+        m = d + d // div.take(key) * mul.take(key)
+        del d, p, E, undecided  # each block's arrays go before the next are made: a smaller heap stays behind
+        hi8 = m // 100000000
+        lo8 = m - hi8 * 100000000
+        t = hi8 // 10000
+        groups = np.empty((6, x.size), np.int32)  # m's 24 digits, four at a time
+        groups[0] = 0
+        np.floor_divide(t, 10000, out=groups[1])
+        np.subtract(t, groups[1] * 10000, out=groups[2])
+        np.subtract(hi8, t * 10000, out=groups[3])
+        np.floor_divide(lo8, 10000, out=groups[4])
+        np.subtract(lo8, groups[4] * 10000, out=groups[5])
+        del m, hi8, lo8, t
+        rows = np.empty((x.size, 4), np.uint64)  # 24 bytes of number, then exponent and separator
+        rows[:, :3] = digits.take(groups.T).view(np.uint64) & mask.take(key, axis=0) | over.take(key, axis=0)
+        following = kind[start + 1 : start + 1 + x.size]
+        if following.size < x.size:
+            following = np.append(following, len(seps))
+        rows[:, 3] = tail.take(key * (len(seps) + 1) + following)
+        b = rows.view(np.uint8).reshape(-1)
+        b = b[b != 0]
+        if slow.size:
+            pieces = b.tobytes().split(b"\x01")
+            texts = [_exact_text(v, shortest).encode() for v in x[slow].tolist()]
+            b = np.frombuffer(b"".join(chain.from_iterable(zip(pieces, texts))) + pieces[-1], np.uint8)
+        out[end : end + b.size] = b
+        end += b.size
+    out[end : end + len(suffix)] = np.frombuffer(suffix.encode(), np.uint8)
+    return out[: end + len(suffix)]
 
 
 # What the encoder writes for each array; no report string holds a NUL.
@@ -328,9 +565,9 @@ def write_json_atomic(path, payload) -> None:
     pieces = json.dumps(payload, separators=(",", ":"), default=marker).split(json.dumps(_ARRAY_MARKER))
     if len(pieces) != len(arrays) + 1:
         raise ValueError("a report string equals the array marker")
-    texts = [_pairs_text(np.ascontiguousarray(a)) for a in arrays] + ["\n"]
-    write_text_atomic(path, "".join(chain.from_iterable(zip(pieces, texts))))
+    texts = chain((_pairs_text(np.ascontiguousarray(a)) for a in arrays), [b"\n"])
+    _write_atomic(path, chain.from_iterable(zip((p.encode() for p in pieces), texts)))
 
 
 def write_csv_atomic(path, lines) -> None:
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    _write_atomic(path, (f"{line}\n".encode() for line in lines))

@@ -356,7 +356,8 @@ def _spectral_class(tail: np.ndarray, own_slack: np.ndarray, class_rows) -> tupl
         row_of(q, out=row)
         if size:
             row -= np.conj(w[:size, q]) @ w[:size, q + 1 :]
-        row /= d
+        # numpy's complex row / d is both parts times 1 / d, up to the signs of zeros
+        row.view(np.float64)[:] *= 1.0 / d
         schur[q + 1 :] += row.real**2 + row.imag**2
         fits = (own[q + 1 :] - schur[q + 1 :] > _SCHUR_MARGIN).nonzero()[0]
         if not fits.size:

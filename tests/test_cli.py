@@ -1056,3 +1056,49 @@ class TestPlumbing:
             assert "gram" in proc.stdout
             proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
             assert proc.returncode == 2, proc.stderr
+
+
+# Cycle 1273 of the operators_reports benchmark: its 40 Grammian points and
+# the zeros of its projection_phiH2 Blaschke product.
+CYCLE_1273_POINTS = [
+    0.3234765307114735+0.4179195724627608j, -0.4410297445956698-0.5136114320422627j,
+    -0.8282688009008222+0.2774481089368788j, 0.8761190282962777-0.1063837734192937j,
+    0.6936809077399007+0.46754068176560315j, -0.6793846844591537-0.39460362029453167j,
+    -0.44927624041018066-0.5690382505065508j, 0.12657539638180165-0.28414809890120085j,
+    -0.7672771693073628-0.3993116765207709j, -0.6176660697727682-0.26949653320448824j,
+    -0.4896057984531301+0.45207967129539683j, -0.6183962859190427+0.4520228004930599j,
+    0.36576529028418403+0.12505538590456372j, -0.03519092698891928+0.7140907558738355j,
+    0.8614941044869733+0.23662013263078283j, 0.2353885216195381+0.6231085197372734j,
+    0.39356727399968167+0.20525174878232053j, 0.11527687319611726+0.0064632276307176675j,
+    0.5367292524253732+0.5227716901053804j, -0.3427802951106095+0.6395961449291552j,
+    0.4344866118156329+0.4752013422062461j, 0.46990622085922434+0.7646384928201123j,
+    -0.15667218293159926-0.5576157743227531j, -0.40478208790326564-0.5035990857417514j,
+    -0.7330373838412773+0.28028651735250715j, 0.14661517698496487-0.68094247319337j,
+    0.10497050703855274+0.28964828490102706j, -0.2269835160089229-0.33862522967570924j,
+    0.6186923418805349-0.4763814906434352j, -0.8130084903296757+0.09004479343503725j,
+    0.6105542435231333-0.430683887823293j, -0.5600592634512936-0.5017410169232827j,
+    0.4112373404073685+0.40688842229614064j, -0.3560610175988216+0.274099751409392j,
+    -0.3707609942300821-0.23115938120719773j, -0.28655420163897516-0.19288370452566786j,
+    0.43719172597848754+0.24846428694968747j, -0.2927495349594221+0.6767852710875503j,
+    0.19033025313750268-0.20234194569455324j, -0.3718150620840916-0.372717092580352j,
+]
+CYCLE_1273_ZEROS = [
+    [0.09873084910023344, 0.33993759245256827], [0.06830587322685866, 0.1207211950999143],
+    [-0.2741200624492367, -0.6709715375396078], [0.06095317184250215, 0.20864062129565308],
+    [0.1318753441293976, 0.32962566306070373],
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a nearly singular range-space Grammian reads as indefinite: V*PV rounds to lambda_min "
+    "-1.8e-15, and normalizing by 1/s^2 (up to 4e8, one kernel-image norm is 4.9e-5) lifts that "
+    "past the PSD floor; closed-form range-space Grammians (ROADMAP item 1) remove it",
+)
+def test_projection_gram_of_benchmark_cycle_1273_is_positive(tmp_path, capsys):
+    points = write_points(tmp_path, CYCLE_1273_POINTS)
+    spec = write_json(tmp_path / "op.json", {"type": "projection_phiH2", "inner": {"zeros": CYCLE_1273_ZEROS, "m": 0}})
+    code = main(["gram", "--points", points, "--operator", spec, "--N", "512"])
+    err = capsys.readouterr().err
+    assert code == 0, err

@@ -1,7 +1,9 @@
 """Atomic file writes and exact [re, im] serialization of matrices and points."""
 
+import functools
 import json
 import os
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -338,3 +340,111 @@ def test_partition_csv_lines_match_per_point_formatter():
     seq = PointSequence(list(z), tuple(rng.permutation(n).tolist()))
     part = SimpleNamespace(classes=[seq.labels[k::7] for k in range(7)])
     assert io.partition_csv_lines(seq, part) == reference_partition_csv_lines(seq, part)
+
+
+def kernel_texts(values, shortest):
+    """The text ``io._texts`` writes for each of ``values``, its sign included."""
+    f = np.ascontiguousarray(values, dtype=np.float64)
+    text = str(io._texts(f, shortest, np.signbit(f).view(np.uint8), (" ", " -")), "ascii")
+    return text[1:].split(" ")
+
+
+def reference_texts(values, shortest):
+    """The per-number formatters the kernel must reproduce byte for byte."""
+    fmt = float.__repr__ if shortest else (lambda v: format(v, ".17g"))
+    return [fmt(v) for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64, allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+def test_kernel_writes_any_finite_double_as_repr_and_percent_17g(values):
+    for shortest in (True, False):
+        assert kernel_texts(values, shortest) == reference_texts(values, shortest)
+
+
+def at_ulps(values, steps):
+    """The positive doubles ``steps`` units in the last place from ``values``."""
+    return (np.asarray(values, dtype=np.float64).view(np.int64) + steps).view(np.float64)
+
+
+@functools.lru_cache(maxsize=None)
+def number_families(n=100_000):
+    """Seeded families of at least n doubles each, signs mixed."""
+    rng = np.random.default_rng(2024)
+    powers = np.array([float(f"1e{k}") for k in rng.integers(-35, 19, n)])
+    twos = np.ldexp(1.0, rng.integers(-130, 70, n))
+    uniform = 10.0 ** rng.uniform(-35, 18, n)
+    switches = [at_ulps(s, np.arange(-(n // 6) - 1, n // 6 + 1)) for s in (1e-4, 1e16, 1e17)]
+    families = {
+        "uniform-exponent": uniform,
+        "powers-of-ten": powers,
+        **{f"powers-of-ten{u:+d}-ulp": at_ulps(powers, u) for u in (-2, -1, 1, 2)},
+        "powers-of-two": twos,
+        **{f"powers-of-two{u:+d}-ulp": at_ulps(twos, u) for u in (-1, 1)},
+        "short-decimals": np.array([float(f"{v:.{d}e}") for v, d in zip(uniform.tolist(), rng.integers(0, 17, n).tolist())]),
+        "integers-to-2**53": rng.integers(0, 2**53, n).astype(np.float64),
+        "integers-beyond-2**53": rng.integers(2**53, 2**62, n).astype(np.float64),
+        "notation-switches": np.concatenate(switches),
+        "subnormals": rng.integers(1, 2**52, n).view(np.float64),
+        "zeros": np.array([0.0, -0.0] * (n // 2)),
+    }
+    return {name: v * rng.choice([-1.0, 1.0], v.size) for name, v in families.items()}
+
+
+@pytest.mark.parametrize("shortest", [True, False], ids=["repr", "%.17g"])
+@pytest.mark.parametrize("family", list(number_families(10)))
+def test_kernel_matches_the_formatters_on_seeded_families(family, shortest):
+    values = number_families()[family]
+    assert kernel_texts(values, shortest) == reference_texts(values, shortest)
+
+
+def test_exact_formatter_writes_only_what_the_kernel_leaves(monkeypatch):
+    """Entries in [1e-25, 1] lie in the kernel's band: only comparisons within
+    its guard of a threshold reach the exact formatter, and in a seeded
+    256 x 256 matrix there are none."""
+    rng = np.random.default_rng(9)
+    z = (10.0 ** rng.uniform(-25, 0, (256, 256)) * np.exp(2j * np.pi * rng.uniform(size=(256, 256)))).ravel()
+    undecided, exact = [], []
+    real_decimal, real_exact = io._decimal, io._exact_text
+
+    def counting_decimal(x, shortest):
+        parts = real_decimal(x, shortest)
+        undecided.append(int(parts[3].sum()))
+        return parts
+
+    def counting_exact(x, shortest):
+        exact.append(x)
+        return real_exact(x, shortest)
+
+    monkeypatch.setattr(io, "_decimal", counting_decimal)
+    monkeypatch.setattr(io, "_exact_text", counting_exact)
+    assert bytes(io._pairs_text(z)) == json.dumps(io.to_pairs(z), separators=(",", ":")).encode()
+    assert len(undecided) == -(-2 * z.size // io._BLOCK)  # one kernel call a block
+    assert len(exact) == sum(undecided) == 0
+
+
+def test_exact_formatter_writes_the_magnitudes_out_of_the_band(monkeypatch):
+    exact = []
+    real_exact = io._exact_text
+    monkeypatch.setattr(io, "_exact_text", lambda x, shortest: exact.append(x) or real_exact(x, shortest))
+    values = [1e-30, 0.5, 5e-324, 1e17, 0.0, 1.5e-29, 9.999999999999998e16]
+    assert kernel_texts(values, True) == reference_texts(values, True)
+    assert exact == [1e-30, 5e-324, 1e17]
+
+
+def test_writing_an_operator_report_keeps_block_sized_temporaries(tmp_path):
+    """The writer's traced peak stays under 0.75 of the report's size (0.51
+    here): numbers are formatted in blocks of ``_BLOCK``, and the text itself
+    is built in an anonymous map, which tracemalloc does not trace."""
+    rng = np.random.default_rng(9)
+    a = 10.0 ** rng.uniform(-34, 0.5, (256, 256)) * np.exp(2j * np.pi * rng.uniform(size=(256, 256)))
+    op = SimpleNamespace(matrix=(a + a.conj().T) / 2, id="st", kind="st", contraction=False)
+    target = tmp_path / "op.json"
+    io.write_json_atomic(target, io.operator_to_json(op))  # the layout tables are built once
+    tracemalloc.start()
+    try:
+        io.write_json_atomic(target, io.operator_to_json(op))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * target.stat().st_size

@@ -22,7 +22,6 @@ from .hermitian import EigenExtremes, HermitianMatrix, eig_extremes, psd_sqrt
 from .kernels import (
     Grammian,
     Provenance,
-    TruncationContext,
     image_gram,
     kernel_matrix,
     normalized_gram,

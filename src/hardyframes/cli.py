@@ -6,9 +6,9 @@ separation partition with certificates), ``construct-st`` (realize a
 prescribed PSD Grammian as a positive operator), and ``verify`` (the
 randomized identity suite).
 
-Exit codes: 0 success, 2 unusable input, 3 numerical or domain failure,
-4 a produced certificate missed its target, 5 verification found
-violations.
+Exit codes: 0 success, 2 unusable input (a size too large for memory
+included), 3 numerical or domain failure, 4 a produced certificate missed
+its target, 5 verification found violations.
 
 Each option's type, default and choices are declared once, in its
 ``add_argument`` call. ``main`` builds that parser once per process and
@@ -33,7 +33,7 @@ from . import io
 from .errors import ConfigInvalidError, HardyFramesError, IndexOutOfRangeError, NegativeWeightError
 from .frames import DEFAULT_RIESZ_TOL, analyze
 from .hermitian import HermitianMatrix
-from .kernels import DEFAULT_ORDER, TruncationContext, check_buffer, range_space_gram, szego_gram
+from .kernels import DEFAULT_ORDER, check_buffer, range_space_gram, szego_gram
 from .operators import ST_NORM_FLOOR_SLACK, ST_ROUNDTRIP_GATE, from_spec, min_diagonal, st_construct, st_roundtrip_defect
 from .partition import modulus_order, partition_carleson, partition_spectral
 from .verify import SuiteConfig, run_suite, suite_passed
@@ -62,7 +62,7 @@ def cmd_gram(args) -> int:
         if args.N is not None:
             spec["N"] = args.N
         op = from_spec(spec)
-        gram = range_space_gram(op, seq, TruncationContext(op.dim))
+        gram = range_space_gram(op, seq)
 
     bounds = analyze(gram, riesz_tol=args.riesz_tol)
     if args.out:
@@ -109,11 +109,10 @@ def cmd_construct_st(args) -> int:
         raise ValueError("construct-st requires --points and --Q")
     seq = io.load_points(args.points)
     q = HermitianMatrix(io.matrix_from_json(io.load_json(args.Q)))
-    ctx = TruncationContext(args.N)
     delta = min_diagonal(q) if args.delta_target is None else args.delta_target
 
-    op = st_construct(q, seq, ctx, delta)
-    defect, min_norm_sq = st_roundtrip_defect(op, q, seq, ctx)
+    op = st_construct(q, seq, args.N, delta)
+    defect, min_norm_sq = st_roundtrip_defect(op, q, seq)
 
     if args.out:
         extra = {"roundtrip_defect": defect, "min_norm_sq": min_norm_sq, "delta": delta}
@@ -254,6 +253,9 @@ def main(argv=None) -> int:
         return 2 if isinstance(exc, _INPUT_ERRORS) else 3
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         _err(exc)
+        return 2
+    except MemoryError as exc:
+        _err(f"the requested size does not fit in memory: {exc}")
         return 2
 
 

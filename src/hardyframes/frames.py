@@ -51,7 +51,11 @@ class BoundsReport:
 def analyze(g, riesz_tol: float = DEFAULT_RIESZ_TOL, rank_tol: float = DEFAULT_RANK_TOL) -> BoundsReport:
     """Classify a Grammian: Bessel / bounded-below / frame / Riesz bounds.
 
-    This is the one PSD check a Grammian gets (``NotPSDError``)."""
+    This is the one PSD check a Grammian gets (``NotPSDError``). ``riesz_tol``
+    must be positive: since riesz_c >= 0, any other value calls every
+    sequence Riesz."""
+    if not riesz_tol > 0.0:
+        raise ValueError(f"riesz_tol must be positive, got {riesz_tol}")
     h = as_hermitian(g.matrix if isinstance(g, Grammian) else g)
     ext = eig_extremes(h, rank_tol)
     require_psd(ext.lambda_min, ext.lambda_max, "Grammian")

@@ -265,11 +265,6 @@ def suite_report_to_json(cfg, results) -> dict:
     }
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Replace ``path`` with ``text``, UTF-8 encoded, in one rename."""
-    _write_atomic(path, [text.encode("utf-8")])
-
-
 def _write_atomic(path, chunks) -> None:
     """Replace ``path`` with the bytes-like ``chunks``, written in turn, in one rename.
 

@@ -14,12 +14,14 @@ P^(1/2) k_z / ||P^(1/2) k_z||.
 Every producer hands its finished matrix to ``_grammian``, which wraps it
 once as a ``HermitianMatrix`` and records its ``Provenance``, with the tail
 bound of the truncated route (``range_space_gram``, ``image_gram``,
-``normalized_gram``).
+``normalized_gram``). The truncation order N is a plain int:
+``kernel_matrix`` and ``normalized_gram`` take it, and the two operator
+routes read it off the operator, ``op.dim``.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,30 +44,11 @@ def check_buffer(value) -> None:
         raise ValueError("buffer must be nonnegative")
 
 
-@dataclass(frozen=True)
-class TruncationContext:
-    """Order-N monomial truncation.
-
-    Operators act on the first ``order`` Taylor coefficients. Projections
-    are built from the truncated model-space basis, which needs no working
-    space past the window. A second argument ``buffer`` is accepted for
-    older callers, checked by ``check_buffer`` and not stored.
-    """
-
-    order: int = DEFAULT_ORDER
-    buffer: InitVar[int | None] = None
-
-    def __post_init__(self, buffer):
-        if self.order < 1:
-            raise ValueError("truncation order must be at least 1")
-        if buffer is not None:
-            check_buffer(buffer)
-
-    def tail_bound(self, radius: float) -> float:
-        """Crude tail estimate |z|^N / (1 - |z|^2) for a point of given modulus."""
-        if not 0.0 <= radius < 1.0:
-            raise ValueError("radius must lie in [0, 1)")
-        return float(radius**self.order / (1.0 - radius * radius))
+def _tail_bound(order: int, radius: float) -> float:
+    """Crude tail estimate |z|^N / (1 - |z|^2) at truncation order N for a point of given modulus."""
+    if not 0.0 <= radius < 1.0:
+        raise ValueError("radius must lie in [0, 1)")
+    return float(radius**order / (1.0 - radius * radius))
 
 
 @dataclass(frozen=True)
@@ -112,10 +95,12 @@ class Grammian:
         return self.provenance.labels
 
 
-def kernel_matrix(seq: PointSequence, ctx: TruncationContext, normalize: bool = False) -> np.ndarray:
-    """Truncated kernel vectors of a sequence, stacked as columns."""
+def kernel_matrix(seq: PointSequence, order: int, normalize: bool = False) -> np.ndarray:
+    """Kernel vectors of a sequence truncated at ``order``, stacked as columns."""
+    if order < 1:
+        raise ValueError("truncation order must be at least 1")
     z = seq.values()
-    v = np.vander(np.conj(z), ctx.order, increasing=True).T.astype(np.complex128)
+    v = np.vander(np.conj(z), order, increasing=True).T.astype(np.complex128)
     if normalize:
         v = v / np.linalg.norm(v, axis=0, keepdims=True)
     return v
@@ -140,11 +125,11 @@ def _szego_entries(z_rows, z_cols, one_minus_rows, one_minus_cols, *, out=None) 
     return np.divide(num, g, out=g)
 
 
-def _grammian(matrix, seq: PointSequence, ctx=None, op=None, space="H2", normalized=True) -> Grammian:
+def _grammian(matrix, seq: PointSequence, order=None, op=None, space="H2", normalized=True) -> Grammian:
     """``matrix`` (kept if a ``HermitianMatrix``, else symmetrized once) with the
-    provenance of ``seq`` and ``op``, and, given ``ctx``, the tail bound at
-    the sequence's largest modulus."""
-    tail = 0.0 if ctx is None else ctx.tail_bound(seq.max_modulus())
+    provenance of ``seq`` and ``op``, and, given a truncation ``order``, the
+    tail bound at the sequence's largest modulus."""
+    tail = 0.0 if order is None else _tail_bound(order, seq.max_modulus())
     prov = Provenance(space, getattr(op, "id", None), seq.points, seq.labels, truncation_error=tail)
     return Grammian(as_hermitian(matrix), prov, normalized=normalized)
 
@@ -163,9 +148,10 @@ def szego_gram(seq: PointSequence) -> Grammian:
     return _grammian(g, seq)
 
 
-def range_space_gram(op, seq: PointSequence, ctx: TruncationContext) -> Grammian:
+def range_space_gram(op, seq: PointSequence) -> Grammian:
     """Grammian of normalized kernels of the range space of a positive operator.
 
+    The kernels are truncated at the operator's own order ``op.dim``.
     The range-space kernel at w is P k_w with squared norm <P k_w, k_w>, so
     the normalized Grammian is diag(s)^-1 (V* P V) diag(s)^-1 with
     s_i = sqrt((V* P V)_ii). ``HermitianMatrix`` symmetrizes V* P V once;
@@ -173,32 +159,32 @@ def range_space_gram(op, seq: PointSequence, ctx: TruncationContext) -> Grammian
     by outer(s, s), which keeps it exactly Hermitian. A kernel image with
     norm at or below ``DEGENERATE_NORM_TOL`` raises ``DegenerateKernelError``.
     """
-    v = kernel_matrix(seq, ctx)
+    v = kernel_matrix(seq, op.dim)
     h = HermitianMatrix(v.conj().T @ op.apply(v))
     norms = np.sqrt(np.clip(np.real(np.diagonal(h.matrix)), 0.0, None))
     if (small := np.flatnonzero(norms <= DEGENERATE_NORM_TOL)).size:
         raise DegenerateKernelError(int(small[0]), float(norms[small[0]]))
     h.matrix /= np.outer(norms, norms)
     np.fill_diagonal(h.matrix, 1.0)
-    return _grammian(h, seq, ctx, op, space="H(P)")
+    return _grammian(h, seq, op.dim, op, space="H(P)")
 
 
-def image_gram(op, seq: PointSequence, ctx: TruncationContext) -> Grammian:
+def image_gram(op, seq: PointSequence) -> Grammian:
     """Grammian of the images P k~_z of the normalized kernels under an operator.
 
     Unlike ``range_space_gram`` the images are not renormalized, so the
     diagonal carries ||P k~_z||^2. This is the matrix that sits inside the
     monotone comparison chains.
     """
-    w = op.apply(kernel_matrix(seq, ctx, normalize=True))
-    return _grammian(w.conj().T @ w, seq, ctx, op, normalized=False)
+    w = op.apply(kernel_matrix(seq, op.dim, normalize=True))
+    return _grammian(w.conj().T @ w, seq, op.dim, op, normalized=False)
 
 
-def normalized_gram(seq: PointSequence, ctx: TruncationContext) -> Grammian:
+def normalized_gram(seq: PointSequence, order: int) -> Grammian:
     """Truncated-route Grammian V* V of the normalized kernel vectors.
 
     Agrees with ``szego_gram`` up to the truncation tail; kept separate so
     the two routes can be compared.
     """
-    v = kernel_matrix(seq, ctx, normalize=True)
-    return _grammian(v.conj().T @ v, seq, ctx)
+    v = kernel_matrix(seq, order, normalize=True)
+    return _grammian(v.conj().T @ v, seq, order)

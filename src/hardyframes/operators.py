@@ -38,7 +38,7 @@ from .errors import (
 from .geometry import PointSequence
 from .hermitian import HermitianMatrix, as_hermitian, require_psd
 from .io import from_pairs, json_int, json_number, matrix_from_json
-from .kernels import DEFAULT_ORDER, TruncationContext, check_buffer, kernel_matrix
+from .kernels import DEFAULT_ORDER, check_buffer, kernel_matrix
 
 ORTHONORMALITY_GATE = 1e-6
 GRAM_CONDITION_FLOOR = 1e-8
@@ -220,7 +220,7 @@ def _over_linear(s: np.ndarray, c: complex) -> np.ndarray:
     return h
 
 
-def _model_space_basis(phi: InnerFunction, ctx: TruncationContext) -> tuple[np.ndarray, np.ndarray]:
+def _model_space_basis(phi: InnerFunction, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal U and small Hermitian C with U C U* = E E*, where the
     columns of E are the truncated Takenaka-Malmquist-Walsh basis of the
     model space K_phi = (phi H^2)^perp (Nikolski, Treatise on the Shift
@@ -233,10 +233,9 @@ def _model_space_basis(phi: InnerFunction, ctx: TruncationContext) -> tuple[np.n
     phi H^2 is then exactly I_N - E E*. Columns that lie wholly past the
     window are exactly zero and are left out. If truncation cost the
     columns norm, so that max |E*E - I| exceeds ``ORTHONORMALITY_GATE``,
-    ``TruncationTooCoarseError`` is raised: only a larger ``ctx.order``
-    helps, since the basis is built inside the window alone.
+    ``TruncationTooCoarseError`` is raised: only a larger ``order`` helps,
+    since the basis is built inside the window alone.
     """
-    order = ctx.order
     heads = min(phi.monomial_power, order)
     zeros = phi.zeros if phi.monomial_power < order else ()
     e = np.zeros((order, heads + len(zeros)), dtype=np.complex128)
@@ -259,17 +258,17 @@ def _model_space_basis(phi: InnerFunction, ctx: TruncationContext) -> tuple[np.n
     return u, r @ r.conj().T
 
 
-def projection_phi_H2(phi: InnerFunction, ctx: TruncationContext) -> PositiveOperator:
+def projection_phi_H2(phi: InnerFunction, order: int) -> PositiveOperator:
     """Orthogonal projection onto phi H^2, compressed to the truncation window."""
-    u, c = _model_space_basis(phi, ctx)
+    u, c = _model_space_basis(phi, order)
     return PositiveOperator(
         -c, f"projection_phiH2({_phi_id(phi)})", "projection_phiH2", basis=u, shift=1.0
     )
 
 
-def projection_model_space(phi: InnerFunction, ctx: TruncationContext) -> PositiveOperator:
+def projection_model_space(phi: InnerFunction, order: int) -> PositiveOperator:
     """Projection onto the model space (phi H^2)^perp; rank equals deg(phi)."""
-    u, c = _model_space_basis(phi, ctx)
+    u, c = _model_space_basis(phi, order)
     return PositiveOperator(c, f"projection_model({_phi_id(phi)})", "projection_model", basis=u)
 
 
@@ -286,7 +285,7 @@ def projection_monomial_span(excluded, order: int) -> PositiveOperator:
     return PositiveOperator(d, f"projection_monomial(excluded={seen})", "projection_monomial")
 
 
-def projection_c_plus_phi(phi: InnerFunction, ctx: TruncationContext) -> PositiveOperator:
+def projection_c_plus_phi(phi: InnerFunction, order: int) -> PositiveOperator:
     """Projection onto constants + phi H^2.
 
     The constant direction is orthogonalized against phi H^2 and added as a
@@ -294,7 +293,7 @@ def projection_c_plus_phi(phi: InnerFunction, ctx: TruncationContext) -> Positiv
     sqrt(1 - |phi(0)|^2) > 0 and lies in the model-space basis, so the
     operator stays I + U C U*.
     """
-    u, c = _model_space_basis(phi, ctx)
+    u, c = _model_space_basis(phi, order)
     w = c @ np.conj(u[0])
     nw = np.linalg.norm(w)
     core = -c
@@ -317,7 +316,7 @@ def min_diagonal(q) -> float:
     return float(np.real(np.diagonal(getattr(q, "matrix", q))).min())
 
 
-def st_construct(q, seq: PointSequence, ctx: TruncationContext, delta: float) -> PositiveOperator:
+def st_construct(q, seq: PointSequence, order: int, delta: float) -> PositiveOperator:
     """Build a positive operator whose projected-kernel Grammian equals a
     prescribed PSD matrix.
 
@@ -334,6 +333,7 @@ def st_construct(q, seq: PointSequence, ctx: TruncationContext, delta: float) ->
     gives P as the diagonal sigma in the basis U X, with roundoff
     eps * ||M|| where an eigensolve of M M* would leave eps * ||M||^2.
     """
+    v = kernel_matrix(seq, order, normalize=True)  # first: it rejects an order below 1
     q = as_hermitian(q)
     m = q.dim
     if m != len(seq):
@@ -346,7 +346,7 @@ def st_construct(q, seq: PointSequence, ctx: TruncationContext, delta: float) ->
     if diag_min < delta - 1e-12:
         raise ValueError(f"diagonal minimum {diag_min:.6f} below delta {delta}")
 
-    u, s = np.linalg.qr(kernel_matrix(seq, ctx, normalize=True))
+    u, s = np.linalg.qr(v)
     gram_min = float(np.linalg.svd(s, compute_uv=False)[-1]) ** 2
     if gram_min < GRAM_CONDITION_FLOOR:
         raise IllConditionedGramError(
@@ -363,11 +363,12 @@ ST_ROUNDTRIP_GATE = 1e-6
 ST_NORM_FLOOR_SLACK = 1e-8
 
 
-def st_roundtrip_defect(op: PositiveOperator, q, seq: PointSequence, ctx: TruncationContext) -> tuple[float, float]:
+def st_roundtrip_defect(op: PositiveOperator, q, seq: PointSequence) -> tuple[float, float]:
     """Maximum entry deviation of the realized Grammian from Q, plus the
-    smallest realized squared norm min_i ||P k~_i||^2."""
+    smallest realized squared norm min_i ||P k~_i||^2, with the kernels
+    truncated at the operator's order."""
     qm = as_hermitian(q).matrix
-    w = op.apply(kernel_matrix(seq, ctx, normalize=True))
+    w = op.apply(kernel_matrix(seq, op.dim, normalize=True))
     realized = w.conj().T @ w
     defect = float(np.abs(realized - qm).max())
     min_norm_sq = float(np.real(np.diagonal(realized)).min())
@@ -383,26 +384,26 @@ def _inner_from_spec(d) -> InnerFunction:
     return InnerFunction(zeros, uc, json_int(d.get("m", 0), "inner.m"))
 
 
-def _st_from_spec(spec: dict, ctx: TruncationContext) -> PositiveOperator:
+def _st_from_spec(spec: dict, order: int) -> PositiveOperator:
     qm = matrix_from_json(spec["Q"])
     pts = PointSequence(from_pairs(spec["points"]))
     delta = json_number(spec["delta"], "delta") if "delta" in spec else min_diagonal(qm)
-    return st_construct(qm, pts, ctx, delta)
+    return st_construct(qm, pts, order, delta)
 
 
 # Spec ``type`` -> factory. Factories are looked up when called, so wrappers
 # installed on this module see every call.
 _SPEC_FACTORIES = {
-    "identity": lambda spec, ctx: identity(ctx.order),
-    "diagonal": lambda spec, ctx: diagonal_operator([json_number(w, "weights") for w in spec["weights"]]),
-    "projection_phiH2": lambda spec, ctx: projection_phi_H2(_inner_from_spec(spec["inner"]), ctx),
-    "projection_model": lambda spec, ctx: projection_model_space(_inner_from_spec(spec["inner"]), ctx),
-    "projection_monomial": lambda spec, ctx: projection_monomial_span(
-        [json_int(j, "excluded") for j in spec["excluded"]], ctx.order
+    "identity": lambda spec, order: identity(order),
+    "diagonal": lambda spec, order: diagonal_operator([json_number(w, "weights") for w in spec["weights"]]),
+    "projection_phiH2": lambda spec, order: projection_phi_H2(_inner_from_spec(spec["inner"]), order),
+    "projection_model": lambda spec, order: projection_model_space(_inner_from_spec(spec["inner"]), order),
+    "projection_monomial": lambda spec, order: projection_monomial_span(
+        [json_int(j, "excluded") for j in spec["excluded"]], order
     ),
-    "projection_c_plus_phi": lambda spec, ctx: projection_c_plus_phi(_inner_from_spec(spec["inner"]), ctx),
+    "projection_c_plus_phi": lambda spec, order: projection_c_plus_phi(_inner_from_spec(spec["inner"]), order),
     "st_constructed": _st_from_spec,
-    "custom": lambda spec, ctx: PositiveOperator(matrix_from_json(spec["matrix"]), "custom", "custom"),
+    "custom": lambda spec, order: PositiveOperator(matrix_from_json(spec["matrix"]), "custom", "custom"),
 }
 OPERATOR_KINDS = frozenset(_SPEC_FACTORIES)
 _LEGACY_SPEC_TYPES = {"c_plus_phi": "projection_c_plus_phi", "st": "st_constructed"}
@@ -412,10 +413,11 @@ def from_spec(spec: dict) -> PositiveOperator:
     """Build an operator from its JSON description.
 
     The ``type`` field is one of ``OPERATOR_KINDS`` or a legacy spelling in
-    ``_LEGACY_SPEC_TYPES``, and the JSON integer ``N`` fixes the truncation
-    order; for ``diagonal`` and ``custom`` operators, whose weights or matrix
-    fix it, an explicit ``N`` must agree (else ``ValueError``). A ``buffer``
-    field is accepted and ignored (``check_buffer``).
+    ``_LEGACY_SPEC_TYPES``, and the JSON integer ``N``, at least 1, fixes
+    the truncation order; for ``diagonal`` and ``custom`` operators, whose
+    weights or matrix fix it, an explicit ``N`` must agree (else
+    ``ValueError``). A ``buffer`` field is accepted and ignored
+    (``check_buffer``).
     """
     if "type" not in spec:
         raise ValueError("operator spec needs a 'type' field")
@@ -424,7 +426,9 @@ def from_spec(spec: dict) -> PositiveOperator:
         raise ValueError(f"unknown operator type {spec['type']!r}")
     order = json_int(spec.get("N", DEFAULT_ORDER), "N")
     check_buffer(json_int(spec.get("buffer", 0), "buffer"))
-    op = _SPEC_FACTORIES[kind](spec, TruncationContext(order))
+    if order < 1:
+        raise ValueError("truncation order must be at least 1")
+    op = _SPEC_FACTORIES[kind](spec, order)
     if "N" in spec and op.dim != order:
         raise ValueError(f"operator spec sets N={order} but its {kind} operator has order {op.dim}")
     return op

@@ -19,8 +19,9 @@ against an independently computed prediction:
 - ``weighted_hardy``: range-space Grammians of diagonal weight operators
   with geometric weights match the closed-form weighted kernel.
 
-Each check is one trial function, and ``_run_trials`` is the one loop that
-runs them: it seeds every trial by (seed, check, trial), keeps the worst
+Each check is one trial function of (cfg, rng, trial), which reads the
+truncation order from ``cfg.order``, and ``_run_trials`` is the one loop
+that runs them: it seeds every trial by (seed, check, trial), keeps the worst
 defect and the failure count, and serializes the worst failed trial as the
 witness. ``CHECK_IDS`` is the order of the trial table, which also fixes
 each check's seed index, so a new check is appended there. Reports for a
@@ -42,7 +43,7 @@ from .errors import ConfigInvalidError
 from .geometry import PointSequence, carleson_constants
 from .hermitian import HermitianMatrix
 from .io import to_pairs
-from .kernels import DEFAULT_ORDER, TruncationContext, kernel_matrix, range_space_gram, image_gram, szego_gram
+from .kernels import DEFAULT_ORDER, kernel_matrix, range_space_gram, image_gram, szego_gram
 from .operators import (
     ST_NORM_FLOOR_SLACK,
     ST_ROUNDTRIP_GATE,
@@ -88,6 +89,8 @@ class SuiteConfig:
     tolerances: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigInvalidError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise ConfigInvalidError(f"trials must be >= 1, got {self.trials}")
         if self.order < MIN_SUITE_ORDER:
@@ -220,13 +223,13 @@ def _random_blaschke(rng, max_zeros: int = 5, max_radius: float = 0.8, allow_pow
 # tolerance, and the witness fields that reproduce it.
 
 
-def _toeplitz_covariance_trial(cfg: SuiteConfig, rng, trial: int, ctx: TruncationContext):
+def _toeplitz_covariance_trial(cfg: SuiteConfig, rng, trial: int):
     """Projected-kernel Grammian vs. symbol-value congruence of the closed form."""
     pts, fam = _family_points(cfg, rng, trial, int(rng.integers(2, 9)))
     seq = PointSequence(tuple(pts))
     phi = _random_blaschke(rng)
-    proj = projection_phi_H2(phi, ctx)
-    lhs = image_gram(proj, seq, ctx).matrix.matrix
+    proj = projection_phi_H2(phi, cfg.order)
+    lhs = image_gram(proj, seq).matrix.matrix
     values = np.array([evaluate_inner(phi, z) for z in seq.points])
     rhs = szego_gram(seq).matrix.matrix * np.outer(values, np.conj(values))
     defect = float(np.abs(lhs - rhs).max())
@@ -245,24 +248,24 @@ def _span_complement(columns: np.ndarray) -> PositiveOperator:
     return PositiveOperator(-np.ones(q.shape[1]), "span_complement", "custom", basis=q, shift=1.0)
 
 
-def _loewner_instance(rng, trial: int, ctx: TruncationContext):
+def _loewner_instance(rng, trial: int, order: int):
     """One of three projection constructions containing a multiplication range."""
     kind = trial % 3
     if kind == 0:
         count = int(rng.integers(1, 4))
         excluded = sorted(int(j) for j in rng.choice(6, size=count, replace=False))
-        op = projection_monomial_span(excluded, ctx.order)
+        op = projection_monomial_span(excluded, order)
         phi = InnerFunction((), 1.0, max(excluded) + 1)
         return op, phi, "monomial_span"
     if kind == 1:
         phi = _random_blaschke(rng, max_zeros=3, max_radius=0.7, allow_power=False)
-        op = projection_c_plus_phi(phi, ctx)
+        op = projection_c_plus_phi(phi, order)
         return op, phi, "constants_plus_range"
     inner_count = int(rng.integers(1, 3))
     factors = [_random_blaschke(rng, max_zeros=2, max_radius=0.7, allow_power=False)
                for _ in range(inner_count)]
     cols = np.stack(
-        [taylor_coefficients(f, ctx.order) for f in factors], axis=1
+        [taylor_coefficients(f, order) for f in factors], axis=1
     )
     op = _span_complement(cols)
     zeros = tuple(a for f in factors for a in f.zeros)
@@ -270,16 +273,16 @@ def _loewner_instance(rng, trial: int, ctx: TruncationContext):
     return op, phi, "inner_span_complement"
 
 
-def _loewner_chain_trial(cfg: SuiteConfig, rng, trial: int, ctx: TruncationContext):
+def _loewner_chain_trial(cfg: SuiteConfig, rng, trial: int):
     """G_phi <= G_P <= G for projections whose range contains phi H^2."""
-    op, phi, tag = _loewner_instance(rng, trial, ctx)
+    op, phi, tag = _loewner_instance(rng, trial, cfg.order)
     count = int(rng.integers(2, 7))
     moduli = rng.uniform(0.5, 0.9, size=count)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
     seq = PointSequence(tuple(moduli * np.exp(1j * angles)))
 
-    g_phi = image_gram(projection_phi_H2(phi, ctx), seq, ctx).matrix.matrix
-    g_p = image_gram(op, seq, ctx).matrix.matrix
+    g_phi = image_gram(projection_phi_H2(phi, cfg.order), seq).matrix.matrix
+    g_p = image_gram(op, seq).matrix.matrix
     g_full = szego_gram(seq).matrix.matrix
 
     lower = -float(np.linalg.eigvalsh(g_p - g_phi)[0])
@@ -302,7 +305,7 @@ def _loewner_chain_trial(cfg: SuiteConfig, rng, trial: int, ctx: TruncationConte
     return max(lower, upper, sandwich), failed, fields
 
 
-def _st_roundtrip_trial(cfg: SuiteConfig, rng, trial: int, ctx: TruncationContext):
+def _st_roundtrip_trial(cfg: SuiteConfig, rng, trial: int):
     """Prescribed PSD Grammians are realized by the inverse construction."""
     delta = 0.2
     count = int(rng.integers(2, 13))
@@ -313,8 +316,8 @@ def _st_roundtrip_trial(cfg: SuiteConfig, rng, trial: int, ctx: TruncationContex
     top = float(np.real(np.diagonal(base)).max())
     q = 0.8 * base / top + delta * np.eye(count)
 
-    op = st_construct(q, seq, ctx, delta)
-    defect, min_norm_sq = st_roundtrip_defect(op, q, seq, ctx)
+    op = st_construct(q, seq, cfg.order, delta)
+    defect, min_norm_sq = st_roundtrip_defect(op, q, seq)
     floor_violation = (delta - cfg.tol("st_norm_floor")) - min_norm_sq
     failed = defect > cfg.tol("st_roundtrip") or floor_violation > 0.0
     fields = {
@@ -378,7 +381,7 @@ def _sandwich(alpha, beta, weights, basis, core, vectors, v) -> _Sandwich:
     return _Sandwich(spectrum, quad / scale, gram, pp_forms, g_p)
 
 
-def _diag_sandwich_trial(cfg: SuiteConfig, rng, trial: int, ctx: TruncationContext):
+def _diag_sandwich_trial(cfg: SuiteConfig, rng, trial: int):
     """alpha D <= P <= beta D squeezes quadratic forms and kernel Grammians."""
     n = cfg.order
     alpha = float(rng.uniform(0.2, 0.8))
@@ -398,7 +401,7 @@ def _diag_sandwich_trial(cfg: SuiteConfig, rng, trial: int, ctx: TruncationConte
     count = int(rng.integers(2, 7))
     pts, fam = _family_points(cfg, rng, trial, count)
     seq = PointSequence(tuple(pts))
-    v = kernel_matrix(seq, ctx, normalize=True)
+    v = kernel_matrix(seq, n, normalize=True)
     out = _sandwich(alpha, beta, weights, basis, spectrum - alpha, vectors, v)
 
     defect = max(out.spectrum_violation, out.quad_violation, out.gram_violation)
@@ -413,7 +416,7 @@ def _diag_sandwich_trial(cfg: SuiteConfig, rng, trial: int, ctx: TruncationConte
     return defect, defect > cfg.tol("diag_sandwich"), fields
 
 
-def _weighted_hardy_trial(cfg: SuiteConfig, rng, trial: int, ctx: TruncationContext):
+def _weighted_hardy_trial(cfg: SuiteConfig, rng, trial: int):
     """Geometric diagonal weights reproduce the closed-form weighted kernel."""
     s = 0.0 if trial % 10 == 9 else float(rng.uniform(0.05, 0.9))
     count = int(rng.integers(2, 7))
@@ -422,7 +425,7 @@ def _weighted_hardy_trial(cfg: SuiteConfig, rng, trial: int, ctx: TruncationCont
 
     weights = s ** np.arange(cfg.order, dtype=np.float64)
     op = diagonal_operator(weights)
-    lhs = range_space_gram(op, seq, ctx).matrix.matrix
+    lhs = range_space_gram(op, seq).matrix.matrix
 
     z = seq.values()
     closed = 1.0 / (1.0 - s * z[:, None] * np.conj(z)[None, :])
@@ -440,12 +443,11 @@ def _run_trials(cfg: SuiteConfig, check_id: str, trial_fn) -> CheckResult:
     failed trials; the failed trial with the largest defect (the first one
     on ties) becomes the witness {"trial": t, **fields, "defect": d}.
     """
-    ctx = TruncationContext(cfg.order)
     worst = -np.inf
     failures = 0
     witness = None
     for trial in range(cfg.trials):
-        defect, failed, fields = trial_fn(cfg, _rng(cfg, check_id, trial), trial, ctx)
+        defect, failed, fields = trial_fn(cfg, _rng(cfg, check_id, trial), trial)
         worst = max(worst, defect)
         if failed:
             failures += 1

@@ -15,7 +15,6 @@ from hardyframes import (
     PointSequence,
     PositiveOperator,
     HermitianMatrix,
-    TruncationContext,
     analyze,
     congruence_diag,
     diagonal_operator,
@@ -88,12 +87,12 @@ def test_criterion_1_closed_form_vs_series_oracle():
 
 def test_criterion_2_projected_kernel_covariance():
     rng = np.random.default_rng(2007)
-    ctx = TruncationContext(256, 64)
+    order = 256
     worst = 0.0
     for _ in range(100):
         seq = PointSequence(_distinct_points(rng, int(rng.integers(2, 7))))
         phi = _random_blaschke(rng)
-        lhs = image_gram(projection_phi_H2(phi, ctx), seq, ctx).matrix.matrix
+        lhs = image_gram(projection_phi_H2(phi, order), seq).matrix.matrix
         values = np.array([evaluate_inner(phi, z) for z in seq.points])
         rhs = szego_gram(seq).matrix.matrix * np.outer(values, np.conj(values))
         worst = max(worst, float(np.abs(lhs - rhs).max()))
@@ -102,28 +101,28 @@ def test_criterion_2_projected_kernel_covariance():
 
 def test_criterion_3_loewner_chain_and_norm_sandwich():
     rng = np.random.default_rng(3007)
-    ctx = TruncationContext(256, 64)
+    order = 256
     worst_chain, worst_norm = -np.inf, -np.inf
     for trial in range(50):
         kind = trial % 3
         if kind == 0:
             excluded = sorted(int(j) for j in rng.choice(6, size=int(rng.integers(1, 4)), replace=False))
-            op = projection_monomial_span(excluded, ctx.order)
+            op = projection_monomial_span(excluded, order)
             phi = InnerFunction((), 1.0, max(excluded) + 1)
         elif kind == 1:
             phi = _random_blaschke(rng, max_zeros=3, max_radius=0.7)
-            op = projection_c_plus_phi(phi, ctx)
+            op = projection_c_plus_phi(phi, order)
         else:
             inner = _random_blaschke(rng, max_zeros=2, max_radius=0.7)
-            cols = taylor_coefficients(inner, ctx.order).reshape(-1, 1)
+            cols = taylor_coefficients(inner, order).reshape(-1, 1)
             q, _ = np.linalg.qr(cols)
-            comp = np.eye(ctx.order, dtype=np.complex128) - q @ q.conj().T
+            comp = np.eye(order, dtype=np.complex128) - q @ q.conj().T
             op = PositiveOperator(HermitianMatrix(comp), "span_complement", "custom")
             phi = InnerFunction(inner.zeros, 1.0, 1)
         seq = PointSequence(_distinct_points(rng, int(rng.integers(2, 7))))
 
-        g_phi = image_gram(projection_phi_H2(phi, ctx), seq, ctx).matrix.matrix
-        g_p = image_gram(op, seq, ctx).matrix.matrix
+        g_phi = image_gram(projection_phi_H2(phi, order), seq).matrix.matrix
+        g_p = image_gram(op, seq).matrix.matrix
         g_full = szego_gram(seq).matrix.matrix
         worst_chain = max(
             worst_chain,
@@ -142,7 +141,7 @@ def test_criterion_3_loewner_chain_and_norm_sandwich():
 
 def test_criterion_4_grammian_realization_roundtrip():
     rng = np.random.default_rng(4007)
-    ctx = TruncationContext(256, 64)
+    order = 256
     worst_defect, worst_floor = 0.0, np.inf
     for _ in range(50):
         count = int(rng.integers(2, 13))
@@ -150,8 +149,8 @@ def test_criterion_4_grammian_realization_roundtrip():
         raw = rng.normal(size=(count, count)) + 1j * rng.normal(size=(count, count))
         base = raw @ raw.conj().T / count
         q = 0.8 * base / float(np.real(np.diagonal(base)).max()) + 0.2 * np.eye(count)
-        op = st_construct(q, seq, ctx, 0.2)
-        defect, min_norm_sq = st_roundtrip_defect(op, q, seq, ctx)
+        op = st_construct(q, seq, order, 0.2)
+        defect, min_norm_sq = st_roundtrip_defect(op, q, seq)
         worst_defect = max(worst_defect, defect)
         worst_floor = min(worst_floor, min_norm_sq)
     ok = worst_defect <= 1e-6 and worst_floor >= 0.2 - 1e-8
@@ -274,12 +273,12 @@ def test_criterion_7_frame_riesz_dichotomy():
 
 def test_criterion_8_weighted_hardy_identification():
     rng = np.random.default_rng(8007)
-    ctx = TruncationContext(256, 64)
+    order = 256
     op = diagonal_operator(0.5 ** np.arange(256, dtype=np.float64))
     worst = 0.0
     for _ in range(20):
         seq = PointSequence(_distinct_points(rng, int(rng.integers(2, 7))))
-        lhs = range_space_gram(op, seq, ctx).matrix.matrix
+        lhs = range_space_gram(op, seq).matrix.matrix
         z = seq.values()
         closed = 1.0 / (1.0 - 0.5 * z[:, None] * np.conj(z)[None, :])
         norms = np.sqrt(np.real(np.diagonal(closed)))

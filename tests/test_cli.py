@@ -79,6 +79,15 @@ class TestGram:
         assert payload["bounds"]["riesz_tol"] == 0.5
         assert payload["bounds"]["is_riesz"] is False  # 0.2 < 0.5
 
+    def test_riesz_tol_that_is_not_positive_is_input_error(self, tmp_path, capsys):
+        # a repeated point is not Riesz; a tolerance of -1 would call it Riesz
+        pts = write_json(tmp_path / "points.json", [[0.1, 0.2], [0.1, 0.2], [0.3, -0.1]])
+        cfg = write_json(tmp_path / "cfg.json", {"riesz_tol": -1})
+        for extra in (["--riesz-tol", "-1"], ["--riesz-tol", "0"], ["--config", cfg]):
+            assert main(["gram", "--points", pts, *extra]) == 2, extra
+            captured = capsys.readouterr()
+            assert "riesz_tol" in captured.err and captured.out == ""
+
     def test_config_overlay_and_flag_priority(self, tmp_path):
         pts = write_points(tmp_path, [0.0, 0.6])
         cfg = write_json(tmp_path / "cfg.json", {"points": pts, "riesz_tol": 0.5})
@@ -470,8 +479,8 @@ class TestConstructSt:
     def test_certificate_miss_is_exit_4(self, tmp_path, monkeypatch, capsys):
         # the certificate recomputes the Grammian from the operator alone, so
         # a construction that is off by a factor is caught
-        def scaled(q, seq, ctx, delta):
-            op = st_construct(q, seq, ctx, delta)
+        def scaled(q, seq, order, delta):
+            op = st_construct(q, seq, order, delta)
             return PositiveOperator(0.9 * op.core, op.id, op.kind, basis=op.basis)
 
         monkeypatch.setattr(cli, "st_construct", scaled)
@@ -542,6 +551,12 @@ class TestVerify:
     def test_bad_config_exit_2(self):
         assert main(["verify", "--trials", "0"]) == 2
         assert main(["verify", "--trials", "1", "--N", "127"]) == 2
+
+    def test_negative_seed_is_input_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"seed": -1})
+        for extra in (["--seed", "-1"], ["--config", cfg]):
+            assert main(["verify", "--trials", "1", "--N", "128", *extra]) == 2, extra
+            assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_families_from_config(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {"point_families": ["uniform_disk"]})
@@ -1028,6 +1043,32 @@ class TestPlumbing:
         for argv in rejected:
             assert main(argv) == 2, argv
         assert capsys.readouterr().err.count("buffer must be nonnegative") == len(rejected)
+
+    def test_order_below_one_is_input_error(self, tmp_path, capsys):
+        pts = write_points(tmp_path, ring(3, 0.5))
+        q = write_json(tmp_path / "q.json", matrix_to_json(0.5 * np.eye(3)))
+        op = write_json(tmp_path / "op.json", {"type": "identity"})
+        zero = write_json(tmp_path / "zero.json", {"type": "identity", "N": 0})
+        rejected = [
+            ["construct-st", "--points", pts, "--Q", q, "--N", "0"],
+            ["gram", "--points", pts, "--operator", op, "--N", "0"],
+            ["gram", "--points", pts, "--operator", zero],
+        ]
+        for argv in rejected:
+            assert main(argv) == 2, argv
+        assert capsys.readouterr().err.count("truncation order must be at least 1") == len(rejected)
+
+    def test_size_beyond_memory_is_input_error(self, tmp_path, capsys):
+        # 2**50 entries need petabytes, which no host can map, so the
+        # allocation fails at once without touching memory
+        pts = write_points(tmp_path, ring(3, 0.5))
+        op = write_json(tmp_path / "op.json", {"type": "identity", "N": 2**50})
+        for argv in (
+            ["gram", "--points", pts, "--operator", op],
+            ["verify", "--N", str(2**50), "--trials", "1"],
+        ):
+            assert main(argv) == 2, argv
+            assert "does not fit in memory" in capsys.readouterr().err
 
     def test_console_script_installed(self):
         """Run the declared `hardyframes` entry point from the checkout,

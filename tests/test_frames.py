@@ -58,6 +58,12 @@ class TestAnalyze:
         assert not rep_tight.is_riesz
         assert rep_loose.riesz_c == rep_tight.riesz_c
 
+    @pytest.mark.parametrize("riesz_tol", [0.0, -1.0])
+    def test_rejects_a_riesz_tol_that_is_not_positive(self, riesz_tol):
+        # riesz_c >= 0, so such a tolerance would call a repeated point Riesz
+        with pytest.raises(ValueError, match="riesz_tol"):
+            analyze(np.ones((2, 2)), riesz_tol=riesz_tol)
+
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError):
             analyze(np.diag([1.0, -0.5]))

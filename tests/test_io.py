@@ -31,14 +31,14 @@ def current_umask():
 def test_replaces_target_with_text(tmp_path):
     target = tmp_path / "report.json"
     target.write_text("stale", encoding="utf-8")
-    io.write_text_atomic(target, "fresh\n")
+    io.write_csv_atomic(target, ["fresh"])
     assert target.read_text(encoding="utf-8") == "fresh\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_final_mode_follows_umask(tmp_path):
     target = tmp_path / "report.json"
-    io.write_text_atomic(target, "{}\n")
+    io.write_csv_atomic(target, ["{}"])
     assert target.stat().st_mode & 0o777 == 0o666 & ~current_umask()
 
 
@@ -53,11 +53,11 @@ def test_each_write_uses_a_distinct_temp_file(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", recording_replace)
     target = tmp_path / "report.json"
     for text in ("a", "b", "c"):
-        io.write_text_atomic(target, text)
+        io.write_csv_atomic(target, [text])
     assert len(set(sources)) == 3
     assert all(os.path.dirname(src) == str(tmp_path) for src in sources)
     assert all(os.path.basename(src) != "report.json.tmp" for src in sources)
-    assert target.read_text(encoding="utf-8") == "c"
+    assert target.read_text(encoding="utf-8") == "c\n"
 
 
 def test_failed_replace_removes_temp_file(tmp_path, monkeypatch):
@@ -77,7 +77,7 @@ def test_failed_replace_removes_temp_file(tmp_path, monkeypatch):
 def test_failed_write_removes_temp_file(tmp_path):
     target = tmp_path / "report.json"
     with pytest.raises(UnicodeEncodeError):
-        io.write_text_atomic(target, "\ud800")
+        io.write_csv_atomic(target, ["\ud800"])
     assert list(tmp_path.iterdir()) == []
 
 

@@ -20,7 +20,6 @@ from hardyframes import (
     NotPSDError,
     PointSequence,
     Provenance,
-    TruncationContext,
     analyze,
     congruence_diag,
     diagonal_operator,
@@ -33,7 +32,7 @@ from hardyframes import (
     range_space_gram,
     szego_gram,
 )
-from hardyframes.kernels import _szego_entries
+from hardyframes.kernels import _szego_entries, _tail_bound
 from hardyframes.operators import InnerFunction, PositiveOperator, projection_phi_H2
 from hardyframes.verify import sample_clustered
 
@@ -68,64 +67,50 @@ def random_points(rng, count, radius=0.85):
     return PointSequence(pts)
 
 
-class TestTruncationContext:
-    def test_defaults(self):
-        ctx = TruncationContext()
-        assert ctx.order == 256
-        # a legacy second argument is accepted and not stored
-        assert TruncationContext(256, 64) == ctx
-        assert [f.name for f in dataclasses.fields(ctx)] == ["order"]
-
-    def test_tail_bound_formula(self):
-        ctx = TruncationContext(order=10)
+class TestTailBound:
+    def test_formula(self):
         r = 0.5
-        assert ctx.tail_bound(r) == pytest.approx(r**10 / (1 - r**2))
-        assert ctx.tail_bound(0.0) == 0.0
+        assert _tail_bound(10, r) == pytest.approx(r**10 / (1 - r**2))
+        assert _tail_bound(10, 0.0) == 0.0
 
-    def test_tail_bound_rejects_unit_radius(self):
-        with pytest.raises(ValueError):
-            TruncationContext().tail_bound(1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TruncationContext(order=0)
-        with pytest.raises(ValueError):
-            TruncationContext(order=8, buffer=-1)
+    def test_rejects_unit_radius(self):
+        with pytest.raises(ValueError, match="radius"):
+            _tail_bound(256, 1.0)
 
 
-def kernel_column(w, ctx, normalize=False):
+def kernel_column(w, order, normalize=False):
     """The truncated kernel vector at w: column 0 of ``kernel_matrix``."""
-    return kernel_matrix(PointSequence([w]), ctx, normalize=normalize)[:, 0]
+    return kernel_matrix(PointSequence([w]), order, normalize=normalize)[:, 0]
 
 
 class TestKernelVector:
     def test_entries_are_conjugate_powers(self):
         w = 0.3 + 0.4j
-        k = kernel_column(w, TruncationContext(order=6))
+        k = kernel_column(w, 6)
         expected = [complex(w).conjugate() ** n for n in range(6)]
         assert np.allclose(k, expected, rtol=0, atol=1e-15)
 
     def test_normalized_has_unit_norm(self):
-        k = kernel_column(0.7j, TruncationContext(order=64), normalize=True)
+        k = kernel_column(0.7j, 64, normalize=True)
         assert np.linalg.norm(k) == pytest.approx(1.0, abs=1e-14)
 
     def test_truncated_norm_matches_closed_form(self):
         # ||k_w||^2 = (1 - |w|^{2N}) / (1 - |w|^2)
         w = 0.6
         n = 40
-        k = kernel_column(w, TruncationContext(order=n))
+        k = kernel_column(w, n)
         expected = (1 - w ** (2 * n)) / (1 - w**2)
         assert np.linalg.norm(k) ** 2 == pytest.approx(expected, rel=1e-13)
 
     def test_reproducing_on_polynomials(self):
         # <p, k_w> = p(w) for any polynomial inside the truncation order
         rng = np.random.default_rng(7)
-        ctx = TruncationContext(order=32)
+        order = 32
         for _ in range(20):
             deg = int(rng.integers(0, 8))
             coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
             w = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
-            k = kernel_column(w, ctx)
+            k = kernel_column(w, order)
             pairing = complex(np.dot(np.conj(k[: deg + 1]), coeffs))
             value = complex(np.polyval(coeffs[::-1], w))
             assert pairing == pytest.approx(value, abs=1e-12)
@@ -134,15 +119,20 @@ class TestKernelVector:
 class TestKernelMatrix:
     def test_columns_match_kernel_vector(self):
         seq = PointSequence([0.1, 0.5j, -0.3 + 0.2j])
-        ctx = TruncationContext(order=20)
-        v = kernel_matrix(seq, ctx)
+        order = 20
+        v = kernel_matrix(seq, order)
         for j, w in enumerate(seq.values()):
-            assert np.allclose(v[:, j], np.conj(w) ** np.arange(ctx.order), atol=1e-15)
+            assert np.allclose(v[:, j], np.conj(w) ** np.arange(order), atol=1e-15)
 
     def test_normalized_columns(self):
         seq = PointSequence([0.8, -0.8j])
-        v = kernel_matrix(seq, TruncationContext(order=128), normalize=True)
+        v = kernel_matrix(seq, 128, normalize=True)
         assert np.allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-14)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_rejects_order_below_one(self, order):
+        with pytest.raises(ValueError, match="truncation order must be at least 1"):
+            kernel_matrix(PointSequence([0.5]), order)
 
 
 class TestSzegoGram:
@@ -164,9 +154,9 @@ class TestSzegoGram:
     def test_agrees_with_truncated_route(self):
         rng = np.random.default_rng(13)
         seq = random_points(rng, 5, radius=0.7)
-        ctx = TruncationContext(order=256)
+        order = 256
         closed = szego_gram(seq).matrix.matrix
-        truncated = normalized_gram(seq, ctx).matrix.matrix
+        truncated = normalized_gram(seq, order).matrix.matrix
         assert np.abs(closed - truncated).max() < 1e-10
 
     def test_provenance(self):
@@ -266,12 +256,12 @@ class TestNoEigensolveInProducers:
 
     def test_producers_make_no_eigensolve(self, eigensolves):
         seq = PointSequence([0.3, -0.4j, 0.2 + 0.2j, 0.7])
-        ctx = TruncationContext(order=64)
-        op = projection_monomial_span([0, 2], ctx.order)
+        order = 64
+        op = projection_monomial_span([0, 2], order)
         eigensolves.clear()
         g = szego_gram(seq)
-        range_space_gram(op, seq, ctx)
-        image_gram(op, seq, ctx)
+        range_space_gram(op, seq)
+        image_gram(op, seq)
         congruence_diag(g, [1.0, 2.0, 0.5j, 1.0])
         assert eigensolves == []
 
@@ -280,49 +270,45 @@ class TestRangeSpaceGram:
     def test_identity_recovers_szego(self):
         rng = np.random.default_rng(19)
         seq = random_points(rng, 4, radius=0.7)
-        ctx = TruncationContext(order=256)
-        g = range_space_gram(identity(ctx.order), seq, ctx).matrix.matrix
+        order = 256
+        g = range_space_gram(identity(order), seq).matrix.matrix
         closed = szego_gram(seq).matrix.matrix
         assert np.abs(g - closed).max() < 1e-10
 
     def test_degenerate_kernel_raises(self):
         # dropping the constant direction kills the kernel at the origin
-        ctx = TruncationContext(order=32)
-        op = projection_monomial_span([0], ctx.order)
+        order = 32
+        op = projection_monomial_span([0], order)
         seq = PointSequence([0.5, 0.0])
         with pytest.raises(DegenerateKernelError) as exc:
-            range_space_gram(op, seq, ctx)
+            range_space_gram(op, seq)
         assert exc.value.index == 1
 
     def test_monomial_span_closed_form(self):
         # P = projection onto span{1, z}: <P k_w, P k_z> = 1 + z conj(w)
-        ctx = TruncationContext(order=32)
-        op = projection_monomial_span(range(2, ctx.order), ctx.order)
+        order = 32
+        op = projection_monomial_span(range(2, order), order)
         z, w = 0.4 + 0.1j, -0.2 + 0.3j
         seq = PointSequence([z, w])
-        g = range_space_gram(op, seq, ctx).matrix.matrix
+        g = range_space_gram(op, seq).matrix.matrix
         inner = 1.0 + z * np.conj(w)
         norm_z = math.sqrt(1.0 + abs(z) ** 2)
         norm_w = math.sqrt(1.0 + abs(w) ** 2)
         assert g[0, 1] == pytest.approx(inner / (norm_z * norm_w), abs=1e-13)
         assert g[0, 0] == pytest.approx(1.0)
 
-    def test_order_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            range_space_gram(identity(16), PointSequence([0.1]), TruncationContext(order=32))
-
     def test_provenance_records_operator(self):
-        ctx = TruncationContext(order=64)
+        order = 64
         seq = PointSequence([0.2, 0.5j])
-        g = range_space_gram(identity(ctx.order), seq, ctx)
+        g = range_space_gram(identity(order), seq)
         assert g.provenance.space == "H(P)"
         assert g.provenance.operator_id == "identity(N=64)"
         assert g.provenance.truncation_error > 0.0
 
 
-def double_symmetrized_range_space_gram(op, seq, ctx):
+def double_symmetrized_range_space_gram(op, seq, order):
     """The earlier route: average V* P V with its adjoint, scale, then wrap (and average again)."""
-    v = kernel_matrix(seq, ctx)
+    v = kernel_matrix(seq, order)
     m = v.conj().T @ op.apply(v)
     m = (m + m.conj().T) / 2.0
     norms = np.sqrt(np.clip(np.real(np.diagonal(m)).copy(), 0.0, None))
@@ -347,16 +333,16 @@ class TestRangeSpaceGramSymmetrizesOnce:
         else:
             pts = near_boundary_points(rng, 24)
         seq = PointSequence(list(pts))
-        ctx = TruncationContext(order=128)
-        x = rng.normal(size=(ctx.order, ctx.order)) + 1j * rng.normal(size=(ctx.order, ctx.order))
+        order = 128
+        x = rng.normal(size=(order, order)) + 1j * rng.normal(size=(order, order))
         operators = (
-            diagonal_operator(rng.uniform(0.2, 1.0, size=ctx.order)),
-            projection_phi_H2(InnerFunction((0.5 * rng.uniform() + 0.2j,), 1.0, 1), ctx),
-            PositiveOperator(x @ x.conj().T / ctx.order, "dense", "custom"),
+            diagonal_operator(rng.uniform(0.2, 1.0, size=order)),
+            projection_phi_H2(InnerFunction((0.5 * rng.uniform() + 0.2j,), 1.0, 1), order),
+            PositiveOperator(x @ x.conj().T / order, "dense", "custom"),
         )
         for op in operators:
-            g = range_space_gram(op, seq, ctx).matrix.matrix
-            want = double_symmetrized_range_space_gram(op, seq, ctx)
+            g = range_space_gram(op, seq).matrix.matrix
+            want = double_symmetrized_range_space_gram(op, seq, order)
             assert np.array_equal(g.view(np.uint64), want.view(np.uint64))
             assert np.array_equal(g, g.conj().T)
 
@@ -364,21 +350,21 @@ class TestRangeSpaceGramSymmetrizesOnce:
 class TestProvenance:
     def test_truncated_routes_record_the_tail_bound(self):
         seq = PointSequence([0.2, -0.7j, 0.5 + 0.1j])
-        ctx = TruncationContext(order=40)
-        op = projection_monomial_span([3], ctx.order)
-        tail = ctx.tail_bound(seq.max_modulus())
+        order = 40
+        op = projection_monomial_span([3], order)
+        tail = _tail_bound(order, seq.max_modulus())
         for g, space, op_id in (
-            (range_space_gram(op, seq, ctx), "H(P)", op.id),
-            (image_gram(op, seq, ctx), "H2", op.id),
-            (normalized_gram(seq, ctx), "H2", None),
+            (range_space_gram(op, seq), "H(P)", op.id),
+            (image_gram(op, seq), "H2", op.id),
+            (normalized_gram(seq, order), "H2", None),
         ):
             assert g.provenance == Provenance(space, op_id, seq.points, seq.labels, truncation_error=tail)
         assert szego_gram(seq).provenance == Provenance("H2", None, seq.points, seq.labels)
 
     def test_congruence_keeps_the_provenance_and_appends_its_transform(self):
         seq = PointSequence([0.2, -0.7j])
-        ctx = TruncationContext(order=40)
-        g = normalized_gram(seq, ctx)
+        order = 40
+        g = normalized_gram(seq, order)
         once = congruence_diag(g, [1.0, 2.0])
         twice = congruence_diag(once, [1.0, 1.0j])
         assert once.provenance == dataclasses.replace(g.provenance, transform="diag_congruence")
@@ -390,24 +376,24 @@ class TestImageGram:
     def test_identity_gives_szego(self):
         rng = np.random.default_rng(23)
         seq = random_points(rng, 4, radius=0.7)
-        ctx = TruncationContext(order=256)
-        g = image_gram(identity(ctx.order), seq, ctx).matrix.matrix
+        order = 256
+        g = image_gram(identity(order), seq).matrix.matrix
         assert np.abs(g - szego_gram(seq).matrix.matrix).max() < 1e-10
 
     def test_matches_manual_product(self):
-        ctx = TruncationContext(order=48)
+        order = 48
         seq = PointSequence([0.3, -0.4j, 0.2 + 0.2j])
-        op = projection_monomial_span([0, 2, 5], ctx.order)
-        g = image_gram(op, seq, ctx).matrix.matrix
-        v = kernel_matrix(seq, ctx, normalize=True)
+        op = projection_monomial_span([0, 2, 5], order)
+        g = image_gram(op, seq).matrix.matrix
+        v = kernel_matrix(seq, order, normalize=True)
         w = op.matrix.matrix @ v
         assert np.abs(g - w.conj().T @ w).max() < 1e-13
 
     def test_diagonal_below_one_for_projection(self):
-        ctx = TruncationContext(order=48)
+        order = 48
         seq = PointSequence([0.5, 0.6j])
-        op = projection_monomial_span([0], ctx.order)
-        g = image_gram(op, seq, ctx)
+        op = projection_monomial_span([0], order)
+        g = image_gram(op, seq)
         assert not g.normalized
         d = np.real(np.diagonal(g.matrix.matrix))
         assert np.all(d <= 1.0 + 1e-12)
@@ -417,7 +403,7 @@ class TestImageGram:
 def weighted_kernel(weights, z, w):
     """sum_n p_n (z conj(w))^n as <diag(p) k_w, k_z> on the truncated kernels."""
     p = np.asarray(weights, dtype=np.float64)
-    v = kernel_matrix(PointSequence([z, w]), TruncationContext(p.size))
+    v = kernel_matrix(PointSequence([z, w]), p.size)
     return complex(np.conj(v[:, 0]) @ diagonal_operator(p).apply(v[:, 1]))
 
 

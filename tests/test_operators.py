@@ -20,7 +20,6 @@ from hardyframes import (
     NotPSDError,
     PointSequence,
     PositiveOperator,
-    TruncationContext,
     TruncationTooCoarseError,
     diagonal_operator,
     evaluate_inner,
@@ -211,8 +210,7 @@ class TestToeplitzMatrix:
         phi = InnerFunction(zeros=(0.5,))
         psi = InnerFunction(zeros=(0.3j, -0.2), monomial_power=1)
         both = InnerFunction(zeros=phi.zeros + psi.zeros, monomial_power=1)
-        ctx = TruncationContext(24)
-        n = ctx.order
+        n = 24
         left = phi_columns(phi, n, n) @ phi_columns(psi, n, n)
         right = phi_columns(both, n, n)
         assert np.abs(left - right).max() < 1e-13
@@ -220,12 +218,12 @@ class TestToeplitzMatrix:
     def test_adjoint_fixes_kernels(self):
         # T_phi* k_w = conj(phi(w)) k_w up to the truncation tail
         rng = np.random.default_rng(13)
-        ctx = TruncationContext(order=256)
+        order = 256
         for _ in range(5):
             phi = random_inner(rng)
             w = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-            t = phi_columns(phi, ctx.order, ctx.order)
-            k = np.conj(w) ** np.arange(ctx.order)
+            t = phi_columns(phi, order, order)
+            k = np.conj(w) ** np.arange(order)
             residual = t.conj().T @ k - np.conj(phi(w)) * k
             assert np.linalg.norm(residual) < 1e-12
 
@@ -289,12 +287,12 @@ class TestProjectionMonomialSpan:
 
 class TestProjectionPhiH2:
     def test_idempotent_and_contractive(self):
-        ctx = TruncationContext(order=128)
+        order = 128
         for phi in (
             InnerFunction(zeros=(0.5,)),
             InnerFunction(zeros=(0.3, -0.4j), monomial_power=1),
         ):
-            op = projection_phi_H2(phi, ctx)
+            op = projection_phi_H2(phi, order)
             p = op.matrix.matrix
             assert np.abs(p @ p - p).max() < 1e-8
             assert op.contraction
@@ -302,80 +300,80 @@ class TestProjectionPhiH2:
 
     def test_range_contains_phi(self):
         # P fixes z^k phi for every k whose truncation tail is negligible
-        ctx = TruncationContext(order=256)
+        order = 256
         phi = InnerFunction(zeros=(0.5, 0.2 + 0.3j))
-        op = projection_phi_H2(phi, ctx)
-        cols = phi_columns(phi, ctx.order, 128)
+        op = projection_phi_H2(phi, order)
+        cols = phi_columns(phi, order, 128)
         assert np.abs(op.apply(cols) - cols).max() < 1e-12
 
     def test_kernel_image_norm_is_phi_modulus(self):
         # ||P k~_w|| = |phi(w)| because multiplication by phi is isometric
-        ctx = TruncationContext(order=256)
+        order = 256
         phi = InnerFunction(zeros=(0.5, -0.3j))
-        op = projection_phi_H2(phi, ctx)
+        op = projection_phi_H2(phi, order)
         for w in (0.2, -0.4j, 0.3 + 0.3j):
-            k = normalized_kernel(w, ctx.order)
+            k = normalized_kernel(w, order)
             assert np.linalg.norm(op.matrix.matrix @ k) == pytest.approx(abs(phi(w)), abs=1e-10)
 
     def test_escalation_raises_when_capped(self):
         with pytest.raises(TruncationTooCoarseError):
-            projection_phi_H2(InnerFunction(zeros=(0.999,)), TruncationContext(16))
+            projection_phi_H2(InnerFunction(zeros=(0.999,)), 16)
 
 
 class TestProjectionModelSpace:
     def test_complements_phi_projection(self):
-        ctx = TruncationContext(order=96)
+        order = 96
         phi = InnerFunction(zeros=(0.4,), monomial_power=1)
-        p = projection_phi_H2(phi, ctx).matrix.matrix
-        m = projection_model_space(phi, ctx).matrix.matrix
-        assert np.abs(p + m - np.eye(ctx.order)).max() < 1e-14
+        p = projection_phi_H2(phi, order).matrix.matrix
+        m = projection_model_space(phi, order).matrix.matrix
+        assert np.abs(p + m - np.eye(order)).max() < 1e-14
 
     def test_rank_equals_degree(self):
-        ctx = TruncationContext(order=128)
+        order = 128
         for phi in (
             InnerFunction(zeros=(0.5,)),
             InnerFunction(zeros=(0.5, -0.3), monomial_power=2),
         ):
-            m = projection_model_space(phi, ctx).matrix.matrix
+            m = projection_model_space(phi, order).matrix.matrix
             assert np.real(np.trace(m)) == pytest.approx(phi.degree, abs=1e-6)
 
     def test_contains_kernels_at_zeros(self):
-        ctx = TruncationContext(order=256)
+        order = 256
         phi = InnerFunction(zeros=(0.5, -0.2 + 0.3j))
-        m = projection_model_space(phi, ctx).matrix.matrix
+        m = projection_model_space(phi, order).matrix.matrix
         for a in phi.zeros:
-            k = normalized_kernel(a, ctx.order)
+            k = normalized_kernel(a, order)
             assert np.linalg.norm(m @ k - k) < 1e-9
 
 
 class TestProjectionCPlusPhi:
     def test_shift_symbol_gives_identity(self):
         # constants + z H^2 is the whole space
-        ctx = TruncationContext(order=64)
-        op = projection_c_plus_phi(InnerFunction(monomial_power=1), ctx)
+        order = 64
+        op = projection_c_plus_phi(InnerFunction(monomial_power=1), order)
         assert np.abs(op.matrix.matrix - np.eye(64)).max() < 1e-12
 
     def test_contains_constants_and_phi(self):
-        ctx = TruncationContext(order=128)
+        order = 128
         phi = InnerFunction(zeros=(0.5, 0.3j))
-        op = projection_c_plus_phi(phi, ctx)
+        op = projection_c_plus_phi(phi, order)
         e0 = np.zeros(128, dtype=complex)
         e0[0] = 1.0
         assert np.linalg.norm(op.matrix.matrix @ e0 - e0) < 1e-7
-        cols = phi_columns(phi, ctx.order, 64)
+        cols = phi_columns(phi, order, 64)
         assert np.abs(op.apply(cols) - cols).max() < 1e-12
 
     def test_idempotent(self):
-        ctx = TruncationContext(order=128)
-        op = projection_c_plus_phi(InnerFunction(zeros=(0.4, -0.2)), ctx)
+        order = 128
+        op = projection_c_plus_phi(InnerFunction(zeros=(0.4, -0.2)), order)
         p = op.matrix.matrix
         assert np.abs(p @ p - p).max() < 1e-7
 
     def test_codimension_drops_by_one(self):
         # deg-2 symbol: phi H^2 has codim 2, adding constants leaves codim 1
-        ctx = TruncationContext(order=96)
+        order = 96
         phi = InnerFunction(zeros=(0.5, -0.3))
-        tr = float(np.real(np.trace(projection_c_plus_phi(phi, ctx).matrix.matrix)))
+        tr = float(np.real(np.trace(projection_c_plus_phi(phi, order).matrix.matrix)))
         assert tr == pytest.approx(96 - 1, abs=1e-5)
 
 
@@ -387,10 +385,10 @@ class TestStConstruct:
 
     def test_realizes_szego_gram(self):
         seq = self._ring(5)
-        ctx = TruncationContext(order=192)
+        order = 192
         q = szego_gram(seq).matrix.matrix
-        op = st_construct(q, seq, ctx, delta=0.5)
-        defect, min_norm = st_roundtrip_defect(op, q, seq, ctx)
+        op = st_construct(q, seq, order, delta=0.5)
+        defect, min_norm = st_roundtrip_defect(op, q, seq)
         assert defect < 1e-9
         assert min_norm == pytest.approx(1.0, abs=1e-9)
         assert op.kind == "st_constructed"
@@ -399,20 +397,20 @@ class TestStConstruct:
     def test_realizes_random_psd_target(self):
         rng = np.random.default_rng(17)
         seq = self._ring(6)
-        ctx = TruncationContext(order=192)
+        order = 192
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         q = a @ a.conj().T
         q = 0.8 * q / np.real(np.diagonal(q)).max() + 0.2 * np.eye(6)
-        op = st_construct(q, seq, ctx, delta=0.1)
-        defect, min_norm = st_roundtrip_defect(op, q, seq, ctx)
+        op = st_construct(q, seq, order, delta=0.1)
+        defect, min_norm = st_roundtrip_defect(op, q, seq)
         assert defect < 1e-8
         assert min_norm >= 0.1 - 1e-9
 
     def test_operator_is_psd_symmetric(self):
         seq = self._ring(4)
-        ctx = TruncationContext(order=128)
+        order = 128
         q = np.eye(4)
-        op = st_construct(q, seq, ctx, delta=0.9)
+        op = st_construct(q, seq, order, delta=0.9)
         p = op.matrix.matrix
         assert np.abs(p - p.conj().T).max() == 0.0
         assert float(np.linalg.eigvalsh(p)[0]) >= -1e-10
@@ -420,39 +418,39 @@ class TestStConstruct:
     def test_rejects_non_psd_target(self):
         seq = self._ring(2)
         with pytest.raises(NotPSDError):
-            st_construct(np.array([[1.0, 2.0], [2.0, 1.0]]), seq, TruncationContext(64), 0.5)
+            st_construct(np.array([[1.0, 2.0], [2.0, 1.0]]), seq, 64, 0.5)
 
     def test_rejects_diagonal_below_delta(self):
         seq = self._ring(2)
         with pytest.raises(ValueError):
-            st_construct(np.diag([1.0, 0.3]), seq, TruncationContext(64), 0.5)
+            st_construct(np.diag([1.0, 0.3]), seq, 64, 0.5)
 
     def test_rejects_nonpositive_delta(self):
         seq = self._ring(2)
         with pytest.raises(ValueError):
-            st_construct(np.eye(2), seq, TruncationContext(64), 0.0)
+            st_construct(np.eye(2), seq, 64, 0.0)
 
     def test_rejects_nan_delta(self):
         with pytest.raises(ValueError, match="delta must be positive"):
-            st_construct(np.eye(2), self._ring(2), TruncationContext(64), float("nan"))
+            st_construct(np.eye(2), self._ring(2), 64, float("nan"))
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
-            st_construct(np.eye(3), self._ring(2), TruncationContext(64), 0.5)
+            st_construct(np.eye(3), self._ring(2), 64, 0.5)
 
     def test_near_duplicate_points_rejected(self):
         seq = PointSequence([0.5, 0.5 + 1e-9])
         with pytest.raises(IllConditionedGramError):
-            st_construct(np.eye(2), seq, TruncationContext(128), 0.5)
+            st_construct(np.eye(2), seq, 128, 0.5)
 
 
 class TestRangeContainsPhi:
     def test_model_projection_excludes_phi(self):
         # the model space is orthogonal to phi H^2, so it annihilates z^k phi
-        ctx = TruncationContext(order=256)
+        order = 256
         phi = InnerFunction(zeros=(0.5,))
-        cols = phi_columns(phi, ctx.order, 128)
-        assert np.abs(projection_model_space(phi, ctx).apply(cols)).max() < 1e-12
+        cols = phi_columns(phi, order, 128)
+        assert np.abs(projection_model_space(phi, order).apply(cols)).max() < 1e-12
 
 
 class TestFromSpec:
@@ -463,7 +461,7 @@ class TestFromSpec:
     def test_projection_phiH2_matches_direct(self):
         spec = {"type": "projection_phiH2", "N": 64, "inner": {"zeros": [[0.5, 0.0]]}}
         op = from_spec(spec)
-        direct = projection_phi_H2(InnerFunction(zeros=(0.5,)), TruncationContext(64))
+        direct = projection_phi_H2(InnerFunction(zeros=(0.5,)), 64)
         assert np.abs(op.matrix.matrix - direct.matrix.matrix).max() < 1e-14
 
     def test_projection_model(self):
@@ -601,23 +599,22 @@ class TestStructuredProjections:
     @pytest.mark.parametrize("name", sorted(HARD_SYMBOLS))
     def test_match_dense_reference(self, name, order):
         phi = HARD_SYMBOLS[name]
-        ctx = TruncationContext(order)
         ref = dense_phi_projection(phi, order)
         if idempotency_defect(ref) > 1e-6:
             # the window cuts off too much of the model space either way
             with pytest.raises(TruncationTooCoarseError):
-                projection_phi_H2(phi, ctx)
+                projection_phi_H2(phi, order)
             return
-        p = projection_phi_H2(phi, ctx)
+        p = projection_phi_H2(phi, order)
         assert np.abs(p.matrix.matrix - ref).max() <= 1e-12
-        m = projection_model_space(phi, ctx)
+        m = projection_model_space(phi, order)
         assert np.abs(m.matrix.matrix - (np.eye(order) - ref)).max() <= 1e-12
         ref_c = dense_c_plus_phi(ref)
         if idempotency_defect(ref_c) > 1e-8:
             with pytest.raises(TruncationTooCoarseError):
-                projection_c_plus_phi(phi, ctx)
+                projection_c_plus_phi(phi, order)
             return
-        c = projection_c_plus_phi(phi, ctx)
+        c = projection_c_plus_phi(phi, order)
         assert np.abs(c.matrix.matrix - ref_c).max() <= 1e-12
         assert p.contraction and m.contraction
         # lambda_max may sit a truncation tail above 1; the flag follows the spectrum
@@ -625,22 +622,22 @@ class TestStructuredProjections:
 
     def test_rank_is_degree(self):
         phi = HARD_SYMBOLS["clustered"]
-        op = projection_model_space(phi, TruncationContext(256))
+        op = projection_model_space(phi, 256)
         assert op.basis.shape == (256, phi.degree)
 
     def test_constant_symbol_gives_identity(self):
-        op = projection_phi_H2(InnerFunction(unimodular=1j), TruncationContext(32))
+        op = projection_phi_H2(InnerFunction(unimodular=1j), 32)
         assert np.array_equal(op.matrix.matrix, np.eye(32))
 
     def test_dense_matrix_is_exactly_hermitian(self):
-        p = projection_c_plus_phi(HARD_SYMBOLS["mixed"], TruncationContext(128)).matrix.matrix
+        p = projection_c_plus_phi(HARD_SYMBOLS["mixed"], 128).matrix.matrix
         assert np.abs(p - p.conj().T).max() == 0.0
 
 
-def dense_st(q, seq, ctx):
+def dense_st(q, seq, order):
     """The dense route: P = (V G^-1 Q G^-1 V*)^(1/2) through psd_inverse and
     psd_sqrt, and the roundtrip defect of that P."""
-    v = kernel_matrix(seq, ctx, normalize=True)
+    v = kernel_matrix(seq, order, normalize=True)
     g = v.conj().T @ v
     g_inv = psd_inverse((g + g.conj().T) / 2.0)
     r = v @ (g_inv @ q @ g_inv) @ v.conj().T
@@ -657,18 +654,17 @@ class TestStructuredSt:
         seq = PointSequence(
             [0.6 * np.exp(2j * np.pi * (k + 0.2 * rng.uniform()) / count) for k in range(count)]
         )
-        ctx = TruncationContext(order)
         a = rng.normal(size=(count, count)) + 1j * rng.normal(size=(count, count))
         q = a @ a.conj().T
         q = 0.8 * q / np.real(np.diagonal(q)).max() + 0.2 * np.eye(count)
-        op = st_construct(q, seq, ctx, delta=0.2)
+        op = st_construct(q, seq, order, delta=0.2)
         assert op.basis.shape == (order, count)
-        dense, dense_defect = dense_st(q, seq, ctx)
+        dense, dense_defect = dense_st(q, seq, order)
         assert np.abs(op.matrix.matrix - dense).max() <= 1e-7
         # the dense route's explicit G^-1 carries roundoff of order
         # eps * cond(G) into its roundtrip (cond(G) is 8 for 3 points, 1.3e3
         # for 8); the QR route forms no inverse and stays within a few times that
-        defect, _ = st_roundtrip_defect(op, q, seq, ctx)
+        defect, _ = st_roundtrip_defect(op, q, seq)
         assert defect <= max(1e-12, 4.0 * dense_defect)
 
     def test_decomposes_only_n_by_n_matrices(self, eigensolves, monkeypatch):
@@ -686,7 +682,7 @@ class TestStructuredSt:
         count = 6
         seq = PointSequence([0.6 * np.exp(2j * np.pi * k / count) for k in range(count)])
         q = 0.5 * np.eye(count) + 0.1
-        op = st_construct(q, seq, TruncationContext(256), delta=0.6)
+        op = st_construct(q, seq, 256, delta=0.6)
         assert eigensolves == [(count, count)]
         assert svds == [(count, count), (count, count)]
         assert op.core.ndim == 1 and op.basis.shape == (256, count)
@@ -697,7 +693,7 @@ class TestStructuredSt:
         # eigensolve of the core S^-* Q S^-1, in place of the SVD of its
         # factor, gives defects up to 1.4e-8 on the radial seed
         rng = np.random.default_rng({"clustered": 41, "radial": 43}[family])
-        ctx = TruncationContext(256)
+        order = 256
         built = 0
         for _ in range(100):
             count = int(rng.integers(2, 13))
@@ -717,11 +713,11 @@ class TestStructuredSt:
                 continue
             seq = PointSequence(list(z))
             try:
-                op = st_construct(q, seq, ctx, delta=1.0 - 1e-12)
+                op = st_construct(q, seq, order, delta=1.0 - 1e-12)
             except IllConditionedGramError:
                 continue
             built += 1
-            defect, min_norm_sq = st_roundtrip_defect(op, q, seq, ctx)
+            defect, min_norm_sq = st_roundtrip_defect(op, q, seq)
             assert defect <= 1e-8
             assert min_norm_sq >= 1.0 - 1e-8
         assert built >= 10

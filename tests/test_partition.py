@@ -21,7 +21,6 @@ from hardyframes import (
     Partition,
     PointSequence,
     TargetTooHighError,
-    TruncationContext,
     carleson_constants,
     diagonal_operator,
     minimal_carleson_classes,
@@ -324,8 +323,7 @@ class TestPartitionSpectral:
     def test_requires_normalized(self):
         from hardyframes import image_gram, projection_monomial_span
 
-        ctx = TruncationContext(order=32)
-        g = image_gram(projection_monomial_span([0], 32), PointSequence([0.3, 0.5]), ctx)
+        g = image_gram(projection_monomial_span([0], 32), PointSequence([0.3, 0.5]))
         with pytest.raises(ValueError):
             partition_spectral(g, 0.1)
 
@@ -411,13 +409,13 @@ def random_blaschke(rng, degree):
     return InnerFunction(tuple(zeros))
 
 
-# kind: builder(rng, ctx, degree); the model space has rank deg phi, and the
+# kind: builder(rng, order, degree); the model space has rank deg phi, and the
 # geometric diagonal ignores the degree (its ratio is drawn from rng)
 RANGE_SPACE_OPERATORS = {
-    "c_plus_phi": lambda rng, ctx, degree: projection_c_plus_phi(random_blaschke(rng, degree), ctx),
-    "phi_H2": lambda rng, ctx, degree: projection_phi_H2(random_blaschke(rng, degree), ctx),
-    "model_space": lambda rng, ctx, degree: projection_model_space(random_blaschke(rng, degree), ctx),
-    "geometric_diagonal": lambda rng, ctx, degree: diagonal_operator(rng.uniform(0.9, 0.99) ** np.arange(ctx.order)),
+    "c_plus_phi": lambda rng, order, degree: projection_c_plus_phi(random_blaschke(rng, degree), order),
+    "phi_H2": lambda rng, order, degree: projection_phi_H2(random_blaschke(rng, degree), order),
+    "model_space": lambda rng, order, degree: projection_model_space(random_blaschke(rng, degree), order),
+    "geometric_diagonal": lambda rng, order, degree: diagonal_operator(rng.uniform(0.9, 0.99) ** np.arange(order)),
 }
 
 
@@ -426,9 +424,8 @@ RANGE_SPACE_OPERATORS = {
 def test_spectral_on_range_space_grammians(kind, degree):
     """The greedy reads a Grammian that is not Szegő's: an H(P) range-space Grammian."""
     rng = np.random.default_rng([sorted(RANGE_SPACE_OPERATORS).index(kind), degree])
-    ctx = TruncationContext(order=256)
-    op = RANGE_SPACE_OPERATORS[kind](rng, ctx, degree)
-    g = range_space_gram(op, PointSequence(list(uniform_points(rng, 40, 0.9))), ctx)
+    op = RANGE_SPACE_OPERATORS[kind](rng, 256, degree)
+    g = range_space_gram(op, PointSequence(list(uniform_points(rng, 40, 0.9))))
     for c in (0.1, 0.3, 0.6):
         part = partition_spectral(g, c)
         assert part.classes == tuple(tuple(cls) for cls in reference_spectral(g.matrix.matrix, c))

@@ -12,7 +12,6 @@ from hardyframes import (
     InnerFunction,
     PointSequence,
     SuiteConfig,
-    TruncationContext,
     carleson_constants,
     evaluate_inner,
     image_gram,
@@ -58,6 +57,10 @@ WITNESS_KEYS = {
 class TestSuiteConfig:
     def test_defaults_validate(self):
         SuiteConfig().validate()
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigInvalidError, match="seed"):
+            SuiteConfig(seed=-1).validate()
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ConfigInvalidError):
@@ -176,8 +179,7 @@ class TestRunSuite:
             1.0,
             wit["monomial_power"],
         )
-        ctx = TruncationContext(cfg.order)
-        lhs = image_gram(projection_phi_H2(phi, ctx), seq, ctx).matrix.matrix
+        lhs = image_gram(projection_phi_H2(phi, cfg.order), seq).matrix.matrix
         values = np.array([evaluate_inner(phi, z) for z in seq.points])
         rhs = szego_gram(seq).matrix.matrix * np.outer(values, np.conj(values))
         defect = float(np.abs(lhs - rhs).max())
@@ -202,7 +204,7 @@ class TestDiagSandwich:
         weights = rng.uniform(0.3, 1.0, size=order)
         vectors = rng.normal(size=(order, 16)) + 1j * rng.normal(size=(order, 16))
         seq = PointSequence((0.3, 0.5j, -0.6 + 0.2j, 0.8))
-        v = kernel_matrix(seq, TruncationContext(order), normalize=True)
+        v = kernel_matrix(seq, order, normalize=True)
         return basis, weights, vectors, v
 
     @pytest.mark.parametrize("end", ["top", "bottom"])

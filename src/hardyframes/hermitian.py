@@ -9,16 +9,17 @@ block by block.
 ``psd_sqrt`` and ``psd_inverse`` have no production caller; they remain as
 the dense route that tests check the ST construction against.
 
-One gate, ``_symmetrize``, admits every matrix, single (``HermitianMatrix``)
-or stacked (the partition certificates' class blocks): finite entries, a
-finite (H + H*) / 2 and a small anti-Hermitian defect; PSD needs an
-eigensolve, so it is checked where one is made anyway.
+One gate, ``_symmetrize``, which every ``HermitianMatrix`` runs, admits each
+matrix: finite entries, a finite (H + H*) / 2 and a small anti-Hermitian
+defect; PSD needs an eigensolve, so it is checked where one is made anyway.
+The closed-form Szegő Grammians are exactly Hermitian when they reach it, so
+its averaging leaves their bits as they are; outside matrices (Q, ``custom``
+operators, V* P V) are averaged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -34,50 +35,45 @@ SYMMETRIZE_BLOCK = 128
 _HALF_MAX = np.finfo(np.float64).max / 2.0
 
 
-def _symmetrize(m: np.ndarray) -> dict[int, Exception]:
-    """Overwrite each matrix of the (s, n, n) stack ``m`` with (m + m*) / 2.0.
+def _symmetrize(m: np.ndarray) -> None:
+    """Overwrite the square matrix ``m`` with (m + m*) / 2.0, or raise.
 
-    Returns each rejected matrix's error, keyed by stack position: ``ValueError``
-    for a non-finite entry, then for an entry modulus or a result that
-    overflows, then ``NonHermitianError`` for an anti-Hermitian defect above
-    ``HERMITIAN_TOL`` times the scale (the largest entry modulus, at least 1).
-    Upper-triangle ``SYMMETRIZE_BLOCK`` blocks are walked, each paired with
-    its mirror below the diagonal, so temporaries stay block-sized.
+    Raises ``ValueError`` for a non-finite entry, then for an entry modulus
+    or a result that overflows, then ``NonHermitianError`` for an
+    anti-Hermitian defect above ``HERMITIAN_TOL`` times the scale (the
+    largest entry modulus, at least 1). Upper-triangle ``SYMMETRIZE_BLOCK``
+    blocks are walked, each paired with its mirror below the diagonal, so
+    temporaries stay block-sized.
     """
-    n, b = m.shape[-1], SYMMETRIZE_BLOCK
-    # each member's largest |m_ij| (at least 1) per block and |m_ij - conj(m_ji)| per block pair
-    tops, defects = [], []
-    huge, non_finite = set(), set()  # members with an entry |x| >= _HALF_MAX or NaN, and the non-finite ones
+    n, b = len(m), SYMMETRIZE_BLOCK
+    # the largest |m_ij| (at least 1) and |m_ij - conj(m_ji)|, and whether some |m_ij| >= _HALF_MAX
+    scale, defect, huge = 1.0, 0.0, False
     with np.errstate(over="ignore", invalid="ignore"):  # the errors report what numpy would warn about
-        for i in range(0, max(n, 1), b):  # one pass at n = 0 gives each member a scale and a defect
-            for j in range(i, max(n, 1), b):
-                upper = m[:, i : i + b, j : j + b]
-                lower = m[:, j : j + b, i : i + b] if i != j else upper
+        for i in range(0, n, b):
+            for j in range(i, n, b):
+                upper = m[i : i + b, j : j + b]
+                lower = m[j : j + b, i : i + b]
                 for block in (upper, lower) if i != j else (upper,):
-                    tops.append(top := np.maximum.reduce(np.abs(block), axis=(1, 2), initial=1.0))
-                    if not np.maximum.reduce(top) < _HALF_MAX:  # NaN, inf, or big enough that |x| or a sum overflows
-                        at = np.flatnonzero(~(top < _HALF_MAX))
-                        huge.update(at.tolist())
-                        non_finite.update(at[~np.isfinite(block[at]).all(axis=(1, 2))].tolist())
+                    top = np.abs(block).max()
+                    if not top < _HALF_MAX:  # NaN, inf, or big enough that |x| or a sum overflows
+                        if not np.isfinite(block).all():
+                            raise ValueError("matrix entries must be finite (found NaN or infinity)")
+                        huge = True
+                    scale = max(scale, top)
                 # |m_ij - conj(m_ji)| = |m_ji - conj(m_ij)|, so one side gives the defect.
                 # Mirror copies in C order spare numpy an iteration buffer in the updates.
-                lower_adj = np.conj(lower.transpose(0, 2, 1), order="C")
-                defects.append(np.maximum.reduce(np.abs(upper - lower_adj), axis=(1, 2), initial=0.0))
+                lower_adj = np.conj(lower.T, order="C")
+                defect = max(defect, np.abs(upper - lower_adj).max())
                 # (m + m*) / 2.0 in place, bit for bit; m *= 0.5 would flip the sign of some zeros
                 if i != j:
-                    lower += np.conj(upper.transpose(0, 2, 1), order="C")
+                    lower += np.conj(upper.T, order="C")
                     lower /= 2.0
                 upper += lower_adj
                 upper /= 2.0
-    scale, defect = reduce(np.maximum, tops), reduce(np.maximum, defects)
-    rejected = {k: ValueError("matrix entries must be finite (found NaN or infinity)") for k in non_finite}
-    for k in huge - non_finite:  # an infinite scale would let any defect pass
-        if not (scale[k] < np.inf and np.isfinite(m[k]).all()):
-            rejected[k] = ValueError("matrix entries too large: |H_ij| or (H + H*) / 2 overflows to infinity")
-    for k in (defect > HERMITIAN_TOL * scale).nonzero()[0].tolist():
-        message = f"anti-Hermitian defect {defect[k]:.3e} exceeds {HERMITIAN_TOL:.1e} * scale {scale[k]:.3e}"
-        rejected.setdefault(k, NonHermitianError(message))
-    return rejected
+    if huge and not (scale < np.inf and np.isfinite(m).all()):  # an infinite scale would let any defect pass
+        raise ValueError("matrix entries too large: |H_ij| or (H + H*) / 2 overflows to infinity")
+    if defect > HERMITIAN_TOL * scale:
+        raise NonHermitianError(f"anti-Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e} * scale {scale:.3e}")
 
 
 class HermitianMatrix:
@@ -94,9 +90,7 @@ class HermitianMatrix:
         m = np.array(entries, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-        rejected = _symmetrize(m[None])
-        if rejected:
-            raise rejected[0]
+        _symmetrize(m)
         self.matrix = m
 
     @property

@@ -7,8 +7,9 @@ kernels has the closed form
 
     G[i, j] = sqrt((1 - |z_i|^2)(1 - |z_j|^2)) / (1 - z_i conj(z_j)),
 
-which this module cross-checks against the truncated route. Grammians in
-the range space of a positive operator P use the renormalized vectors
+which this module builds exactly Hermitian (``_szego_matrix``) and
+cross-checks against the truncated route. Grammians in the range space
+of a positive operator P use the renormalized vectors
 P^(1/2) k_z / ||P^(1/2) k_z||.
 
 Every producer hands its finished matrix to ``_grammian``, which wraps it
@@ -32,6 +33,8 @@ from .hermitian import HermitianMatrix, as_hermitian
 DEGENERATE_NORM_TOL = 1e-12
 UNIT_DIAG_TOL = 1e-10
 DEFAULT_ORDER = 256
+# Columns _szego_matrix mirrors at a time, so its temporaries stay O(n).
+_MIRROR_BLOCK = 128
 
 
 def check_buffer(value) -> None:
@@ -125,6 +128,28 @@ def _szego_entries(z_rows, z_cols, one_minus_rows, one_minus_cols, *, out=None) 
     return np.divide(num, g, out=g)
 
 
+def _szego_matrix(z: np.ndarray) -> np.ndarray:
+    """The Szegő Grammian of the points on the last axis of ``z``, exactly Hermitian.
+
+    Leading axes form a stack of point sets. Entries above the diagonal come
+    from ``_szego_entries``, the diagonal is 1, and each entry below is the
+    conjugate of its mirror: numpy rounds z_i conj(z_k) and z_k conj(z_i)
+    differently in about a third of pairs. So each row past the diagonal is
+    the streamed ``_szego_entries`` row, and the block of an ascending subset
+    of the points is that subset's own Grammian, bit for bit.
+    """
+    one_minus = 1.0 - np.abs(z) ** 2
+    g = _szego_entries(z, z, one_minus, one_minus)
+    k = z.shape[-1]
+    for i in range(0, k, _MIRROR_BLOCK):
+        j = min(i + _MIRROR_BLOCK, k)
+        strip = np.conj(g[..., i:j, i:].swapaxes(-1, -2))  # columns i:j from the diagonal down, mirrored
+        np.copyto(g[..., i:, i:j], strip, where=np.tri(k - i, j - i, -1, dtype=bool))
+    diagonal = np.arange(k)
+    g[..., diagonal, diagonal] = 1.0
+    return g
+
+
 def _grammian(matrix, seq: PointSequence, order=None, op=None, space="H2", normalized=True) -> Grammian:
     """``matrix`` (kept if a ``HermitianMatrix``, else symmetrized once) with the
     provenance of ``seq`` and ``op``, and, given a truncation ``order``, the
@@ -137,15 +162,12 @@ def _grammian(matrix, seq: PointSequence, order=None, op=None, space="H2", norma
 def szego_gram(seq: PointSequence) -> Grammian:
     """Closed-form Grammian of the normalized kernels of a point sequence.
 
-    No truncation is involved; the diagonal is exactly 1. The entries come
-    from ``_szego_entries``, so the peak is its buffer, the numerator and
-    the copy ``HermitianMatrix`` keeps.
+    No truncation is involved; the diagonal is exactly 1. The matrix comes
+    from ``_szego_matrix``, exactly Hermitian, so the gate ``HermitianMatrix``
+    runs leaves its bits as they are. The peak is its buffer, the numerator
+    and the copy ``HermitianMatrix`` keeps.
     """
-    z = seq.values()
-    one_minus = 1.0 - np.abs(z) ** 2
-    g = _szego_entries(z, z, one_minus, one_minus)
-    np.fill_diagonal(g, 1.0)
-    return _grammian(g, seq)
+    return _grammian(_szego_matrix(seq.values()), seq)
 
 
 def range_space_gram(op, seq: PointSequence) -> Grammian:

@@ -327,7 +327,8 @@ def st_construct(q, seq: PointSequence, order: int, delta: float) -> PositiveOpe
     Q must be PSD with diagonal at least ``delta`` (that floor becomes the
     lower norm bound ||P k~_i||^2 >= delta); eigenvalues that ``require_psd``
     accepts as rounding noise are clipped to zero. The kernel Gram matrix
-    V* V = S* S must be invertible at the 1e-8 level, read as sigma_min(S)^2.
+    V* V = S* S must be invertible at the 1e-8 level, read as sigma_min(S)^2;
+    N coefficients span at most N dimensions, so N < n raises ``ValueError``.
 
     M takes one solve with S* and no inverse. Its SVD X diag(sigma) Y*
     gives P as the diagonal sigma in the basis U X, with roundoff
@@ -338,6 +339,8 @@ def st_construct(q, seq: PointSequence, order: int, delta: float) -> PositiveOpe
     m = q.dim
     if m != len(seq):
         raise ValueError(f"Q is {m}x{m} but the sequence has {len(seq)} points")
+    if order < m:
+        raise ValueError(f"truncation order N={order} is below n={m} points: their kernels span at most N dimensions")
     lam, vecs = np.linalg.eigh(q.matrix)
     require_psd(float(lam[0]), float(lam[-1]), "Q")
     if not delta > 0.0:

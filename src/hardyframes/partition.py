@@ -29,9 +29,9 @@ caller that wants another order (the CLI's ``--sort-by-modulus``) passes
 Neither loop certifies itself: the final certificates are recomputed from
 the points (or the Grammian), never read from the greedy's state. The
 classes are grouped by size k; each group's class blocks are built as one
-(m, k, k) stack (for points, bitwise the ``szego_gram`` of each class's
-points, through the one Hermitian gate) and get one stacked ``eigvalsh``,
-and for ``carleson`` the separation products are recomputed the same way,
+(m, k, k) stack (for points, exactly Hermitian and bitwise the ``szego_gram``
+of each class's points) and get one stacked ``eigvalsh``, and for
+``carleson`` the separation products are recomputed the same way,
 with ``carleson_constants``' formula. ``verify_partition`` solves a
 Grammian's class blocks the same way. An exhaustive minimal-partition
 search (viable up to 12 points) is provided as an oracle for testing the
@@ -47,8 +47,7 @@ import numpy as np
 
 from .errors import NotAPartitionError, TargetTooHighError
 from .geometry import PointSequence, _check_distinct, _rho, _rho_matrix, _separation_products
-from .hermitian import _symmetrize
-from .kernels import Grammian, _szego_entries
+from .kernels import Grammian, _szego_entries, _szego_matrix
 
 CARLESON_GREEDY = "carleson_greedy"
 SPECTRAL_GREEDY = "spectral_greedy"
@@ -170,7 +169,7 @@ def partition_carleson(seq: PointSequence, delta_target: float) -> Partition:
     by_class = np.argsort(class_of, kind="stable")
     members = [cls.tolist() for cls in np.split(by_class, np.cumsum(np.bincount(class_of, minlength=count))[:-1])]
     groups = _size_groups(members)
-    lambda_min = _lambda_mins(_szego_blocks(z, groups), count)
+    lambda_min = _lambda_mins(groups, count, lambda pos: _szego_matrix(z[pos]))
     carleson_inf = np.empty(count)
     for which, positions in groups:
         carleson_inf[which] = _separation_products(z[positions])[0].min(axis=-1)
@@ -209,38 +208,17 @@ def _size_groups(members: list[list[int]]) -> list[tuple[np.ndarray, np.ndarray]
     return groups
 
 
-def _lambda_mins(stacks, count: int) -> np.ndarray:
-    """lambda_min of every class block, one ``eigvalsh`` per (class indices, (m, k, k) blocks) stack."""
+def _lambda_mins(groups, count: int, blocks) -> np.ndarray:
+    """lambda_min of every class block: one ``eigvalsh`` per group's (m, k, k) stack ``blocks(positions)``."""
     lam = np.empty(count)
-    for which, blocks in stacks:
-        lam[which] = np.linalg.eigvalsh(blocks)[:, 0]
+    for which, pos in groups:
+        lam[which] = np.linalg.eigvalsh(blocks(pos))[:, 0]
     return lam
 
 
-def _gathered_blocks(m: np.ndarray, groups):
-    """The class blocks m[positions][:, positions] of each size group, as one stack."""
-    return [(which, m[pos[:, :, None], pos[:, None, :]]) for which, pos in groups]
-
-
-def _szego_blocks(z: np.ndarray, groups):
-    """Each size group's class Grammians, as ``szego_gram`` of the class's points gives them.
-
-    The blocks come from ``_szego_entries`` with a unit diagonal, and each
-    group's stack passes the one gate ``_symmetrize`` that ``HermitianMatrix``
-    runs, so they are bitwise the matrices ``szego_gram`` keeps. A class the
-    gate rejects raises its error; with several, the first in class order.
-    """
-    one_minus = 1.0 - np.abs(z) ** 2
-    stacks, rejected = [], {}
-    for which, pos in groups:
-        g = _szego_entries(z[pos], z[pos], one_minus[pos], one_minus[pos])
-        diagonal = np.arange(pos.shape[1])
-        g[:, diagonal, diagonal] = 1.0
-        rejected.update((int(which[i]), error) for i, error in _symmetrize(g).items())
-        stacks.append((which, g))
-    if rejected:
-        raise rejected[min(rejected)]
-    return stacks
+def _gathered_blocks(m: np.ndarray):
+    """``blocks`` for ``_lambda_mins`` that gathers each class block m[positions][:, positions]."""
+    return lambda pos: m[pos[:, :, None], pos[:, None, :]]
 
 
 def _spectral_matrix(source):
@@ -248,14 +226,13 @@ def _spectral_matrix(source):
 
     ``class_rows(tail)`` is the row source of one class over the unassigned
     positions ``tail``: ``row(q, out)`` writes m[tail[q], tail[q + 1:]] into
-    the 1-D array ``out``. ``blocks(groups)`` gives the class blocks of each
-    ``_size_groups`` group as one stack. A normalized ``Grammian`` serves
-    entries of its matrix. A ``PointSequence`` stands for its Szegő
-    Grammian: a class gathers its tail's points once, and each row comes
-    from the closed form (before the Hermitian gate averages it, so an entry
-    may differ from ``szego_gram``'s in the last bit); blocks are the class
-    Grammians ``szego_gram`` would build from each class's points, through
-    the same gate (``_szego_blocks``).
+    the 1-D array ``out``. ``blocks`` is the block source ``_lambda_mins``
+    reads. A normalized ``Grammian`` serves entries of its matrix. A
+    ``PointSequence`` stands for its Szegő Grammian: a class gathers its
+    tail's points once, and each row comes from the closed form, bitwise
+    the entries of ``szego_gram``'s upper triangle; blocks are the class
+    Grammians ``szego_gram`` builds from each class's points
+    (``_szego_matrix``).
     """
     if isinstance(source, PointSequence):
         z = source.values()
@@ -265,7 +242,7 @@ def _spectral_matrix(source):
             zt, om = z[tail], one_minus[tail]
             return lambda q, out: _szego_entries(zt[q : q + 1], zt[q + 1 :], om[q : q + 1], om[q + 1 :], out=out[None])
 
-        return np.ones(len(z)), points_rows, lambda groups: _szego_blocks(z, groups)
+        return np.ones(len(z)), points_rows, lambda pos: _szego_matrix(z[pos])
     if not source.normalized:
         raise ValueError("spectral partitioning expects a normalized Grammian")
     m = source.matrix.matrix
@@ -273,7 +250,7 @@ def _spectral_matrix(source):
     def matrix_rows(tail):
         return lambda q, out: m[tail[q]].take(tail[q + 1 :], out=out)
 
-    return np.real(np.diagonal(m)), matrix_rows, lambda groups: _gathered_blocks(m, groups)
+    return np.real(np.diagonal(m)), matrix_rows, _gathered_blocks(m)
 
 
 def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Partition:
@@ -318,7 +295,7 @@ def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Par
         members.append(cls)
 
     labels = source.labels
-    lambda_min = _lambda_mins(blocks(_size_groups(members)), len(members))
+    lambda_min = _lambda_mins(_size_groups(members), len(members), blocks)
     certificates = tuple(
         ClassCertificate(tuple(labels[i] for i in cls), len(cls), lam)
         for cls, lam in zip(members, lambda_min.tolist())
@@ -384,7 +361,7 @@ def verify_partition(g: Grammian, partition: Partition, level: float) -> Partiti
 
     position = {lab: i for i, lab in enumerate(g.labels)}
     members = [[position[lab] for lab in cls] for cls in partition.classes]
-    lambda_min = _lambda_mins(_gathered_blocks(g.matrix.matrix, _size_groups(members)), len(members))
+    lambda_min = _lambda_mins(_size_groups(members), len(members), _gathered_blocks(g.matrix.matrix))
     checks = tuple(
         ClassCheck(tuple(cls), lam, lam >= level) for cls, lam in zip(partition.classes, lambda_min.tolist())
     )

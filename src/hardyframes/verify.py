@@ -199,9 +199,9 @@ _FAMILY_SAMPLERS = {
 }
 
 
-def _family_points(cfg: SuiteConfig, rng, trial: int, count: int, max_modulus: float = 0.9):
+def _family_points(cfg: SuiteConfig, rng, trial: int, count: int):
     fam = cfg.point_families[trial % len(cfg.point_families)]
-    return _FAMILY_SAMPLERS[fam](rng, count, max_modulus=max_modulus), fam
+    return _FAMILY_SAMPLERS[fam](rng, count), fam
 
 
 def _random_blaschke(rng, max_zeros: int = 5, max_radius: float = 0.8, allow_power: bool = True) -> InnerFunction:

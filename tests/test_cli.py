@@ -18,7 +18,7 @@ from hardyframes import PointSequence, cli, partition_carleson, partition_spectr
 from hardyframes.cli import main
 from hardyframes.io import matrix_from_json, matrix_to_json, partition_csv_lines, partition_to_json
 from hardyframes.partition import modulus_order
-from hardyframes.operators import OPERATOR_KINDS, PositiveOperator, st_construct
+from hardyframes.operators import OPERATOR_KINDS, PositiveOperator, from_spec, st_construct
 from test_partition import mixed_points, reference_spectral
 
 
@@ -346,6 +346,37 @@ class TestPartition:
         assert main(argv + ["--c-target", repr(tie)]) == 0
         assert min(c["lambda_min"] for c in read_json(out)["certificates"]) >= tie
 
+    @pytest.mark.parametrize("strategy", ["carleson", "spectral"])
+    def test_certificate_miss_is_exit_4(self, tmp_path, monkeypatch, capsys, strategy):
+        """Exit 4 reads the recomputed certificates, not the greedy's state.
+
+        The greedy is made to admit points its certificates refuse. Carleson
+        gets a negative margin. A negative Schur margin would admit a
+        negative slack, whose square root fails, so the spectral greedy's
+        streamed rows are halved instead: it then sees 0.5 (G + I), whose
+        blocks all clear c = 0.3, while the certificates see G.
+        """
+        if strategy == "carleson":
+            monkeypatch.setattr(hardyframes.partition, "_LOG_MARGIN", -1.0)
+        else:
+
+            def halved(*args, **kwargs):
+                entries = hardyframes.kernels._szego_entries(*args, **kwargs)
+                entries *= 0.5
+                return entries
+
+            monkeypatch.setattr(hardyframes.partition, "_szego_entries", halved)
+        rng = np.random.default_rng(3)
+        pts = write_points(tmp_path, 0.9 * np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40)))
+        out = tmp_path / "part.json"
+        argv = ["partition", "--points", pts, "--strategy", strategy, "--out", str(out)]
+        assert main(argv + ["--delta-target", "0.3", "--c-target", "0.3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.endswith(" certified=False\n")
+        assert captured.err == "error: a class certificate fell below its target\n"
+        key = "carleson_inf" if strategy == "carleson" else "lambda_min"
+        assert min(cert[key] for cert in read_json(out)["certificates"]) < 0.3
+
     def test_spectral_sort_by_modulus_runs_on_the_sorted_grammian(self, tmp_path):
         rng = np.random.default_rng(37)
         z = 0.9 * np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40))
@@ -488,6 +519,19 @@ class TestConstructSt:
         q = write_json(tmp_path / "q.json", matrix_to_json(0.5 * np.eye(3)))
         assert main(["construct-st", "--points", pts, "--Q", q, "--N", "64"]) == 4
         assert "construction certificate failed" in capsys.readouterr().err
+
+    def test_order_below_point_count_is_input_error(self, tmp_path, capsys):
+        # six kernel vectors truncated at N = 4 span at most four dimensions
+        points, q = ring(6, 0.6), matrix_to_json(0.5 * np.eye(6))
+        message = "truncation order N=4 is below n=6 points: their kernels span at most N dimensions"
+        pts = write_points(tmp_path, points)
+        assert main(["construct-st", "--points", pts, "--Q", write_json(tmp_path / "q.json", q), "--N", "4"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        spec = {"type": "st_constructed", "N": 4, "Q": q, "points": [[z.real, z.imag] for z in points]}
+        with pytest.raises(ValueError, match=message):
+            from_spec(spec)
+        assert main(["gram", "--points", pts, "--operator", write_json(tmp_path / "op.json", spec)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_fully_coincident_points_is_domain_error(self, tmp_path):
         pts = write_points(tmp_path, [0.5, 0.5 + 1e-9])
@@ -818,6 +862,14 @@ def test_malformed_config_value_is_input_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload", [[1, 2], 5, "N", None])
+def test_config_that_is_not_an_object_is_input_error(tmp_path, capsys, payload):
+    assert main(_gram(tmp_path) + ["--config", write_json(tmp_path / "cfg.json", payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: config file must contain a JSON object\n"
+    assert captured.out == ""
 
 
 def _labels(t):

@@ -19,7 +19,7 @@ from hardyframes import (
     eig_extremes,
     psd_sqrt,
 )
-from hardyframes.hermitian import SYMMETRIZE_BLOCK, _symmetrize
+from hardyframes.hermitian import SYMMETRIZE_BLOCK
 
 B = SYMMETRIZE_BLOCK
 
@@ -171,29 +171,6 @@ class TestHermitianMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
             HermitianMatrix(np.zeros((2, 3)))
-
-
-def test_stack_matches_each_member_alone():
-    """One gate call on a stack gives each member's bits and error, as HermitianMatrix does alone."""
-    rng = np.random.default_rng(10)
-    n = 2 * B + 1
-    stack = np.array([random_hermitian(rng, n) for _ in range(3)])
-    stack += 1e-12 * rng.standard_normal(stack.shape)
-    stack[0, B + 3, 2] += 1e-6j  # a defect in an off-diagonal block of member 0
-    stack[2, 5, 2 * B] = np.nan
-    got = stack.copy()
-    errors = _symmetrize(got)
-    assert sorted(errors) == [0, 2]
-    assert isinstance(errors[0], NonHermitianError) and "finite" in str(errors[2])
-    for k, member in enumerate(stack):
-        try:
-            want = HermitianMatrix(member).matrix
-        except (ValueError, NonHermitianError) as exc:
-            assert (type(errors[k]), str(errors[k])) == (type(exc), str(exc))
-        else:
-            assert k not in errors
-            assert got[k].tobytes() == want.tobytes()
-            assert want.tobytes() != member.tobytes()  # the averaging changed bits
 
 
 class TestEigExtremes:

@@ -32,7 +32,7 @@ from hardyframes import (
     range_space_gram,
     szego_gram,
 )
-from hardyframes.kernels import _szego_entries, _tail_bound
+from hardyframes.kernels import _szego_entries, _szego_matrix, _tail_bound
 from hardyframes.operators import InnerFunction, PositiveOperator, projection_phi_H2
 from hardyframes.verify import sample_clustered
 
@@ -175,13 +175,15 @@ class TestSzegoGram:
 
 
 def reference_szego(z):
-    """The closed form as separate n x n numerator and denominator, symmetrized by formula."""
+    """The closed form as separate n x n numerator and denominator, its upper triangle mirrored below."""
     one_minus = 1.0 - np.abs(z) ** 2
     num = np.sqrt(np.outer(one_minus, one_minus))
     den = 1.0 - z[:, None] * np.conj(z)[None, :]
     g = num / den
     np.fill_diagonal(g, 1.0)
-    return (g + g.conj().T) / 2.0
+    lower = np.tril_indices(len(z), -1)
+    g[lower] = np.conj(g.T[lower])
+    return g
 
 
 def clustered_points(rng, n):
@@ -210,13 +212,19 @@ class TestSzegoGramBuffer:
     def test_row_blocks_equal_blocks_of_the_full_matrix(self, family):
         # the streamed spectral greedy reads m[idx, start:] through these blocks
         rng = np.random.default_rng(9)
-        z = family(rng, self.N).values()
+        seq = family(rng, self.N)
+        z = seq.values()
         one_minus = 1.0 - np.abs(z) ** 2
         full = _szego_entries(z, z, one_minus, one_minus)
+        built = _szego_matrix(z)
+        assert (built == built.conj().T).all()
+        kept = szego_gram(seq).matrix.matrix
+        assert kept.tobytes() == built.tobytes()  # the gate HermitianMatrix runs changes no bit
         for start in rng.integers(1, self.N, 20):
             idx = np.sort(rng.choice(start, min(start, 17), replace=False))
             rows = _szego_entries(z[idx], z[start:], one_minus[idx], one_minus[start:])
             assert rows.tobytes() == full[idx, start:].tobytes()
+            assert rows.tobytes() == kept[idx, start:].tobytes()
 
     def test_memory_peak(self):
         seq = clustered_points(np.random.default_rng(5), self.N)

@@ -16,7 +16,6 @@ import pytest
 from hardyframes import (
     DuplicatePointError,
     InnerFunction,
-    NonHermitianError,
     NotAPartitionError,
     Partition,
     PointSequence,
@@ -37,8 +36,8 @@ from hardyframes import (
 )
 from hardyframes import partition
 from hardyframes.geometry import _rho, _rho_matrix
-from hardyframes.kernels import _szego_entries
-from hardyframes.partition import _LOG_MARGIN, _block_rows, _log_rho_rows, _size_groups, _szego_blocks, modulus_order
+from hardyframes.kernels import _szego_entries, _szego_matrix
+from hardyframes.partition import _LOG_MARGIN, _block_rows, _log_rho_rows, _size_groups, modulus_order
 from hardyframes.verify import _FAMILY_SAMPLERS, POINT_FAMILIES as VERIFY_FAMILIES
 
 
@@ -496,7 +495,7 @@ class TestStackedCertificates:
         # signed zeros included, which lambda_min does not show
         seq = self.sequence(family)
         members = [list(range(k, len(seq), 7)) for k in range(7)] + [[0, 3], [5]]
-        stacks = _szego_blocks(seq.values(), _size_groups(members))
+        stacks = [(which, _szego_matrix(seq.values()[pos])) for which, pos in _size_groups(members)]
         assert sorted(k for which, _ in stacks for k in which) == list(range(len(members)))
         for which, blocks in stacks:
             for k, block in zip(which, blocks):
@@ -583,34 +582,31 @@ def eps_clusters(rng, clusters=3, count=8, eps=1e-9):
 
 
 class TestCertificateGate:
-    """Class Grammians pass the gate ``HermitianMatrix`` applies to ``szego_gram``."""
+    """Boundary clusters at eps = 1e-9 partition and certify on every draw.
 
-    def test_carleson_raises_for_the_first_rejected_class(self):
-        # several classes of different sizes fail here, the first not always the smallest
-        rejected = 0
-        for seed in range(12):
-            z = eps_clusters(np.random.default_rng(seed))
-            seq = PointSequence(list(z))
-            errors = []
-            for cls in reference_carleson(z, 0.1):
-                try:
-                    szego_gram(seq.subsequence(cls))
-                except NonHermitianError as exc:
-                    errors.append(str(exc))
-            if not errors:
-                assert partition_carleson(seq, 0.1).class_count > 0
-                continue
-            rejected += 1
-            with pytest.raises(NonHermitianError) as info:
-                partition_carleson(seq, 0.1)
-            assert str(info.value) == errors[0]
-            assert str(info.value).startswith("anti-Hermitian defect ")
-        assert rejected > 6
+    There 1 - z_i conj(z_k) keeps few digits, so evaluating both triangles
+    would leave an anti-Hermitian defect above the gate's 1e-8. Each
+    certificate is the ``szego_gram`` of its class's points, bit for bit,
+    and clears its target.
+    """
 
-    def test_spectral_from_points_applies_the_gate(self):
-        seq = PointSequence(list(eps_clusters(np.random.default_rng(0), clusters=1)))
-        with pytest.raises(NonHermitianError, match=r"anti-Hermitian defect .* exceeds 1\.0e-08 \* scale 1\.000e\+00"):
-            partition_spectral(seq, 0.1)
+    def certified(self, strategy):
+        for seed in range(100):
+            seq = PointSequence(list(eps_clusters(np.random.default_rng(seed))))
+            part = strategy(seq, 0.1)
+            subs = [seq.subsequence(list(cls)) for cls in part.classes]  # labels are positions here
+            want = [np.linalg.eigvalsh(szego_gram(sub).matrix.matrix)[0] for sub in subs]
+            assert hexes(cert.lambda_min for cert in part.certificates) == hexes(want)
+            yield seq, part
+
+    def test_carleson_certifies_boundary_clusters(self):
+        for _, part in self.certified(partition_carleson):
+            assert min(cert.carleson_inf for cert in part.certificates) >= 0.1
+
+    def test_spectral_from_points_certifies_boundary_clusters(self):
+        for seq, part in self.certified(partition_spectral):
+            assert min(cert.lambda_min for cert in part.certificates) >= 0.1
+            assert part == partition_spectral(szego_gram(seq), 0.1)
 
 
 @pytest.mark.parametrize(

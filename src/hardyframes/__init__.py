@@ -24,7 +24,6 @@ from .kernels import (
     Provenance,
     image_gram,
     kernel_matrix,
-    normalized_gram,
     range_space_gram,
     szego_gram,
 )

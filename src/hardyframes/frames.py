@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularDiagonalError
-from .hermitian import DEFAULT_RANK_TOL, HermitianMatrix, as_hermitian, eig_extremes, require_psd
-from .kernels import Grammian
+from .hermitian import DEFAULT_RANK_TOL, as_hermitian, eig_extremes, require_psd
+from .kernels import Grammian, _grammian
 
 DEFAULT_RIESZ_TOL = 1e-8
 
@@ -82,6 +82,7 @@ def congruence_diag(g: Grammian, d) -> Grammian:
 
     Rescaling the sequence members by d_i moves every frame constant by at
     most the factor spread [min |d_i|^2, max |d_i|^2]; the result stays PSD.
+    ``_grammian`` averages the product, inexactly Hermitian for complex d.
     """
     dv = np.asarray(d, dtype=np.complex128)
     m = g.matrix.matrix
@@ -94,4 +95,4 @@ def congruence_diag(g: Grammian, d) -> Grammian:
     prov = g.provenance
     still_unit = g.normalized and bool(np.max(np.abs(np.abs(dv) - 1.0)) <= 1e-12)
     transform = "diag_congruence" if prov.transform is None else prov.transform + ";diag_congruence"
-    return Grammian(HermitianMatrix(out), replace(prov, transform=transform), normalized=still_unit)
+    return _grammian(out, replace(prov, transform=transform), normalized=still_unit)

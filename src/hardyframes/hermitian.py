@@ -9,12 +9,12 @@ block by block.
 ``psd_sqrt`` and ``psd_inverse`` have no production caller; they remain as
 the dense route that tests check the ST construction against.
 
-One gate, ``_symmetrize``, which every ``HermitianMatrix`` runs, admits each
-matrix: finite entries, a finite (H + H*) / 2 and a small anti-Hermitian
-defect; PSD needs an eigensolve, so it is checked where one is made anyway.
-The closed-form Szegő Grammians are exactly Hermitian when they reach it, so
-its averaging leaves their bits as they are; outside matrices (Q, ``custom``
-operators, V* P V) are averaged.
+One pass, ``_symmetrize``, admits a matrix: finite entries, a finite
+(H + H*) / 2 and a small anti-Hermitian defect; PSD needs an eigensolve, so
+it is checked where one is made anyway. ``HermitianMatrix``, a copy and that
+pass, is the gate for matrices from outside (Q, ``custom`` operators, API
+callers). ``_adopt`` wraps, with no copy, what the package builds itself:
+products the pass has averaged in place, and closed forms Hermitian as built.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ SYMMETRIZE_BLOCK = 128
 _HALF_MAX = np.finfo(np.float64).max / 2.0
 
 
-def _symmetrize(m: np.ndarray) -> None:
-    """Overwrite the square matrix ``m`` with (m + m*) / 2.0, or raise.
+def _symmetrize(m: np.ndarray) -> np.ndarray:
+    """Overwrite the square matrix ``m`` with (m + m*) / 2.0 and return it, or raise.
 
     Raises ``ValueError`` for a non-finite entry, then for an entry modulus
     or a result that overflows, then ``NonHermitianError`` for an
@@ -74,6 +74,7 @@ def _symmetrize(m: np.ndarray) -> None:
         raise ValueError("matrix entries too large: |H_ij| or (H + H*) / 2 overflows to infinity")
     if defect > HERMITIAN_TOL * scale:
         raise NonHermitianError(f"anti-Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.1e} * scale {scale:.3e}")
+    return m
 
 
 class HermitianMatrix:
@@ -90,8 +91,7 @@ class HermitianMatrix:
         m = np.array(entries, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-        _symmetrize(m)
-        self.matrix = m
+        self.matrix = _symmetrize(m)
 
     @property
     def dim(self) -> int:
@@ -99,6 +99,18 @@ class HermitianMatrix:
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"
+
+
+def _adopt(m: np.ndarray) -> HermitianMatrix:
+    """A ``HermitianMatrix`` holding ``m`` itself, with no copy and no check.
+
+    Precondition: ``m`` is a square complex128 array that the caller owns
+    and that is finite and exactly Hermitian, ``m == m.conj().T`` bit for
+    bit, as ``_symmetrize`` leaves it or a closed form builds it.
+    """
+    h = object.__new__(HermitianMatrix)
+    h.matrix = m
+    return h
 
 
 def as_hermitian(h) -> HermitianMatrix:
@@ -148,7 +160,7 @@ def psd_sqrt(h) -> HermitianMatrix:
     w, q = np.linalg.eigh(m)
     require_psd(float(w[0]), float(w[-1]), "matrix")
     s = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.conj().T
-    return HermitianMatrix(s)
+    return _adopt(_symmetrize(s))
 
 
 def psd_inverse(h) -> np.ndarray:

@@ -12,12 +12,12 @@ cross-checks against the truncated route. Grammians in the range space
 of a positive operator P use the renormalized vectors
 P^(1/2) k_z / ||P^(1/2) k_z||.
 
-Every producer hands its finished matrix to ``_grammian``, which wraps it
-once as a ``HermitianMatrix`` and records its ``Provenance``, with the tail
-bound of the truncated route (``range_space_gram``, ``image_gram``,
-``normalized_gram``). The truncation order N is a plain int:
-``kernel_matrix`` and ``normalized_gram`` take it, and the two operator
-routes read it off the operator, ``op.dim``.
+Every Grammian the package builds, ``frames.congruence_diag``'s too, goes
+through ``_grammian`` and gets one Hermitian pass on the way: the closed
+form is exact and wrapped as it is, and each Gram product is averaged once,
+in place. The two operator routes read the truncation order N off
+``op.dim`` and record its tail bound; ``image_gram(identity(N), seq)`` is
+the truncated oracle for ``szego_gram``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateKernelError, DimensionMismatchError
 from .geometry import PointSequence
-from .hermitian import HermitianMatrix, as_hermitian
+from .hermitian import HermitianMatrix, _adopt, _symmetrize
 
 DEGENERATE_NORM_TOL = 1e-12
 UNIT_DIAG_TOL = 1e-10
@@ -150,24 +150,23 @@ def _szego_matrix(z: np.ndarray) -> np.ndarray:
     return g
 
 
-def _grammian(matrix, seq: PointSequence, order=None, op=None, space="H2", normalized=True) -> Grammian:
-    """``matrix`` (kept if a ``HermitianMatrix``, else symmetrized once) with the
-    provenance of ``seq`` and ``op``, and, given a truncation ``order``, the
-    tail bound at the sequence's largest modulus."""
-    tail = 0.0 if order is None else _tail_bound(order, seq.max_modulus())
-    prov = Provenance(space, getattr(op, "id", None), seq.points, seq.labels, truncation_error=tail)
-    return Grammian(as_hermitian(matrix), prov, normalized=normalized)
+def _grammian(matrix, prov: Provenance, normalized=True) -> Grammian:
+    """The one way the package builds a Grammian. A ``HermitianMatrix`` is
+    kept as it is; an array is a Gram product the caller owns, averaged once
+    in place by ``_symmetrize`` and wrapped with no copy."""
+    if not isinstance(matrix, HermitianMatrix):
+        matrix = _adopt(_symmetrize(matrix))
+    return Grammian(matrix, prov, normalized=normalized)
 
 
 def szego_gram(seq: PointSequence) -> Grammian:
     """Closed-form Grammian of the normalized kernels of a point sequence.
 
-    No truncation is involved; the diagonal is exactly 1. The matrix comes
-    from ``_szego_matrix``, exactly Hermitian, so the gate ``HermitianMatrix``
-    runs leaves its bits as they are. The peak is its buffer, the numerator
-    and the copy ``HermitianMatrix`` keeps.
+    No truncation is involved; the diagonal is exactly 1. The matrix from
+    ``_szego_matrix`` is exactly Hermitian and is kept with no copy, so the
+    peak is its buffer plus the real numerator.
     """
-    return _grammian(_szego_matrix(seq.values()), seq)
+    return _grammian(_adopt(_szego_matrix(seq.values())), Provenance("H2", None, seq.points, seq.labels))
 
 
 def range_space_gram(op, seq: PointSequence) -> Grammian:
@@ -176,19 +175,20 @@ def range_space_gram(op, seq: PointSequence) -> Grammian:
     The kernels are truncated at the operator's own order ``op.dim``.
     The range-space kernel at w is P k_w with squared norm <P k_w, k_w>, so
     the normalized Grammian is diag(s)^-1 (V* P V) diag(s)^-1 with
-    s_i = sqrt((V* P V)_ii). ``HermitianMatrix`` symmetrizes V* P V once;
+    s_i = sqrt((V* P V)_ii). ``_symmetrize`` averages V* P V once, in place;
     the norms are read off its real diagonal and it is then divided in place
     by outer(s, s), which keeps it exactly Hermitian. A kernel image with
     norm at or below ``DEGENERATE_NORM_TOL`` raises ``DegenerateKernelError``.
     """
     v = kernel_matrix(seq, op.dim)
-    h = HermitianMatrix(v.conj().T @ op.apply(v))
-    norms = np.sqrt(np.clip(np.real(np.diagonal(h.matrix)), 0.0, None))
+    m = _symmetrize(v.conj().T @ op.apply(v))
+    norms = np.sqrt(np.clip(np.real(np.diagonal(m)), 0.0, None))
     if (small := np.flatnonzero(norms <= DEGENERATE_NORM_TOL)).size:
         raise DegenerateKernelError(int(small[0]), float(norms[small[0]]))
-    h.matrix /= np.outer(norms, norms)
-    np.fill_diagonal(h.matrix, 1.0)
-    return _grammian(h, seq, op.dim, op, space="H(P)")
+    m /= np.outer(norms, norms)
+    np.fill_diagonal(m, 1.0)
+    tail = _tail_bound(op.dim, seq.max_modulus())
+    return _grammian(_adopt(m), Provenance("H(P)", op.id, seq.points, seq.labels, tail))
 
 
 def image_gram(op, seq: PointSequence) -> Grammian:
@@ -196,17 +196,9 @@ def image_gram(op, seq: PointSequence) -> Grammian:
 
     Unlike ``range_space_gram`` the images are not renormalized, so the
     diagonal carries ||P k~_z||^2. This is the matrix that sits inside the
-    monotone comparison chains.
+    monotone comparison chains and the ST round trip; with ``identity(N)``
+    it is the truncated route to ``szego_gram``.
     """
     w = op.apply(kernel_matrix(seq, op.dim, normalize=True))
-    return _grammian(w.conj().T @ w, seq, op.dim, op, normalized=False)
-
-
-def normalized_gram(seq: PointSequence, order: int) -> Grammian:
-    """Truncated-route Grammian V* V of the normalized kernel vectors.
-
-    Agrees with ``szego_gram`` up to the truncation tail; kept separate so
-    the two routes can be compared.
-    """
-    v = kernel_matrix(seq, order, normalize=True)
-    return _grammian(v.conj().T @ v, seq, order)
+    tail = _tail_bound(op.dim, seq.max_modulus())
+    return _grammian(w.conj().T @ w, Provenance("H2", op.id, seq.points, seq.labels, tail), normalized=False)

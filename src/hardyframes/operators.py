@@ -36,9 +36,9 @@ from .errors import (
     TruncationTooCoarseError,
 )
 from .geometry import PointSequence
-from .hermitian import HermitianMatrix, as_hermitian, require_psd
+from .hermitian import HermitianMatrix, _adopt, _symmetrize, as_hermitian, require_psd
 from .io import from_pairs, json_int, json_number, matrix_from_json
-from .kernels import DEFAULT_ORDER, check_buffer, kernel_matrix
+from .kernels import DEFAULT_ORDER, check_buffer, image_gram, kernel_matrix
 
 ORTHONORMALITY_GATE = 1e-6
 GRAM_CONDITION_FLOOR = 1e-8
@@ -181,9 +181,9 @@ class PositiveOperator:
 
     @property
     def matrix(self) -> HermitianMatrix:
-        """The dense operator, exactly Hermitian, built on first use."""
+        """The dense operator, built on first use and averaged once, in place."""
         if self._dense is None:
-            self._dense = HermitianMatrix(self.apply(np.eye(self.dim, dtype=np.complex128)))
+            self._dense = _adopt(_symmetrize(self.apply(np.eye(self.dim, dtype=np.complex128))))
         return self._dense
 
 
@@ -367,15 +367,10 @@ ST_NORM_FLOOR_SLACK = 1e-8
 
 
 def st_roundtrip_defect(op: PositiveOperator, q, seq: PointSequence) -> tuple[float, float]:
-    """Maximum entry deviation of the realized Grammian from Q, plus the
-    smallest realized squared norm min_i ||P k~_i||^2, with the kernels
-    truncated at the operator's order."""
-    qm = as_hermitian(q).matrix
-    w = op.apply(kernel_matrix(seq, op.dim, normalize=True))
-    realized = w.conj().T @ w
-    defect = float(np.abs(realized - qm).max())
-    min_norm_sq = float(np.real(np.diagonal(realized)).min())
-    return defect, min_norm_sq
+    """Maximum entry deviation of the realized Grammian ``image_gram(op, seq)``
+    from Q, plus the smallest realized squared norm min_i ||P k~_i||^2."""
+    realized = image_gram(op, seq).matrix.matrix
+    return float(np.abs(realized - as_hermitian(q).matrix).max()), min_diagonal(realized)
 
 
 def _inner_from_spec(d) -> InnerFunction:

@@ -33,9 +33,10 @@ plus low rank, so a run costs O(N) memory and time linear in N.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import partial
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -89,14 +90,13 @@ class SuiteConfig:
     tolerances: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.seed < 0:
-            raise ConfigInvalidError(f"seed must be >= 0, got {self.seed}")
-        if self.trials < 1:
-            raise ConfigInvalidError(f"trials must be >= 1, got {self.trials}")
-        if self.order < MIN_SUITE_ORDER:
-            raise ConfigInvalidError(
-                f"truncation order {self.order} is too small to test (need >= {MIN_SUITE_ORDER})"
-            )
+        for name, value, least in (
+            ("seed", self.seed, 0), ("trials", self.trials, 1), ("truncation order", self.order, MIN_SUITE_ORDER)
+        ):
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigInvalidError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigInvalidError(f"{name} must be >= {least}, got {value}")
         if not self.point_families:
             raise ConfigInvalidError("at least one point family is required")
         for fam in self.point_families:
@@ -105,7 +105,7 @@ class SuiteConfig:
         for key, value in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigInvalidError(f"unknown tolerance key {key!r}")
-            if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 <= value < np.inf:
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 <= value <= sys.float_info.max:
                 raise ConfigInvalidError(f"tolerance {key} must be a finite number >= 0, got {value!r}")
 
     def tol(self, key: str) -> float:

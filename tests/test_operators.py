@@ -24,6 +24,7 @@ from hardyframes import (
     diagonal_operator,
     evaluate_inner,
     identity,
+    image_gram,
     kernel_matrix,
     projection_c_plus_phi,
     projection_model_space,
@@ -405,6 +406,20 @@ class TestStConstruct:
         defect, min_norm = st_roundtrip_defect(op, q, seq)
         assert defect < 1e-8
         assert min_norm >= 0.1 - 1e-9
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_roundtrip_is_read_off_image_gram(self, seed):
+        rng = np.random.default_rng([79, seed])
+        count = int(rng.integers(2, 9))
+        seq = PointSequence(list(0.8 * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))))
+        a = rng.normal(size=(count, count)) + 1j * rng.normal(size=(count, count))
+        q = a @ a.conj().T
+        q = 0.8 * q / np.real(np.diagonal(q)).max() + 0.2 * np.eye(count)
+        op = st_construct(q, seq, 128, delta=0.2)
+        realized = image_gram(op, seq)
+        want = (float(np.abs(realized.matrix.matrix - HermitianMatrix(q).matrix).max()), min_diagonal(realized.matrix))
+        assert st_roundtrip_defect(op, q, seq) == want
+        assert realized.provenance.truncation_error > 0.0
 
     def test_operator_is_psd_symmetric(self):
         seq = self._ring(4)

@@ -1,6 +1,7 @@
 """Seeded verification suite: reproducibility, witnesses, samplers, config."""
 
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -93,6 +94,23 @@ class TestSuiteConfig:
         # NaN would disable a check: no defect compares above it
         with pytest.raises(ConfigInvalidError, match="finite number"):
             SuiteConfig(tolerances={"st_roundtrip": value}).validate()
+
+    def test_rejects_tolerance_too_large_for_a_float(self):
+        # the CLI rejects the same value; a float() of it would overflow in run_suite
+        with pytest.raises(ConfigInvalidError, match="finite number"):
+            SuiteConfig(trials=1, order=128, tolerances={"st_roundtrip": 10**400}).validate()
+        SuiteConfig(tolerances={"st_roundtrip": sys.float_info.max}).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", 2.5), ("order", 128.0), ("seed", True), ("trials", True), ("order", "128"), ("seed", 4.0)],
+    )
+    def test_rejects_counts_that_are_not_integers(self, field, value):
+        with pytest.raises(ConfigInvalidError, match=f"{field} must be an integer"):
+            SuiteConfig(**{field: value}).validate()
+
+    def test_accepts_numpy_integers(self):
+        SuiteConfig(seed=np.int64(3), trials=np.int32(1), order=np.int64(128)).validate()
 
     def test_zero_tolerance_allowed(self):
         SuiteConfig(tolerances={"st_roundtrip": 0.0}).validate()

@@ -33,7 +33,7 @@ from . import io
 from .errors import ConfigInvalidError, HardyFramesError, IndexOutOfRangeError, NegativeWeightError
 from .frames import DEFAULT_RIESZ_TOL, analyze
 from .hermitian import HermitianMatrix
-from .kernels import DEFAULT_ORDER, check_buffer, range_space_gram, szego_gram
+from .kernels import DEFAULT_ORDER, range_space_gram, szego_gram
 from .operators import ST_NORM_FLOOR_SLACK, ST_ROUNDTRIP_GATE, from_spec, min_diagonal, st_construct, st_roundtrip_defect
 from .partition import modulus_order, partition_carleson, partition_spectral
 from .verify import SuiteConfig, run_suite, suite_passed
@@ -145,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="JSON config file; explicit flags override it")
         sp.add_argument("--out", help="write the JSON report here (atomic)")
-        sp.add_argument("--buffer", type=int, default=0, help="ignored (a negative value exits 2)")
 
     def truncated(sp, order=DEFAULT_ORDER):
         common(sp)
@@ -192,20 +191,9 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _tolerances(value) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"'tolerances' must be a JSON object, got {value!r}")
-    return {key: io.json_number(v, f"tolerances.{key}") for key, v in value.items()}
-
-
-def _point_families(value) -> tuple:
-    if not isinstance(value, list) or not all(type(f) is str for f in value):
-        raise ValueError(f"'point_families' must be a JSON list of strings, got {value!r}")
-    return tuple(value)
-
-
-# Config keys that no flag declares, checked where the subcommand defaults them.
-_CONFIG_ONLY = {"tolerances": _tolerances, "point_families": _point_families}
+# Config keys that no flag declares, passed as they are where the subcommand
+# defaults them; ``SuiteConfig.validate`` checks them.
+_CONFIG_ONLY = ("tolerances", "point_families")
 _SCALAR_CHECKS = {int: io.json_int, _finite_float: io.json_number}
 
 
@@ -226,7 +214,7 @@ def _config_defaults(sp: argparse.ArgumentParser, cfg) -> dict:
     if not isinstance(cfg, dict):
         raise ValueError("config file must contain a JSON object")
     checks = {a.dest: partial(_config_value, a) for a in sp._actions if a.dest not in ("help", "config")}
-    checks.update((key, check) for key, check in _CONFIG_ONLY.items() if sp.get_default(key) is not None)
+    checks.update((key, lambda value: value) for key in _CONFIG_ONLY if sp.get_default(key) is not None)
     return {key: checks[key](value) for key, value in cfg.items() if key in checks and value is not None}
 
 
@@ -246,7 +234,6 @@ def main(argv=None) -> int:
             sp = sub.choices[args.command]
             sp.set_defaults(**_config_defaults(sp, io.load_json(args.config)))
             args = parser.parse_args(argv)
-        check_buffer(args.buffer)
         return args.func(args)
     except (HardyFramesError, np.linalg.LinAlgError) as exc:
         _err(exc)

@@ -3,9 +3,7 @@
 Thin, deterministic wrappers around LAPACK's Hermitian eigensolver: extreme
 eigenvalues with a rank cutoff and positive-semidefinite square roots and
 inverses. Full dense eigendecomposition is the reference path and no
-iterative machinery is used. Matrices range from class blocks of a few
-rows to Grammians of thousands (n = 3000), which the gate symmetrizes
-block by block.
+iterative machinery is used.
 ``psd_sqrt`` and ``psd_inverse`` have no production caller; they remain as
 the dense route that tests check the ST construction against.
 
@@ -15,6 +13,9 @@ it is checked where one is made anyway. ``HermitianMatrix``, a copy and that
 pass, is the gate for matrices from outside (Q, ``custom`` operators, API
 callers). ``_adopt`` wraps, with no copy, what the package builds itself:
 products the pass has averaged in place, and closed forms Hermitian as built.
+So the pass, which walks a matrix block by block, sees the matrices from
+outside, Gram products at n points and dense operator forms at order N;
+closed forms, partition class blocks included, never reach it.
 """
 
 from __future__ import annotations

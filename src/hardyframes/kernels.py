@@ -37,14 +37,10 @@ DEFAULT_ORDER = 256
 _MIRROR_BLOCK = 128
 
 
-def check_buffer(value) -> None:
-    """Validate a legacy ``buffer`` setting, which is accepted and ignored.
-
-    No operator needs working space past the truncation window, so the
-    value has no effect; a negative one is still rejected as bad input.
-    """
-    if value < 0:
-        raise ValueError("buffer must be nonnegative")
+def check_order(order: int) -> None:
+    """The one check of a truncation order: ``ValueError`` unless it is at least 1."""
+    if order < 1:
+        raise ValueError("truncation order must be at least 1")
 
 
 def _tail_bound(order: int, radius: float) -> float:
@@ -100,8 +96,7 @@ class Grammian:
 
 def kernel_matrix(seq: PointSequence, order: int, normalize: bool = False) -> np.ndarray:
     """Kernel vectors of a sequence truncated at ``order``, stacked as columns."""
-    if order < 1:
-        raise ValueError("truncation order must be at least 1")
+    check_order(order)
     z = seq.values()
     v = np.vander(np.conj(z), order, increasing=True).T.astype(np.complex128)
     if normalize:

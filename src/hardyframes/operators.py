@@ -38,7 +38,7 @@ from .errors import (
 from .geometry import PointSequence
 from .hermitian import HermitianMatrix, _adopt, _symmetrize, as_hermitian, require_psd
 from .io import from_pairs, json_int, json_number, matrix_from_json
-from .kernels import DEFAULT_ORDER, check_buffer, image_gram, kernel_matrix
+from .kernels import DEFAULT_ORDER, check_order, image_gram, kernel_matrix
 
 ORTHONORMALITY_GATE = 1e-6
 GRAM_CONDITION_FLOOR = 1e-8
@@ -188,6 +188,7 @@ class PositiveOperator:
 
 
 def identity(order: int) -> PositiveOperator:
+    check_order(order)
     return PositiveOperator(np.ones(order), f"identity(N={order})", "identity")
 
 
@@ -236,6 +237,7 @@ def _model_space_basis(phi: InnerFunction, order: int) -> tuple[np.ndarray, np.n
     ``TruncationTooCoarseError`` is raised: only a larger ``order`` helps,
     since the basis is built inside the window alone.
     """
+    check_order(order)
     heads = min(phi.monomial_power, order)
     zeros = phi.zeros if phi.monomial_power < order else ()
     e = np.zeros((order, heads + len(zeros)), dtype=np.complex128)
@@ -274,8 +276,7 @@ def projection_model_space(phi: InnerFunction, order: int) -> PositiveOperator:
 
 def projection_monomial_span(excluded, order: int) -> PositiveOperator:
     """Projection onto the closed span of the monomials NOT in ``excluded``."""
-    if order < 1:
-        raise ValueError("order must be positive")
+    check_order(order)
     d = np.ones(order)
     seen = sorted({int(j) for j in excluded})
     for j in seen:
@@ -414,8 +415,8 @@ def from_spec(spec: dict) -> PositiveOperator:
     ``_LEGACY_SPEC_TYPES``, and the JSON integer ``N``, at least 1, fixes
     the truncation order; for ``diagonal`` and ``custom`` operators, whose
     weights or matrix fix it, an explicit ``N`` must agree (else
-    ``ValueError``). A ``buffer`` field is accepted and ignored
-    (``check_buffer``).
+    ``ValueError``). Each factory reaches either a builder that checks the
+    order or that agreement check.
     """
     if "type" not in spec:
         raise ValueError("operator spec needs a 'type' field")
@@ -423,9 +424,6 @@ def from_spec(spec: dict) -> PositiveOperator:
     if kind not in _SPEC_FACTORIES:
         raise ValueError(f"unknown operator type {spec['type']!r}")
     order = json_int(spec.get("N", DEFAULT_ORDER), "N")
-    check_buffer(json_int(spec.get("buffer", 0), "buffer"))
-    if order < 1:
-        raise ValueError("truncation order must be at least 1")
     op = _SPEC_FACTORIES[kind](spec, order)
     if "N" in spec and op.dim != order:
         raise ValueError(f"operator spec sets N={order} but its {kind} operator has order {op.dim}")

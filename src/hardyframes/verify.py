@@ -81,7 +81,8 @@ MIN_SUITE_ORDER = 128
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Seed, trial count, truncation order, point families, tolerance overrides."""
+    """Seed, trial count, truncation order, point families, tolerance overrides;
+    ``validate`` is their one check, for API callers and the CLI alike."""
 
     seed: int = 42
     trials: int = 20
@@ -97,16 +98,20 @@ class SuiteConfig:
                 raise ConfigInvalidError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ConfigInvalidError(f"{name} must be >= {least}, got {value}")
+        if not isinstance(self.point_families, (list, tuple)):
+            raise ConfigInvalidError(f"'point_families' must be a list of family names, got {self.point_families!r}")
         if not self.point_families:
-            raise ConfigInvalidError("at least one point family is required")
+            raise ConfigInvalidError("'point_families' needs at least one family")
         for fam in self.point_families:
             if fam not in POINT_FAMILIES:
-                raise ConfigInvalidError(f"unknown point family {fam!r}")
+                raise ConfigInvalidError(f"unknown point family {fam!r} in 'point_families'")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigInvalidError(f"'tolerances' must be an object of named tolerances, got {self.tolerances!r}")
         for key, value in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
-                raise ConfigInvalidError(f"unknown tolerance key {key!r}")
+                raise ConfigInvalidError(f"unknown tolerance {key!r} in 'tolerances'")
             if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 <= value <= sys.float_info.max:
-                raise ConfigInvalidError(f"tolerance {key} must be a finite number >= 0, got {value!r}")
+                raise ConfigInvalidError(f"'tolerances.{key}' must be a finite number >= 0, got {value!r}")
 
     def tol(self, key: str) -> float:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -606,6 +607,18 @@ class TestVerify:
         cfg = write_json(tmp_path / "cfg.json", {"point_families": ["uniform_disk"]})
         assert main(["verify", "--config", cfg, "--trials", "2", "--N", "128"]) == 0
 
+    def test_config_values_reach_the_suite_as_json_gives_them(self, tmp_path):
+        # a list of families and an integer tolerance, checked only by SuiteConfig.validate
+        def report(cfg, name):
+            out = tmp_path / f"{name}.json"
+            path = write_json(tmp_path / f"{name}_cfg.json", cfg)
+            assert main(["verify", "--config", path, "--trials", "1", "--N", "128", "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        as_json = report({"point_families": ["clustered"], "tolerances": {"st_roundtrip": 1}}, "int")
+        assert as_json == report({"point_families": ["clustered"], "tolerances": {"st_roundtrip": 1.0}}, "float")
+        assert b'"tolerances":{"st_roundtrip":1.0}' in as_json
+
     def test_null_config_values_count_as_not_given(self, tmp_path, capsys):
         # {"N": null} falls back to the default order, as an omitted key does
         cfg = write_json(tmp_path / "cfg.json", {"N": None, "trials": 1})
@@ -837,7 +850,6 @@ MALFORMED_CONFIG = {
     "N-float": ("N", _gram_operator, {"N": 64.9}),
     "sort_by_modulus-string": ("sort_by_modulus", _partition("carleson"), {"sort_by_modulus": "false"}),
     "c_target-string": ("c_target", _partition("spectral"), {"c_target": "0.3"}),
-    "buffer-float": ("buffer", _gram, {"buffer": 2.5}),
     "trials-float": ("trials", _verify, {"trials": 1.9}),
     "seed-bool": ("seed", _verify, {"seed": True, "trials": 1}),
     "strategy-unknown": ("strategy", lambda t: _partition("carleson")(t)[:3], {"strategy": "foo"}),
@@ -899,7 +911,6 @@ MALFORMED_SCALARS = {
     "dim-zero-Q": ("dim", _empty_q),
     "dim-zero-custom": ("dim", lambda t: _malformed_spec(t, {"type": "custom", "matrix": EMPTY_MATRIX})),
     "delta": ("delta", lambda t: _malformed_spec(t, {**ST_SPEC, "delta": "0.5"})),
-    "buffer": ("buffer", lambda t: _malformed_spec(t, {**PHI_SPEC, "buffer": 2.5})),
 }
 
 
@@ -912,6 +923,24 @@ def test_malformed_file_scalar_is_input_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
     assert "Traceback" not in err
+
+
+MISCOUNTED_MATRIX = {"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda t: [
+            "construct-st", "--points", write_points(t, [0.3, -0.3]), "--Q", write_json(t / "q.json", MISCOUNTED_MATRIX)
+        ],
+        lambda t: _malformed_spec(t, {"type": "custom", "matrix": MISCOUNTED_MATRIX}),
+    ],
+    ids=["Q", "custom"],
+)
+def test_matrix_entry_count_must_be_dim_squared(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: matrix of dim 2 needs 4 entries, got 3\n"
 
 
 def _construct_st(t):
@@ -952,18 +981,27 @@ def option_values(t):
     return {
         "gram": {
             "points": pts, "operator": write_json(t / "op.json", PHI_SPEC), "N": 96, "riesz_tol": 0.3,
-            "buffer": 3, "out": out, "csv": csv,
+            "out": out, "csv": csv,
         },
         "partition": {
             "points": pts, "strategy": "carleson", "delta_target": 0.2, "c_target": 0.5,
-            "sort_by_modulus": True, "buffer": 3, "out": out, "csv": csv,
+            "sort_by_modulus": True, "out": out, "csv": csv,
         },
         "construct-st": {
             "points": pts, "Q": write_json(t / "q.json", matrix_to_json(0.5 * np.eye(4))),
-            "delta_target": 0.25, "N": 96, "buffer": 3, "out": out,
+            "delta_target": 0.25, "N": 96, "out": out,
         },
-        "verify": {"seed": 5, "trials": 1, "N": 160, "buffer": 3, "out": out},
+        "verify": {"seed": 5, "trials": 1, "N": 160, "out": out},
     }
+
+
+def test_readme_command_line_section_names_every_flag():
+    """README's "Command line" section and the parser name the same flags."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Command line") : readme.index("## Python API")]
+    documented = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+    declared = {s for sp in subcommand_parsers().values() for a in sp._actions for s in a.option_strings}
+    assert documented == declared - {"-h", "--help"}
 
 
 def wrong_json_type(value):
@@ -1055,46 +1093,30 @@ class TestPlumbing:
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.json"
         assert main(["gram", "--points", pts, "--out", str(missing_dir)]) == 2
 
-    def test_buffer_is_ignored_and_negative_buffer_is_input_error(self, tmp_path, capsys):
+    def test_buffer_is_an_unknown_flag_and_an_ignored_key(self, tmp_path, capsys):
+        # older versions declared a buffer that had no effect; files written for them still run
         pts = write_points(tmp_path, ring(4, 0.6))
-        inner = {"zeros": [[0.5, 0.0], [0.0, -0.4]], "m": 1}
-        spec = {"type": "projection_phiH2", "N": 64, "inner": inner}
-        op = write_json(tmp_path / "op.json", spec)
         q = write_json(tmp_path / "q.json", matrix_to_json(0.5 * np.eye(4)))
+        spec = {"type": "projection_phiH2", "N": 64, "inner": {"zeros": [[0.5, 0.0], [0.0, -0.4]], "m": 1}}
         gram = ["gram", "--points", pts, "--N", "64"]
         st = ["construct-st", "--points", pts, "--Q", q, "--N", "64"]
+        verify = ["verify", "--trials", "1", "--N", "128"]
+        partition = ["partition", "--points", pts, "--strategy", "carleson"]
+        for argv in (gram, st, verify, partition):
+            assert main(argv + ["--buffer", "7"]) == 2, argv
+            assert "unrecognized arguments: --buffer 7" in capsys.readouterr().err
 
         def report(argv, name):
             out = tmp_path / name
             assert main(argv + ["--out", str(out)]) == 0
             return out.read_bytes()
 
-        assert report(gram + ["--operator", op, "--buffer", "7"], "g7.json") == report(
-            gram + ["--operator", op], "g.json"
-        )
-        spec7 = write_json(tmp_path / "op7.json", {**spec, "buffer": 7})
-        assert report(gram + ["--operator", spec7], "s7.json") == report(
-            gram + ["--operator", op], "g.json"
-        )
-        assert report(st + ["--buffer", "7"], "st7.json") == report(st, "st.json")
-
-        negative = write_json(tmp_path / "neg.json", {**spec, "buffer": -1})
-        negative_cfg = write_json(tmp_path / "neg_cfg.json", {"buffer": -1})
-        rejected = [
-            gram + ["--operator", op, "--buffer", "-1"],
-            gram + ["--operator", negative],
-            gram + ["--buffer", "-1"],
-            gram + ["--config", negative_cfg],
-            st + ["--buffer", "-1"],
-            ["partition", "--points", pts, "--strategy", "carleson", "--buffer", "-1"],
-            ["partition", "--points", pts, "--strategy", "spectral", "--config", negative_cfg],
-            ["verify", "--trials", "1", "--N", "128", "--buffer", "-1"],
-            ["verify", "--trials", "1", "--N", "128", "--config", negative_cfg],
-        ]
-        capsys.readouterr()
-        for argv in rejected:
-            assert main(argv) == 2, argv
-        assert capsys.readouterr().err.count("buffer must be nonnegative") == len(rejected)
+        op = write_json(tmp_path / "op.json", spec)
+        op7 = write_json(tmp_path / "op7.json", {**spec, "buffer": 7})
+        cfg = write_json(tmp_path / "cfg.json", {"buffer": 3})
+        assert report(gram + ["--operator", op7], "g7.json") == report(gram + ["--operator", op], "g.json")
+        for i, argv in enumerate((gram, st, verify, partition)):
+            assert report(argv + ["--config", cfg], f"c{i}.json") == report(argv, f"r{i}.json"), argv
 
     def test_order_below_one_is_input_error(self, tmp_path, capsys):
         pts = write_points(tmp_path, ring(3, 0.5))

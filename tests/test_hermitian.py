@@ -19,7 +19,7 @@ from hardyframes import (
     eig_extremes,
     psd_sqrt,
 )
-from hardyframes.hermitian import SYMMETRIZE_BLOCK
+from hardyframes.hermitian import SYMMETRIZE_BLOCK, psd_inverse
 
 B = SYMMETRIZE_BLOCK
 
@@ -251,6 +251,20 @@ class TestPsdSqrt:
             sa = psd_sqrt(np.diag(a)).matrix
             sb = psd_sqrt(np.diag(b)).matrix
             assert float(np.linalg.eigvalsh(sb - sa)[0]) >= -1e-12
+
+
+class TestPsdInverse:
+    def test_multiply_back(self):
+        rng = np.random.default_rng(41)
+        raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        h = raw @ raw.conj().T + np.eye(6)
+        assert np.abs(psd_inverse(h) @ h - np.eye(6)).max() <= 1e-12
+
+    @pytest.mark.parametrize("h", [np.diag([2.0, 0.0]), np.zeros((3, 3))], ids=["rank-one", "zero"])
+    def test_singular_psd_rejected(self, h):
+        # PSD, so the Hermitian gate admits it, but lambda_min = 0 has no inverse
+        with pytest.raises(NotPSDError, match="cannot invert: lambda_min = 0.000e\\+00"):
+            psd_inverse(h)
 
 
 def test_principal_submatrix_interlacing():

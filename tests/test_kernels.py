@@ -8,6 +8,7 @@ closed-form and matrix routes are checked independently.
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from hardyframes.kernels import _szego_entries, _szego_matrix, _tail_bound
 from hardyframes.io import matrix_to_json
 from hardyframes.operators import OPERATOR_KINDS, InnerFunction, PositiveOperator, from_spec, projection_phi_H2
 from hardyframes.verify import sample_clustered
+from exact import U, GaussianRational, pick_matrix, relative_error, sqrt_rational, szego_matrix
 
 
 def oracle_entry(zi, zj, order):
@@ -236,6 +238,58 @@ class TestSzegoGramBuffer:
         finally:
             tracemalloc.stop()
         assert peak <= self.N**2 * (16 + 8) + 2**20
+
+
+def dyadic_points(rng, family, count, bits=30):
+    """``count`` distinct points k / 2**bits + i l / 2**bits, exact as doubles:
+    uniform in |z| <= 0.9, on the real axis in [-0.9, 0.9], or in a square
+    cluster of side 2**-10 at a point drawn uniformly in |z| <= 0.9."""
+    scale, reach = 2**bits, int(0.9 * 2**bits)
+
+    def in_disk():
+        while True:
+            k, l = (int(v) for v in rng.integers(-reach, reach + 1, size=2))
+            if 100 * (k * k + l * l) <= 81 * scale * scale:
+                return k, l
+
+    center = in_disk()
+    found = set()
+    while len(found) < count:
+        if family == "uniform":
+            found.add(in_disk())
+        elif family == "real_axis":
+            found.add((int(rng.integers(-reach, reach + 1)), 0))
+        else:
+            dk, dl = (int(v) for v in rng.integers(0, 2 ** (bits - 10) + 1, size=2))
+            found.add((center[0] + dk, center[1] + dl))
+    return [complex(k / scale, l / scale) for k, l in sorted(found)]
+
+
+class TestSzegoGramExact:
+    """``szego_gram`` against the exact Grammian of ``exact.szego_matrix``."""
+
+    def test_reference_on_worked_values(self):
+        z = GaussianRational(Fraction(1), Fraction(2)) / GaussianRational(Fraction(3), Fraction(-4))
+        assert z == GaussianRational(Fraction(-1, 5), Fraction(2, 5))
+        assert pick_matrix([0.0, 0.5]) == [
+            [GaussianRational(Fraction(1)), GaussianRational(Fraction(1))],
+            [GaussianRational(Fraction(1)), GaussianRational(Fraction(4, 3))],
+        ]
+        # sqrt(3/4) / 1 between 0 and 1/2, to 50 digits
+        g = szego_matrix([0.0, 0.5])
+        assert abs(g[0][1].re ** 2 - Fraction(3, 4)) < Fraction(1, 10**49)
+        assert g[0][1].im == 0 and sqrt_rational(Fraction(9, 16)) == Fraction(3, 4)
+
+    @pytest.mark.parametrize("family", ["uniform", "real_axis", "cluster"])
+    def test_entrywise_within_16u(self, family):
+        rng = np.random.default_rng(["uniform", "real_axis", "cluster"].index(family))
+        worst = 0.0
+        for _ in range(20):
+            points = dyadic_points(rng, family, 8)
+            g = szego_gram(PointSequence(points)).matrix.matrix
+            exact = szego_matrix(points)
+            worst = max(worst, max(relative_error(g[i, j], exact[i][j]) for i in range(8) for j in range(8)))
+        assert worst <= 16 * U, f"worst entrywise error {worst / U:.1f}u"
 
 
 class TestGrammianValidation:

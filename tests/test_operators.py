@@ -274,6 +274,23 @@ class TestDiagonalOperator:
             diagonal_operator([0.5, float("nan")])
 
 
+# builder -> a call of it at a given truncation order (kernel_matrix is checked in test_kernels)
+ORDER_BUILDERS = {
+    "identity": identity,
+    "projection_phi_H2": lambda order: projection_phi_H2(InnerFunction((0.5,), monomial_power=1), order),
+    "projection_model_space": lambda order: projection_model_space(InnerFunction((0.5,), monomial_power=1), order),
+    "projection_c_plus_phi": lambda order: projection_c_plus_phi(InnerFunction((0.5,), monomial_power=1), order),
+    "projection_monomial_span": lambda order: projection_monomial_span([], order),
+}
+
+
+@pytest.mark.parametrize("order", [0, -1])
+@pytest.mark.parametrize("builder", sorted(ORDER_BUILDERS))
+def test_order_below_one_is_rejected_by_every_builder(builder, order):
+    with pytest.raises(ValueError, match="^truncation order must be at least 1$"):
+        ORDER_BUILDERS[builder](order)
+
+
 class TestProjectionMonomialSpan:
     def test_excluded_indices_zeroed(self):
         op = projection_monomial_span([1, 3], 5)
@@ -468,6 +485,19 @@ class TestRangeContainsPhi:
         assert np.abs(projection_model_space(phi, order).apply(cols)).max() < 1e-12
 
 
+_WEIGHTS = list(np.linspace(1.0, 0.0, 32))
+# kind -> the spec fields besides type and N of an order-32 operator of that kind
+SPEC_FIELDS = {
+    "diagonal": {"weights": _WEIGHTS},
+    "projection_phiH2": {"inner": {"zeros": [[0.5, 0.0]]}},
+    "projection_model": {"inner": {"zeros": [[0.5, 0.0]]}},
+    "projection_monomial": {"excluded": [1]},
+    "projection_c_plus_phi": {"inner": {"zeros": [[0.5, 0.0]]}},
+    "st_constructed": {"points": [[0.3, 0.0], [-0.3, 0.0]], "Q": matrix_to_json(np.eye(2))},
+    "custom": {"matrix": matrix_to_json(np.diag(_WEIGHTS))},
+}
+
+
 class TestFromSpec:
     def test_diagonal(self):
         op = from_spec({"type": "diagonal", "weights": [1.0, 0.5]})
@@ -531,20 +561,18 @@ class TestFromSpec:
         assert op.matrix.matrix.tobytes() == old.matrix.matrix.tobytes()
 
     def test_every_operator_kind_is_a_spec_type(self):
-        weights = list(np.linspace(1.0, 0.0, 32))
-        fields = {
-            "diagonal": {"weights": weights},
-            "projection_phiH2": {"inner": {"zeros": [[0.5, 0.0]]}},
-            "projection_model": {"inner": {"zeros": [[0.5, 0.0]]}},
-            "projection_monomial": {"excluded": [1]},
-            "projection_c_plus_phi": {"inner": {"zeros": [[0.5, 0.0]]}},
-            "st_constructed": {"points": [[0.3, 0.0], [-0.3, 0.0]], "Q": matrix_to_json(np.eye(2))},
-            "custom": {"matrix": matrix_to_json(np.diag(weights))},
-        }
         for kind in sorted(OPERATOR_KINDS):
-            op = from_spec({"type": kind, "N": 32, **fields.get(kind, {})})
+            op = from_spec({"type": kind, "N": 32, **SPEC_FIELDS.get(kind, {})})
             assert op.kind == kind
             assert op.dim == 32
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_is_rejected_for_every_kind(self, order):
+        # a builder checks the order, or it disagrees with the order the weights or matrix fix
+        for kind in sorted(OPERATOR_KINDS):
+            message = "operator spec sets N=" if kind in ("diagonal", "custom") else "truncation order must be at least 1"
+            with pytest.raises(ValueError, match=message):
+                from_spec({"type": kind, "N": order, **SPEC_FIELDS.get(kind, {})})
 
     def test_custom_round_trip(self):
         m = np.array([[2.0, 1.0], [1.0, 2.0]])

@@ -74,19 +74,37 @@ class TestSuiteConfig:
         SuiteConfig(order=MIN_SUITE_ORDER).validate()
 
     def test_rejects_empty_families(self):
-        with pytest.raises(ConfigInvalidError):
+        with pytest.raises(ConfigInvalidError, match="'point_families'"):
             SuiteConfig(point_families=()).validate()
 
     def test_rejects_unknown_family(self):
-        with pytest.raises(ConfigInvalidError):
+        with pytest.raises(ConfigInvalidError, match="'point_families'"):
             SuiteConfig(point_families=("uniform_disk", "lattice")).validate()
 
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [
+            ("tolerances", [1e-6], "tolerances"),
+            ("tolerances", 1e-6, "tolerances"),
+            ("point_families", "clustered", "point_families"),
+            ("point_families", None, "point_families"),
+        ],
+    )
+    def test_rejects_container_of_the_wrong_type(self, field, value, key):
+        # no AttributeError from a list's missing .items(), and a string is not read letter by letter
+        with pytest.raises(ConfigInvalidError, match=f"^'{key}' must be"):
+            SuiteConfig(trials=1, order=128, **{field: value}).validate()
+
+    def test_rejected_tolerance_is_named_by_its_config_key(self):
+        with pytest.raises(ConfigInvalidError, match="^'tolerances.st_roundtrip' must be a finite number"):
+            SuiteConfig(tolerances={"st_roundtrip": "1e-3"}).validate()
+
     def test_rejects_unknown_tolerance_key(self):
-        with pytest.raises(ConfigInvalidError):
+        with pytest.raises(ConfigInvalidError, match="'bogus' in 'tolerances'"):
             SuiteConfig(tolerances={"bogus": 1e-6}).validate()
 
     def test_rejects_negative_tolerance(self):
-        with pytest.raises(ConfigInvalidError):
+        with pytest.raises(ConfigInvalidError, match="'tolerances.st_roundtrip'"):
             SuiteConfig(tolerances={"st_roundtrip": -1e-6}).validate()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1e-6", True, None])

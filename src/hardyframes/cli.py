@@ -30,7 +30,7 @@ from functools import cache, partial
 import numpy as np
 
 from . import io
-from .errors import ConfigInvalidError, HardyFramesError, IndexOutOfRangeError, NegativeWeightError
+from .errors import ConfigInvalidError, HardyFramesError, IndexOutOfRangeError, NegativeWeightError, TargetTooHighError
 from .frames import DEFAULT_RIESZ_TOL, analyze
 from .hermitian import HermitianMatrix
 from .kernels import DEFAULT_ORDER, range_space_gram, szego_gram
@@ -84,21 +84,18 @@ def cmd_partition(args) -> int:
     ordered = seq.subsequence(modulus_order(seq.values())) if args.sort_by_modulus else seq
 
     if args.strategy == "carleson":
-        delta = args.delta_target
-        part = partition_carleson(ordered, delta)
-        met = all(c.carleson_inf is not None and c.carleson_inf >= delta for c in part.certificates)
-        target_text = f"delta={delta}"
+        part = partition_carleson(ordered, args.delta_target)
+        target_text = f"delta={args.delta_target}"
     else:
         part = partition_spectral(ordered, args.c_target)
-        met = all(c.lambda_min >= args.c_target for c in part.certificates)
         target_text = f"c={args.c_target}"
 
     if args.out:
         io.write_json_atomic(args.out, io.partition_to_json(part))
     if args.csv:
         io.write_csv_atomic(args.csv, io.partition_csv_lines(seq, part))
-    print(f"partition strategy={part.strategy} {target_text} classes={part.class_count} certified={met}")
-    if not met:
+    print(f"partition strategy={part.strategy} {target_text} classes={part.class_count} certified={part.certified}")
+    if not part.certified:
         _err("a class certificate fell below its target")
         return 4
     return 0
@@ -128,7 +125,7 @@ def cmd_verify(args) -> int:
     cfg = SuiteConfig(args.seed, args.trials, args.N, args.point_families, args.tolerances)
     results = run_suite(cfg)
     for r in results:
-        status = "PASS" if r.failures == 0 else "FAIL"
+        status = "PASS" if r.passed else "FAIL"
         print(f"{r.check_id}: {status} failures={r.failures}/{r.trials} worst={r.worst_violation:.3e}")
     if args.out:
         io.write_json_atomic(args.out, io.suite_report_to_json(cfg, results))
@@ -218,8 +215,8 @@ def _config_defaults(sp: argparse.ArgumentParser, cfg) -> dict:
     return {key: checks[key](value) for key, value in cfg.items() if key in checks and value is not None}
 
 
-# Library errors that can only come from a bad spec or config, so exit 2 like other bad input.
-_INPUT_ERRORS = (ConfigInvalidError, IndexOutOfRangeError, NegativeWeightError)
+# Library errors that can only come from a bad flag value, spec or config, so exit 2 like other bad input.
+_INPUT_ERRORS = (ConfigInvalidError, IndexOutOfRangeError, NegativeWeightError, TargetTooHighError)
 
 
 def main(argv=None) -> int:

@@ -261,7 +261,7 @@ def suite_report_to_json(cfg, results) -> dict:
             }
             for r in results
         ],
-        "passed": all(r.failures == 0 for r in results),
+        "passed": all(r.passed for r in results),
     }
 
 

@@ -25,6 +25,7 @@ Gram matrix or inverse formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -60,16 +61,16 @@ class InnerFunction:
 
     def __post_init__(self):
         zs = tuple(complex(a) for a in self.zeros)
-        m = int(self.monomial_power)
+        m = _integer(self.monomial_power, "monomial power")
         if m < 0:
             raise ValueError("monomial power must be nonnegative")
         m += sum(1 for a in zs if a == 0)
         zs = tuple(a for a in zs if a != 0)
         for a in zs:
-            if abs(a) >= 1.0:
+            if not abs(a) < 1.0:  # NaN fails too
                 raise ValueError(f"Blaschke zero {a} must lie strictly inside the disk")
         u = complex(self.unimodular)
-        if abs(abs(u) - 1.0) > 1e-12:
+        if not abs(abs(u) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"front constant {u} must be unimodular")
         object.__setattr__(self, "zeros", zs)
         object.__setattr__(self, "unimodular", u)
@@ -83,6 +84,13 @@ class InnerFunction:
         return evaluate_inner(self, z)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int, else ``ValueError`` naming it: bools and non-integral numbers are refused."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{what} {value!r} must be an integer")
+    return int(value)
+
+
 def evaluate_inner(phi: InnerFunction, z) -> complex:
     """Evaluate the Blaschke product by its factored form.
 
@@ -90,8 +98,8 @@ def evaluate_inner(phi: InnerFunction, z) -> complex:
     is what makes phi inner in the first place.
     """
     zc = complex(z)
-    if abs(zc) > 1.0 + 1e-12:
-        raise ValueError(f"point {zc} lies outside the closed unit disk")
+    if not abs(zc) <= 1.0 + 1e-12:  # NaN fails too
+        raise ValueError(f"point {zc} must lie in the closed unit disk")
     out = phi.unimodular * zc**phi.monomial_power
     for a in phi.zeros:
         out *= (abs(a) / a) * (a - zc) / (1.0 - np.conj(a) * zc)
@@ -278,7 +286,7 @@ def projection_monomial_span(excluded, order: int) -> PositiveOperator:
     """Projection onto the closed span of the monomials NOT in ``excluded``."""
     check_order(order)
     d = np.ones(order)
-    seen = sorted({int(j) for j in excluded})
+    seen = sorted({_integer(j, "monomial index") for j in excluded})
     for j in seen:
         if j < 0 or j >= order:
             raise IndexOutOfRangeError(f"monomial index {j} outside [0, {order})")

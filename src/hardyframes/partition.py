@@ -26,16 +26,18 @@ caller that wants another order (the CLI's ``--sort-by-modulus``) passes
   those rows from the Szegő closed form over the class's gathered tail, so
   memory is O(n * largest class) with no n x n matrix.
 
-Neither loop certifies itself: the final certificates are recomputed from
-the points (or the Grammian), never read from the greedy's state. The
-classes are grouped by size k; each group's class blocks are built as one
-(m, k, k) stack (for points, exactly Hermitian and bitwise the ``szego_gram``
-of each class's points) and get one stacked ``eigvalsh``, and for
-``carleson`` the separation products are recomputed the same way,
-with ``carleson_constants``' formula. ``verify_partition`` solves a
-Grammian's class blocks the same way. An exhaustive minimal-partition
+Neither loop certifies itself. ``_certify`` is the one certificate step,
+for both greedies and ``verify_partition``: it recomputes every
+``ClassCertificate`` from the points (or the Grammian), never from a
+greedy's state. The classes are grouped by size k; each group's class
+blocks are built as one (m, k, k) stack (for points, exactly Hermitian and
+bitwise the ``szego_gram`` of each class's points) and get one stacked
+``eigvalsh``, and given the points the separation products are recomputed
+the same way, with ``carleson_constants``' formula. ``Partition.certified``
+and ``PartitionCheck.all_pass`` read those certificates against a target
+through one comparison, ``_clears``. An exhaustive minimal-partition
 search (viable up to 12 points) is provided as an oracle for testing the
-greedy counts.
+greedy counts; it checks its target as the greedy of its strategy does.
 """
 
 from __future__ import annotations
@@ -97,19 +99,30 @@ class Partition:
     def class_count(self) -> int:
         return len(self.classes)
 
-
-@dataclass(frozen=True)
-class ClassCheck:
-    labels: tuple[int, ...]
-    lambda_min: float
-    passed: bool
+    @property
+    def certified(self) -> bool:
+        """Whether every certificate clears the target: carleson_inf for a
+        Carleson partition, lambda_min for a spectral one."""
+        if self.strategy == CARLESON_GREEDY:
+            return _clears(self.certificates, "carleson_inf", self.targets["delta_target"])
+        return _clears(self.certificates, "lambda_min", self.targets["c_target"])
 
 
 @dataclass(frozen=True)
 class PartitionCheck:
-    per_class: tuple[ClassCheck, ...]
-    all_pass: bool
+    """``verify_partition``'s recomputed class certificates, read against ``level``."""
+
+    per_class: tuple[ClassCertificate, ...]
     level: float
+
+    @property
+    def all_pass(self) -> bool:
+        return _clears(self.per_class, "lambda_min", self.level)
+
+
+def _clears(certificates, field: str, level: float) -> bool:
+    """The one comparison of certificates against a target: every ``field`` at or above ``level``."""
+    return all(getattr(cert, field) >= level for cert in certificates)
 
 
 def modulus_order(z: np.ndarray) -> np.ndarray:
@@ -134,8 +147,7 @@ def partition_carleson(seq: PointSequence, delta_target: float) -> Partition:
     from the class's points: the separation products and lambda_min of the
     class's Szegő Grammian, one stacked solve per class size.
     """
-    if not 0.0 < delta_target < 1.0:
-        raise ValueError(f"delta target {delta_target} must lie in (0, 1)")
+    _check_delta(delta_target)
     z = seq.values()
     _check_distinct(seq)
     n = len(z)
@@ -144,7 +156,7 @@ def partition_carleson(seq: PointSequence, delta_target: float) -> Partition:
     # log_products[i]: a placed point's log-product within its own class
     log_products = np.zeros(n)
     class_of = np.zeros(n, dtype=np.intp)
-    count = 0
+    members: list[list[int]] = []  # each class's positions, in join order
     rows = _block_rows(n)
     for start in range(0, n, rows):
         block = _log_rho_rows(z, start, min(start + rows, n))
@@ -153,32 +165,28 @@ def partition_carleson(seq: PointSequence, delta_target: float) -> Partition:
             placed_class = class_of[:j]
             updated = log_products[:j] + column
             # j's own log-product against each class, summed in join order
-            own = np.bincount(placed_class, weights=column, minlength=count)
+            own = np.bincount(placed_class, weights=column, minlength=len(members))
             fits = own >= log_target
             fits[placed_class[updated < log_target]] = False
-            k = int(fits.argmax()) if count else 0
-            if count and fits[k]:
+            k = int(fits.argmax()) if members else 0
+            if members and fits[k]:
                 np.copyto(log_products[:j], updated, where=placed_class == k)
                 log_products[j] = own[k]
+                members[k].append(j)
             else:
-                k = count
-                count += 1
+                k = len(members)
+                members.append([j])
             class_of[j] = k
 
-    # positions grouped by class, ascending within each class
-    by_class = np.argsort(class_of, kind="stable")
-    members = [cls.tolist() for cls in np.split(by_class, np.cumsum(np.bincount(class_of, minlength=count))[:-1])]
-    groups = _size_groups(members)
-    lambda_min = _lambda_mins(groups, count, lambda pos: _szego_matrix(z[pos]))
-    carleson_inf = np.empty(count)
-    for which, positions in groups:
-        carleson_inf[which] = _separation_products(z[positions])[0].min(axis=-1)
-    certificates = tuple(
-        ClassCertificate(tuple(seq.labels[i] for i in cls), len(cls), lam, inf)
-        for cls, lam, inf in zip(members, lambda_min.tolist(), carleson_inf.tolist())
-    )
+    certificates = _certify(members, seq.labels, lambda pos: _szego_matrix(z[pos]), z)
     classes = tuple(cert.labels for cert in certificates)
     return Partition(classes, CARLESON_GREEDY, certificates, {"delta_target": delta_target})
+
+
+def _check_delta(delta_target: float) -> None:
+    """The one check of a Carleson target, for the greedy and the exhaustive search."""
+    if not 0.0 < delta_target < 1.0:
+        raise ValueError(f"delta target {delta_target} must lie in (0, 1)")
 
 
 def _block_rows(n: int) -> int:
@@ -208,16 +216,28 @@ def _size_groups(members: list[list[int]]) -> list[tuple[np.ndarray, np.ndarray]
     return groups
 
 
-def _lambda_mins(groups, count: int, blocks) -> np.ndarray:
-    """lambda_min of every class block: one ``eigvalsh`` per group's (m, k, k) stack ``blocks(positions)``."""
-    lam = np.empty(count)
-    for which, pos in groups:
-        lam[which] = np.linalg.eigvalsh(blocks(pos))[:, 0]
-    return lam
+def _certify(members: list[list[int]], labels, blocks, z: np.ndarray | None = None) -> tuple[ClassCertificate, ...]:
+    """The one certificate step: a ``ClassCertificate`` per class of positions in ``members``.
+
+    ``labels`` names the positions. lambda_min comes from one ``eigvalsh``
+    per class size k, of the (m, k, k) stack ``blocks(positions)``; given
+    the points ``z``, carleson_inf is each class's least separation product,
+    recomputed the same way.
+    """
+    lambda_min, carleson_inf = np.empty(len(members)), np.empty(len(members))
+    for which, pos in _size_groups(members):
+        lambda_min[which] = np.linalg.eigvalsh(blocks(pos))[:, 0]
+        if z is not None:
+            carleson_inf[which] = _separation_products(z[pos])[0].min(axis=-1)
+    infs = [None] * len(members) if z is None else carleson_inf.tolist()
+    return tuple(
+        ClassCertificate(tuple(labels[i] for i in cls), len(cls), lam, inf)
+        for cls, lam, inf in zip(members, lambda_min.tolist(), infs)
+    )
 
 
 def _gathered_blocks(m: np.ndarray):
-    """``blocks`` for ``_lambda_mins`` that gathers each class block m[positions][:, positions]."""
+    """``blocks`` for ``_certify`` that gathers each class block m[positions][:, positions]."""
     return lambda pos: m[pos[:, :, None], pos[:, None, :]]
 
 
@@ -226,7 +246,7 @@ def _spectral_matrix(source):
 
     ``class_rows(tail)`` is the row source of one class over the unassigned
     positions ``tail``: ``row(q, out)`` writes m[tail[q], tail[q + 1:]] into
-    the 1-D array ``out``. ``blocks`` is the block source ``_lambda_mins``
+    the 1-D array ``out``. ``blocks`` is the block source ``_certify``
     reads. A normalized ``Grammian`` serves entries of its matrix. A
     ``PointSequence`` stands for its Szegő Grammian: a class gathers its
     tail's points once, and each row comes from the closed form, bitwise
@@ -278,12 +298,7 @@ def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Par
     size, over blocks that are, for points, bitwise the ``szego_gram`` of
     each class's points.
     """
-    if not math.isfinite(c_target):
-        raise ValueError(f"c target {c_target} must be a finite number")
-    if c_target > 1.0:
-        raise TargetTooHighError(f"c target {c_target} exceeds the normalized diagonal")
-    if c_target <= 0.0:
-        raise ValueError(f"c target {c_target} must be positive")
+    _check_c(c_target)
     diagonal, class_rows, blocks = _spectral_matrix(source)
     n = source.dim
     own_slack = diagonal - c_target
@@ -294,14 +309,19 @@ def partition_spectral(source: Grammian | PointSequence, c_target: float) -> Par
         cls, tail = _spectral_class(tail, own_slack, class_rows)
         members.append(cls)
 
-    labels = source.labels
-    lambda_min = _lambda_mins(_size_groups(members), len(members), blocks)
-    certificates = tuple(
-        ClassCertificate(tuple(labels[i] for i in cls), len(cls), lam)
-        for cls, lam in zip(members, lambda_min.tolist())
-    )
+    certificates = _certify(members, source.labels, blocks)
     classes = tuple(cert.labels for cert in certificates)
     return Partition(classes, SPECTRAL_GREEDY, certificates, {"c_target": c_target})
+
+
+def _check_c(c_target: float) -> None:
+    """The one check of a spectral target, for the greedy and the exhaustive search."""
+    if not math.isfinite(c_target):
+        raise ValueError(f"c target {c_target} must be a finite number")
+    if c_target > 1.0:
+        raise TargetTooHighError(f"c target {c_target} exceeds the normalized diagonal")
+    if c_target <= 0.0:
+        raise ValueError(f"c target {c_target} must be positive")
 
 
 def _spectral_class(tail: np.ndarray, own_slack: np.ndarray, class_rows) -> tuple[list[int], np.ndarray]:
@@ -347,7 +367,6 @@ def _spectral_class(tail: np.ndarray, own_slack: np.ndarray, class_rows) -> tupl
 def verify_partition(g: Grammian, partition: Partition, level: float) -> PartitionCheck:
     """Independent check that classes tile the labels and clear the level."""
     seen: set[int] = set()
-    total = 0
     for cls in partition.classes:
         cls_set = set(cls)
         if len(cls_set) != len(cls):
@@ -355,17 +374,12 @@ def verify_partition(g: Grammian, partition: Partition, level: float) -> Partiti
         if seen & cls_set:
             raise NotAPartitionError(f"label overlap in class {cls}")
         seen |= cls_set
-        total += len(cls)
-    if seen != set(g.labels) or total != len(g.labels):
+    if seen != set(g.labels):
         raise NotAPartitionError("classes do not tile the Grammian labels")
 
     position = {lab: i for i, lab in enumerate(g.labels)}
     members = [[position[lab] for lab in cls] for cls in partition.classes]
-    lambda_min = _lambda_mins(_size_groups(members), len(members), _gathered_blocks(g.matrix.matrix))
-    checks = tuple(
-        ClassCheck(tuple(cls), lam, lam >= level) for cls, lam in zip(partition.classes, lambda_min.tolist())
-    )
-    return PartitionCheck(checks, all(c.passed for c in checks), level)
+    return PartitionCheck(_certify(members, g.labels, _gathered_blocks(g.matrix.matrix)), level)
 
 
 def _minimal_classes(n: int, feasible) -> int:
@@ -411,6 +425,7 @@ def _minimal_classes(n: int, feasible) -> int:
 
 def minimal_carleson_classes(seq: PointSequence, delta_target: float) -> int:
     """Smallest number of classes any partition can achieve at this delta."""
+    _check_delta(delta_target)
     n = len(seq)
     if n > _BRUTE_FORCE_CAP:
         raise ValueError(f"exhaustive search is capped at {_BRUTE_FORCE_CAP} points")
@@ -429,6 +444,7 @@ def minimal_carleson_classes(seq: PointSequence, delta_target: float) -> int:
 
 def minimal_spectral_classes(g: Grammian, c_target: float) -> int:
     """Smallest number of classes any partition can achieve at this c."""
+    _check_c(c_target)
     n = g.dim
     if n > _BRUTE_FORCE_CAP:
         raise ValueError(f"exhaustive search is capped at {_BRUTE_FORCE_CAP} points")

@@ -486,4 +486,4 @@ def run_suite(cfg: SuiteConfig) -> tuple[CheckResult, ...]:
 
 
 def suite_passed(results) -> bool:
-    return all(r.failures == 0 for r in results)
+    return all(r.passed for r in results)

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hardyframes.errors
 import hardyframes.kernels
 import hardyframes.partition
-from hardyframes import PointSequence, cli, partition_carleson, partition_spectral, szego_gram
+from hardyframes import HardyFramesError, PointSequence, cli, partition_carleson, partition_spectral, szego_gram
 from hardyframes.cli import main
 from hardyframes.io import matrix_from_json, matrix_to_json, partition_csv_lines, partition_to_json
 from hardyframes.partition import modulus_order
@@ -321,6 +322,7 @@ class TestPartition:
             ["partition", "--points", pts, "--strategy", "carleson", "--delta-target", "1.5"]
         )
         assert rc == 2
+        assert main(["partition", "--points", pts, "--strategy", "spectral", "--c-target", "1.5"]) == 2
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("strategy,flag", [("spectral", "--c-target"), ("carleson", "--delta-target")])
@@ -1064,6 +1066,26 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "build_parser", rebuilt)
     assert main(argv) == 0
+
+
+INPUT_ERRORS = {"ConfigInvalidError", "IndexOutOfRangeError", "NegativeWeightError", "TargetTooHighError"}
+LIBRARY_ERRORS = [c for c in vars(hardyframes.errors).values() if isinstance(c, type) and issubclass(c, HardyFramesError)]
+
+
+@pytest.mark.parametrize("error", LIBRARY_ERRORS, ids=lambda error: error.__name__)
+def test_every_library_error_has_a_decided_exit_code(monkeypatch, capsys, error):
+    """Unusable input exits 2, every other library error 3: a new class needs a decision."""
+    assert INPUT_ERRORS <= {c.__name__ for c in LIBRARY_ERRORS}
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def raising(args):
+        raise error.__new__(error, "planted")
+
+    sub.choices["gram"].set_defaults(func=raising)
+    monkeypatch.setattr(cli, "_shared_parser", lambda: parser)
+    assert main(["gram"]) == (2 if error.__name__ in INPUT_ERRORS else 3)
+    assert capsys.readouterr().err == "error: planted\n"
 
 
 class TestPlumbing:

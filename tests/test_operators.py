@@ -127,6 +127,22 @@ class TestInnerFunction:
         with pytest.raises(ValueError):
             InnerFunction(monomial_power=-1)
 
+    def test_rejects_nan_zero(self):
+        with pytest.raises(ValueError, match=r"zero \(nan\+0j\) must lie strictly inside"):
+            InnerFunction(zeros=(0.5, complex("nan")))
+
+    def test_rejects_nan_front_constant(self):
+        with pytest.raises(ValueError, match=r"front constant \(nan\+0j\) must be unimodular"):
+            InnerFunction(unimodular=complex("nan"))
+
+    @pytest.mark.parametrize("power", [1.5, 1.0, True])
+    def test_rejects_power_that_is_not_an_integer(self, power):
+        with pytest.raises(ValueError, match=f"monomial power {power!r} must be an integer"):
+            InnerFunction(monomial_power=power)
+
+    def test_accepts_numpy_integer_power(self):
+        assert InnerFunction(monomial_power=np.int64(2)).monomial_power == 2
+
     def test_vanishes_at_zeros(self):
         phi = InnerFunction(zeros=(0.5, -0.2 + 0.4j))
         for a in phi.zeros:
@@ -160,6 +176,11 @@ class TestEvaluateInner:
     def test_rejects_outside_closed_disk(self):
         with pytest.raises(ValueError):
             evaluate_inner(InnerFunction(zeros=(0.5,)), 1.01)
+
+    @pytest.mark.parametrize("z", [complex("nan"), complex(0.3, float("nan")), complex("inf")])
+    def test_rejects_non_finite_point(self, z):
+        with pytest.raises(ValueError, match=r"^point .* must lie in the closed unit disk$"):
+            evaluate_inner(InnerFunction(zeros=(0.5,)), z)
 
 
 class TestTaylorCoefficients:
@@ -301,6 +322,15 @@ class TestProjectionMonomialSpan:
             projection_monomial_span([5], 5)
         with pytest.raises(IndexOutOfRangeError):
             projection_monomial_span([-1], 5)
+
+    @pytest.mark.parametrize("index", [1.7, 1.0, True])
+    def test_rejects_index_that_is_not_an_integer(self, index):
+        with pytest.raises(ValueError, match=f"monomial index {index!r} must be an integer"):
+            projection_monomial_span([index], 8)
+
+    def test_accepts_numpy_integer_indices(self):
+        op = projection_monomial_span(np.array([1, 3]), 5)
+        assert op.id == "projection_monomial(excluded=[1, 3])"
 
 
 class TestProjectionPhiH2:

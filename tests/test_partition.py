@@ -8,6 +8,7 @@ a fresh eigensolve per candidate block, and first fit over the full
 log-rho matrix.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -669,7 +670,7 @@ class TestVerifyPartition:
         part = Partition(((0, 1, 2),), "spectral_greedy", (), {})
         check = verify_partition(g, part, 0.99)
         assert not check.all_pass
-        assert not check.per_class[0].passed
+        assert check.per_class[0].labels == (0, 1, 2)
         assert check.per_class[0].lambda_min < 0.99
 
     def test_rejects_overlap(self):
@@ -740,6 +741,18 @@ class TestMinimalSearch:
 
     def test_single_point(self):
         assert minimal_carleson_classes(PointSequence([0.3]), 0.9) == 1
+
+    @pytest.mark.parametrize("target", [0.0, -1.0, 1.5, float("nan")])
+    def test_target_is_checked_as_the_greedy_checks_it(self, target):
+        seq = PointSequence([0.1, 0.5, -0.4j])
+        for greedy, search, source in (
+            (partition_carleson, minimal_carleson_classes, seq),
+            (partition_spectral, minimal_spectral_classes, szego_gram(seq)),
+        ):
+            with pytest.raises((ValueError, TargetTooHighError)) as refused:
+                greedy(source, target)
+            with pytest.raises(refused.type, match=f"^{re.escape(str(refused.value))}$"):
+                search(source, target)
 
 
 def test_first_fit_count_not_monotone_in_target():

@@ -26,18 +26,16 @@ caller that wants another order (the CLI's ``--sort-by-modulus``) passes
   those rows from the Szegő closed form over the class's gathered tail, so
   memory is O(n * largest class) with no n x n matrix.
 
-Neither loop certifies itself. ``_certify`` is the one certificate step,
-for both greedies and ``verify_partition``: it recomputes every
-``ClassCertificate`` from the points (or the Grammian), never from a
-greedy's state. The classes are grouped by size k; each group's class
-blocks are built as one (m, k, k) stack (for points, exactly Hermitian and
-bitwise the ``szego_gram`` of each class's points) and get one stacked
+Neither loop certifies itself: ``_certify``, the one certificate step for
+both greedies and ``verify_partition``, recomputes every class certificate
+from the points (or the Grammian), never from a greedy's state. Classes are
+grouped by size k; each group's blocks form one (m, k, k) stack (for points,
+exactly Hermitian and bitwise each class's ``szego_gram``) with one stacked
 ``eigvalsh``, and given the points the separation products are recomputed
 the same way, with ``carleson_constants``' formula. ``Partition.certified``
-and ``PartitionCheck.all_pass`` read those certificates against a target
-through one comparison, ``_clears``. An exhaustive minimal-partition
-search (viable up to 12 points) is provided as an oracle for testing the
-greedy counts; it checks its target as the greedy of its strategy does.
+reads the certificates against the target. An exhaustive minimal-partition
+search (viable up to 12 points), with the greedy's target checks, is an
+oracle for testing the greedy counts.
 """
 
 from __future__ import annotations
@@ -219,10 +217,9 @@ def _size_groups(members: list[list[int]]) -> list[tuple[np.ndarray, np.ndarray]
 def _certify(members: list[list[int]], labels, blocks, z: np.ndarray | None = None) -> tuple[ClassCertificate, ...]:
     """The one certificate step: a ``ClassCertificate`` per class of positions in ``members``.
 
-    ``labels`` names the positions. lambda_min comes from one ``eigvalsh``
-    per class size k, of the (m, k, k) stack ``blocks(positions)``; given
-    the points ``z``, carleson_inf is each class's least separation product,
-    recomputed the same way.
+    lambda_min comes from one ``eigvalsh`` per class size k, of the (m, k, k)
+    stack ``blocks(positions)``; given the points ``z``, so does carleson_inf,
+    each class's least separation product. ``labels`` names the positions.
     """
     lambda_min, carleson_inf = np.empty(len(members)), np.empty(len(members))
     for which, pos in _size_groups(members):
@@ -374,7 +371,7 @@ def verify_partition(g: Grammian, partition: Partition, level: float) -> Partiti
         if seen & cls_set:
             raise NotAPartitionError(f"label overlap in class {cls}")
         seen |= cls_set
-    if seen != set(g.labels):
+    if seen != set(g.labels) or len(seen) != g.dim:
         raise NotAPartitionError("classes do not tile the Grammian labels")
 
     position = {lab: i for i, lab in enumerate(g.labels)}

@@ -8,6 +8,7 @@ a fresh eigensolve per candidate block, and first fit over the full
 log-rho matrix.
 """
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -16,6 +17,7 @@ import pytest
 
 from hardyframes import (
     DuplicatePointError,
+    Grammian,
     InnerFunction,
     NotAPartitionError,
     Partition,
@@ -598,6 +600,7 @@ class TestCertificateGate:
             subs = [seq.subsequence(list(cls)) for cls in part.classes]  # labels are positions here
             want = [np.linalg.eigvalsh(szego_gram(sub).matrix.matrix)[0] for sub in subs]
             assert hexes(cert.lambda_min for cert in part.certificates) == hexes(want)
+            assert part.certified
             yield seq, part
 
     def test_carleson_certifies_boundary_clusters(self):
@@ -653,6 +656,21 @@ def test_spectral_from_points_computes_each_greedy_entry_once(monkeypatch, c):
     assert counted and sum(counted) <= n * (n - 1) // 2
 
 
+@pytest.mark.parametrize(
+    "strategy, target, reads",
+    [(partition.CARLESON_GREEDY, "delta_target", 0.6), (partition.SPECTRAL_GREEDY, "c_target", 0.4)],
+)
+def test_certified_reads_its_strategys_certificate_against_its_target(strategy, target, reads):
+    """A certificate exactly at the target clears it; carleson_inf and lambda_min are read apart."""
+    cert = partition.ClassCertificate((0, 1), 2, lambda_min=0.4, carleson_inf=0.6)
+
+    def certified(level):
+        return Partition(((0, 1),), strategy, (cert,), {target: level}).certified
+
+    assert certified(reads)
+    assert not certified(np.nextafter(reads, 1.0))
+
+
 class TestVerifyPartition:
     def _gram(self):
         return szego_gram(PointSequence([0.1, 0.5, -0.4j]))
@@ -692,6 +710,14 @@ class TestVerifyPartition:
         part = Partition(((0, 1, 5),), "spectral_greedy", (), {})
         with pytest.raises(NotAPartitionError):
             verify_partition(self._gram(), part, 0.1)
+
+    def test_rejects_grammian_with_repeated_labels(self):
+        # classes that name every distinct label still miss a point
+        g = self._gram()
+        g = Grammian(g.matrix, dataclasses.replace(g.provenance, labels=(0, 0, 1)), normalized=True)
+        part = Partition(((0, 1),), "spectral_greedy", (), {})
+        with pytest.raises(NotAPartitionError):
+            verify_partition(g, part, 0.1)
 
 
 class TestMinimalSearch:

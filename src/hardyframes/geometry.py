@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -21,6 +22,13 @@ from .errors import DuplicatePointError
 # Log-products below this are reported as exact zeros; exp() underflows
 # to subnormal territory around -708 anyway.
 LOG_UNDERFLOW = -700.0
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int, else ``ValueError`` naming it: bools and non-integral numbers are refused."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{what} {value!r} must be an integer")
+    return int(value)
 
 
 def _require_in_disk(z: complex) -> complex:
@@ -48,7 +56,7 @@ class PointSequence:
         pts = tuple(_require_in_disk(p) for p in self.points)
         if not pts:
             raise ValueError("a point sequence must contain at least one point")
-        labels = tuple(int(l) for l in self.labels) if self.labels else tuple(range(len(pts)))
+        labels = tuple(_integer(l, "label") for l in self.labels) if self.labels else tuple(range(len(pts)))
         if len(labels) != len(pts):
             raise ValueError("labels and points must have equal length")
         if len(set(labels)) != len(labels):

@@ -2,15 +2,16 @@
 
 Complex scalars serialize as [re, im] pairs, matrices as row-major pair
 arrays, all through the one codec ``to_pairs``/``from_pairs``. CSV matrix
-cells use the human-readable "re+imj" form. Every other scalar read from a
-file goes through ``json_int`` or ``json_number``, which never convert types.
+cells use the human-readable "re+imj" form. Every number written, in a
+report or a CSV, is its shortest round-trip ``repr``. Every other scalar
+read from a file goes through ``json_int`` or ``json_number``, which never
+convert types.
 
 Reports are written as one line of JSON with compact separators: with
 ``indent`` set, CPython's ``json`` falls back from its C encoder to the
 pure-Python one, which made writing an N=256 operator report most of a
-command's run time. Numbers (shortest round-trip ``repr``), keys and their
-order are the same either way; ``python -m json.tool`` indents a report
-for reading.
+command's run time. Numbers, keys and their order are the same either
+way; ``python -m json.tool`` indents a report for reading.
 
 The matrices in reports (``grammian_to_json``, ``operator_to_json``) stay
 complex arrays until ``write_json_atomic``. It writes each one as the
@@ -19,24 +20,23 @@ same as when reports held those lists, and splices it into what the C
 encoder writes for the rest of the payload where it left a marker.
 Non-finite entries, which have no JSON spelling, raise ``ValueError``.
 ``matrix_to_json`` still returns plain lists. ``matrix_csv_lines`` and
-``partition_csv_lines`` write ``%.17g`` numbers.
+``partition_csv_lines`` write the same text for each number.
 
 Those numbers come from one vectorized kernel (``_decimal``, laid out as
 text by ``_texts``), not a formatter call each. For a magnitude x in the
 band 1e-29 <= x < 1e17, x * 10**k with k = 16 - floor(log10 x) in 0..45
 lies in [1e16, 1e17), and Dekker's error-free product, with 10**k held
 exactly as a sum of two doubles, gives it as an int64 and a fraction
-that is off by at most 4e-15. ``%.17g`` rounds that half to even; ``repr``
-takes the nearest multiple of 100, 10 or 1 that lies within half the gap
-to the neighbouring double, the shortest digits that read back as x. A
-comparison within 1e-9 of its threshold (ties and round-trip boundaries),
-a magnitude outside the band, a subnormal and a non-finite CSV entry go
-to ``float.__repr__`` or ``format(x, ".17g")`` instead, so the text is
-byte for byte what those give; zero is written directly. Signs are added
-as text: ``fmt(-x)`` is ``"-" + fmt(x)`` for every double but NaN, whose
-sign ``%.17g`` drops. The kernel works on blocks of ``_BLOCK`` numbers,
-each temporary under 128 KiB, and writes the text into one anonymous
-map, which goes back to the system when freed.
+that is off by at most 4e-15. ``repr`` takes the nearest multiple of
+100, 10 or 1 that lies within half the gap to the neighbouring double,
+the shortest digits that read back as x. A comparison within 1e-9 of its
+threshold (ties and round-trip boundaries), a magnitude outside the band,
+a subnormal and a non-finite CSV entry go to ``float.__repr__`` instead,
+so the text is byte for byte what it gives; zero is written directly.
+Signs are added as text: ``repr(-x)`` is ``"-" + repr(x)`` for every
+double but NaN, whose sign ``repr`` drops. The kernel works on blocks of
+``_BLOCK`` numbers, each temporary under 128 KiB, and writes the text
+into one anonymous map, which goes back to the system when freed.
 
 All file writes go through a uniquely named temp file in the target
 directory and a rename, so an interrupted run never leaves a partial
@@ -138,8 +138,9 @@ _CSV_SEPARATORS = ("j,", "j,-", "+", "-", "j\n", "j\n-", "", "-")
 
 
 def matrix_csv_lines(m) -> list[str]:
-    """One ``"%.17g%+.17gj"`` cell per entry, comma-separated rows (a NaN is
-    printed without its sign), the numbers formatted by ``_texts``."""
+    """One ``re+imj`` cell per entry, comma-separated rows, each number its
+    shortest round-trip ``repr`` (a NaN is printed without its sign), the
+    text of the JSON entry; the numbers are formatted by ``_texts``."""
     a = np.ascontiguousarray(getattr(m, "matrix", m), dtype=np.complex128)
     rows, cols = a.shape
     if not a.size:
@@ -148,7 +149,7 @@ def matrix_csv_lines(m) -> list[str]:
     kind = (np.signbit(f) & ~np.isnan(f)).view(np.uint8) + np.tile(np.array([0, 2], np.uint8), a.size)
     kind[:: 2 * cols] += 4
     kind[0] += 2
-    text = _texts(f, False, kind, _CSV_SEPARATORS, "j")
+    text = _texts(f, kind, _CSV_SEPARATORS, "j")
     breaks = np.flatnonzero(text == ord("\n")).tolist()  # decoded a row at a time, never whole
     return [str(text[a:b], "ascii") for a, b in zip([0] + [i + 1 for i in breaks], breaks + [text.size])]
 
@@ -225,8 +226,8 @@ _POINT_SEPARATORS = ("\n", ",", ",-", "")
 
 
 def partition_csv_lines(seq: PointSequence, p) -> list[str]:
-    """One row per point: label, class index, and modulus and argument in
-    ``%.17g`` form, formatted by ``_texts``."""
+    """One row per point: label, class index, and modulus and argument as
+    their shortest round-trip ``repr``, formatted by ``_texts``."""
     class_of = {}
     for k, cls in enumerate(p.classes):
         for lab in cls:
@@ -238,7 +239,7 @@ def partition_csv_lines(seq: PointSequence, p) -> list[str]:
     f[1::2] = np.angle(seq.values())
     kind = np.signbit(f).view(np.uint8) + np.tile(np.array([0, 1], np.uint8), len(seq.points))
     kind[:1] = 3
-    numbers = str(_texts(f, False, kind, _POINT_SEPARATORS), "ascii").split("\n")
+    numbers = str(_texts(f, kind, _POINT_SEPARATORS), "ascii").split("\n")
     return ["label,class,modulus,argument"] + [f"{lab},{class_of[lab]},{t}" for lab, t in zip(seq.labels, numbers)]
 
 
@@ -311,7 +312,7 @@ def _pairs_text(z: np.ndarray):
         return np.frombuffer(b"[]", np.uint8)
     kind = np.signbit(f).view(np.uint8) + np.tile(np.array([0, 2], np.uint8), z.size)
     kind[0] += 4
-    return _texts(f, True, kind, _PAIR_SEPARATORS, "]]")
+    return _texts(f, kind, _PAIR_SEPARATORS, "]]")
 
 
 # Decimal text of float64 arrays without a formatter call per number (see the
@@ -345,9 +346,9 @@ def _digit_words():
 
 
 @lru_cache(maxsize=None)
-def _layouts(shortest: bool):
+def _layouts():
     """Per layout key (E - _EMIN) * 18 + p of p digits d with decimal
-    exponent E, for repr (``shortest``) or ``%.17g``:
+    exponent E, as ``repr`` writes them:
 
     - ``div``, ``mul``: m = d + d // div * mul puts a 0 digit where the
       point goes, and the zeros of an integer;
@@ -357,9 +358,8 @@ def _layouts(shortest: bool):
     - ``exp``: the exponent ("e-05"), none in fixed notation;
     - ``shift``: the bit where the next number's separator starts after it.
 
-    Fixed notation covers -4 <= E < 16 for repr, which writes ".0" after an
-    integer, and -4 <= E < 17 for ``%.17g``, which writes no bare point. The
-    key _SLOW writes the byte 1 in place of a number.
+    Fixed notation covers -4 <= E < 16, with ".0" after an integer. The key
+    _SLOW writes the byte 1 in place of a number.
     """
     div = np.ones(_SLOW + 1, np.int64)
     mul = np.zeros(_SLOW + 1, np.int64)
@@ -370,9 +370,9 @@ def _layouts(shortest: bool):
         E += _EMIN
         if p == 0:
             continue
-        fixed = -4 <= E < 17 - shortest
+        fixed = -4 <= E < 16
         a = E + 1 if fixed else 1  # digits before the point, "0" if none
-        f = max(p - a, int(shortest and fixed))  # digits after it
+        f = max(p - a, int(fixed))  # digits after it
         point = f > 0
         if a > 0:
             div[key] = 10 ** max(p - a, 0)
@@ -417,7 +417,7 @@ def _strip(d):
     return d, z
 
 
-def _decimal(x, shortest: bool):
+def _decimal(x):
     """Digits d (int64, p of them), p and the decimal exponent E of the
     leading digit of each x >= 0, zero giving d = 0, p = 1, E = 0, and a mask
     of the magnitudes left to the exact formatter."""
@@ -432,42 +432,34 @@ def _decimal(x, shortest: bool):
     E = 16 - k
     d = I + (F > 0.5)
     tie = np.abs(F - 0.5) < _EPS
-    if shortest:
-        # The shortest digits are those of the nearest multiple of 100
-        # (p <= 15 once its trailing zeros go), else of 10 (p = 16), else of 1
-        # (p = 17) that lies within h, half the gap to the next double, of
-        # I + F = 100 q + t. Ties go to the exact formatter.
-        h = np.spacing(x) * H * 0.5
-        q = I // 100
-        t = (I - q * 100) + F
-        u = np.floor(t * 0.1)
-        t10 = t - 10 * u
-        d10 = np.minimum(t10, 10 - t10)
-        d100 = np.minimum(t, 100 - t)
-        ok16 = d10 < h
-        ok15 = d100 < h
-        undecided |= (np.abs(d10 - h) < _EPS) | (np.abs(d100 - h) < _EPS) | (np.abs(t10 - 5) < _EPS) | tie
-        p = np.where(ok16, 16, 17)
-        d = np.where(ok16, 10 * q + u.astype(np.int64) + (t10 > 5), d)
-        two = np.flatnonzero((x.view(np.int64) & ((1 << 52) - 1)) == 0)
-        if two.size:  # below a power of two the gap halves: a candidate under x must be within h / 2
-            below = np.where(
-                ok15[two],
-                np.where(t[two] > 50, 100 - t[two], -t[two]),
-                np.where(ok16[two], np.where(t10[two] > 5, 10 - t10[two], -t10[two]), 1.0),
-            )
-            undecided[two] |= below < _EPS - 0.5 * h[two]
-        short = np.flatnonzero(ok15)
-        if short.size:
-            d[short], z = _strip(100 * (q[short] + (t[short] > 50)))
-            p[short] = 17 - z
-    else:
-        undecided |= tie
-        p = np.full(x.size, 17)
-        zeros = np.flatnonzero(d - d // 10 * 10 == 0)
-        if zeros.size:
-            d[zeros], z = _strip(d[zeros])
-            p[zeros] -= z
+    # The shortest digits are those of the nearest multiple of 100
+    # (p <= 15 once its trailing zeros go), else of 10 (p = 16), else of 1
+    # (p = 17) that lies within h, half the gap to the next double, of
+    # I + F = 100 q + t. Ties go to the exact formatter.
+    h = np.spacing(x) * H * 0.5
+    q = I // 100
+    t = (I - q * 100) + F
+    u = np.floor(t * 0.1)
+    t10 = t - 10 * u
+    d10 = np.minimum(t10, 10 - t10)
+    d100 = np.minimum(t, 100 - t)
+    ok16 = d10 < h
+    ok15 = d100 < h
+    undecided |= (np.abs(d10 - h) < _EPS) | (np.abs(d100 - h) < _EPS) | (np.abs(t10 - 5) < _EPS) | tie
+    p = np.where(ok16, 16, 17)
+    d = np.where(ok16, 10 * q + u.astype(np.int64) + (t10 > 5), d)
+    two = np.flatnonzero((x.view(np.int64) & ((1 << 52) - 1)) == 0)
+    if two.size:  # below a power of two the gap halves: a candidate under x must be within h / 2
+        below = np.where(
+            ok15[two],
+            np.where(t[two] > 50, 100 - t[two], -t[two]),
+            np.where(ok16[two], np.where(t10[two] > 5, 10 - t10[two], -t10[two]), 1.0),
+        )
+        undecided[two] |= below < _EPS - 0.5 * h[two]
+    short = np.flatnonzero(ok15)
+    if short.size:
+        d[short], z = _strip(100 * (q[short] + (t[short] > 50)))
+        p[short] = 17 - z
     carry = p == 0  # rounded up to 10**17
     E += carry
     p[carry] = 1
@@ -477,18 +469,18 @@ def _decimal(x, shortest: bool):
     return d, p, E, undecided
 
 
-def _exact_text(x: float, shortest: bool) -> str:
+def _exact_text(x: float) -> str:
     """The exact formatter, for the magnitudes ``_decimal`` leaves."""
-    return float.__repr__(x) if shortest else format(x, ".17g")
+    return float.__repr__(x)
 
 
-def _texts(f: np.ndarray, shortest: bool, kind: np.ndarray, seps, suffix: str = "") -> np.ndarray:
+def _texts(f: np.ndarray, kind: np.ndarray, seps, suffix: str = "") -> np.ndarray:
     """``"".join(seps[kind[i]] + fmt(abs(f[i])) for i in range(f.size))`` for a
-    float array ``f``, with ``fmt`` ``float.__repr__`` (``shortest``) or
-    ``format(x, ".17g")``. ``_decimal`` gives the digits of a block of numbers
-    and ``fmt`` formats the ones it leaves. Signs go in the separators:
-    ``fmt(-x)`` is ``"-" + fmt(x)`` for every double x but NaN."""
-    div, mul, mask, over, exp, shift = _layouts(shortest)
+    float array ``f``, with ``fmt`` ``float.__repr__``. ``_decimal`` gives the
+    digits of a block of numbers and ``_exact_text`` formats the ones it
+    leaves. Signs go in the separators: ``fmt(-x)`` is ``"-" + fmt(x)`` for
+    every double x but NaN."""
+    div, mul, mask, over, exp, shift = _layouts()
     digits = _digit_words()
     codes = np.zeros((len(seps) + 1, 8), np.uint8)
     for i, s in enumerate(seps):
@@ -503,7 +495,7 @@ def _texts(f: np.ndarray, shortest: bool, kind: np.ndarray, seps, suffix: str = 
     for start in range(0, f.size, _BLOCK):
         x = np.abs(f[start : start + _BLOCK])
         with np.errstate(all="ignore"):
-            d, p, E, undecided = _decimal(x, shortest)
+            d, p, E, undecided = _decimal(x)
         key = (E - _EMIN) * 18 + p
         slow = np.flatnonzero(undecided)
         key[slow] = _SLOW
@@ -531,7 +523,7 @@ def _texts(f: np.ndarray, shortest: bool, kind: np.ndarray, seps, suffix: str = 
         b = b[b != 0]
         if slow.size:
             pieces = b.tobytes().split(b"\x01")
-            texts = [_exact_text(v, shortest).encode() for v in x[slow].tolist()]
+            texts = [_exact_text(v).encode() for v in x[slow].tolist()]
             b = np.frombuffer(b"".join(chain.from_iterable(zip(pieces, texts))) + pieces[-1], np.uint8)
         out[end : end + b.size] = b
         end += b.size

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateKernelError, DimensionMismatchError
-from .geometry import PointSequence
+from .geometry import PointSequence, _integer
 from .hermitian import HermitianMatrix, _adopt, _symmetrize
 
 DEGENERATE_NORM_TOL = 1e-12
@@ -38,8 +38,9 @@ _MIRROR_BLOCK = 128
 
 
 def check_order(order: int) -> None:
-    """The one check of a truncation order: ``ValueError`` unless it is at least 1."""
-    if order < 1:
+    """The one check of a truncation order: ``ValueError`` unless it is an
+    integer (not a bool) of at least 1."""
+    if _integer(order, "truncation order") < 1:
         raise ValueError("truncation order must be at least 1")
 
 
@@ -68,8 +69,9 @@ class Grammian:
 
     Entry (i, j) is the inner product of the j-th sequence member against
     the i-th, so the matrix is the Gram matrix F F* of the synthesis map,
-    PSD by construction. Construction checks the label count and, for
-    normalized families, a unit diagonal; ``frames.analyze`` checks PSD.
+    PSD by construction. Construction checks that the labels are distinct
+    and one per row and, for normalized families, a unit diagonal;
+    ``frames.analyze`` checks PSD.
     """
 
     matrix: HermitianMatrix
@@ -80,6 +82,8 @@ class Grammian:
         m = self.matrix.matrix
         if m.shape[0] != len(self.provenance.labels):
             raise DimensionMismatchError("matrix size disagrees with provenance labels")
+        if len(set(self.provenance.labels)) != len(self.provenance.labels):
+            raise ValueError("labels must be pairwise distinct")
         if self.normalized:
             diag_defect = float(np.abs(np.diagonal(m) - 1.0).max())
             if diag_defect > UNIT_DIAG_TOL:

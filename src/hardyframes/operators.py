@@ -25,7 +25,6 @@ Gram matrix or inverse formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .errors import (
     NegativeWeightError,
     TruncationTooCoarseError,
 )
-from .geometry import PointSequence
+from .geometry import PointSequence, _integer
 from .hermitian import HermitianMatrix, _adopt, _symmetrize, as_hermitian, require_psd
 from .io import from_pairs, json_int, json_number, matrix_from_json
 from .kernels import DEFAULT_ORDER, check_order, image_gram, kernel_matrix
@@ -82,13 +81,6 @@ class InnerFunction:
 
     def __call__(self, z) -> complex:
         return evaluate_inner(self, z)
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int, else ``ValueError`` naming it: bools and non-integral numbers are refused."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{what} {value!r} must be an integer")
-    return int(value)
 
 
 def evaluate_inner(phi: InnerFunction, z) -> complex:

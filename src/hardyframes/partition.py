@@ -371,7 +371,7 @@ def verify_partition(g: Grammian, partition: Partition, level: float) -> Partiti
         if seen & cls_set:
             raise NotAPartitionError(f"label overlap in class {cls}")
         seen |= cls_set
-    if seen != set(g.labels) or len(seen) != g.dim:
+    if seen != set(g.labels):
         raise NotAPartitionError("classes do not tile the Grammian labels")
 
     position = {lab: i for i, lab in enumerate(g.labels)}

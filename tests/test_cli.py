@@ -739,6 +739,16 @@ class TestReportNumbers:
         assert main(argv) == 0
         self.assert_compact_dump(tmp_path / "gram.json")
 
+    def test_gram_csv_cells_are_the_report_entries_text(self, tmp_path):
+        rng = np.random.default_rng(30)
+        z = np.sqrt(rng.uniform(0.0, 0.98, 24)) * np.exp(2j * np.pi * rng.uniform(size=24))
+        out, csv = tmp_path / "gram.json", tmp_path / "gram.csv"
+        assert main(["gram", "--points", write_points(tmp_path, z), "--out", str(out), "--csv", str(csv)]) == 0
+        # the report's numbers as the text written for them
+        matrix = json.loads(out.read_text(encoding="utf-8"), parse_float=str, parse_int=str)["grammian"]["matrix"]
+        cells = [f"{re}{'' if im[0] == '-' else '+'}{im}j" for re, im in matrix["entries"]]
+        assert csv.read_text(encoding="utf-8").splitlines() == [",".join(cells[k : k + 24]) for k in range(0, 24 * 24, 24)]
+
     def test_construct_st(self, tmp_path):
         pts = write_points(tmp_path, [0.5, -0.2 + 0.4j, 0.1 - 0.7j])
         q = write_json(tmp_path / "q.json", matrix_to_json([[1.0, 0.2j, 0.1], [-0.2j, 0.5, 0.0], [0.1, 0.0, 0.7]]))
@@ -1004,6 +1014,15 @@ def test_readme_command_line_section_names_every_flag():
     documented = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
     declared = {s for sp in subcommand_parsers().values() for a in sp._actions for s in a.option_strings}
     assert documented == declared - {"-h", "--help"}
+
+
+def test_readme_python_api_example_runs(capsys):
+    """README's "Python API" example runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```python\n", readme.index("## Python API")) + len("```python\n")
+    example = readme[start : readme.index("```\n", start)]
+    exec(compile(example, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == example.count("print(")
 
 
 def wrong_json_type(value):

@@ -69,6 +69,18 @@ class TestDiskPoint:
         with pytest.raises(ValueError):
             PointSequence((0.1, 0.2j), labels=(7, 7))
 
+    @pytest.mark.parametrize(
+        "labels", [(0.5, 1.5), (0.0, 1.0), (True, 2), ("0", "1")], ids=["halves", "whole-floats", "bool", "strings"]
+    )
+    def test_sequence_labels_must_be_integers(self, labels):
+        # int() would truncate 0.5 and 1.5 to 0 and 1, and read True as 1
+        with pytest.raises(ValueError, match=f"label {labels[0]!r} must be an integer"):
+            PointSequence((0.1, 0.2j), labels=labels)
+
+    def test_sequence_accepts_numpy_integer_labels(self):
+        seq = PointSequence((0.1, 0.2j), labels=tuple(np.arange(3, 5)))
+        assert seq.labels == (3, 4) and all(type(l) is int for l in seq.labels)
+
 
 class TestPseudoHyperbolic:
     def test_distance_to_origin_is_modulus(self):

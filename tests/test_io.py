@@ -115,7 +115,12 @@ def hermitian_repeats_matrix():
 
 def reference_csv_lines(a):
     """The per-entry formatter the vectorized one must reproduce byte for byte."""
-    return [",".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row) for row in a]
+
+    def cell(v):
+        im = float.__repr__(v.imag)
+        return f"{float.__repr__(v.real)}{'' if im[0] == '-' else '+'}{im}j"
+
+    return [",".join(map(cell, row)) for row in np.asarray(a).tolist()]
 
 
 MATRICES = [pytest.param(seeded_matrix(n), id=f"n={n}") for n in (1, 2, 7, 200)]
@@ -325,7 +330,7 @@ def reference_partition_csv_lines(seq, p):
     class_of = {lab: k for k, cls in enumerate(p.classes) for lab in cls}
     lines = ["label,class,modulus,argument"]
     for lab, z in zip(seq.labels, seq.points):
-        lines.append(f"{lab},{class_of[lab]},{abs(z):.17g},{np.angle(z):.17g}")
+        lines.append(f"{lab},{class_of[lab]},{abs(z)!r},{float(np.angle(z))!r}")
     return lines
 
 
@@ -342,24 +347,22 @@ def test_partition_csv_lines_match_per_point_formatter():
     assert io.partition_csv_lines(seq, part) == reference_partition_csv_lines(seq, part)
 
 
-def kernel_texts(values, shortest):
+def kernel_texts(values):
     """The text ``io._texts`` writes for each of ``values``, its sign included."""
     f = np.ascontiguousarray(values, dtype=np.float64)
-    text = str(io._texts(f, shortest, np.signbit(f).view(np.uint8), (" ", " -")), "ascii")
+    text = str(io._texts(f, np.signbit(f).view(np.uint8), (" ", " -")), "ascii")
     return text[1:].split(" ")
 
 
-def reference_texts(values, shortest):
-    """The per-number formatters the kernel must reproduce byte for byte."""
-    fmt = float.__repr__ if shortest else (lambda v: format(v, ".17g"))
-    return [fmt(v) for v in np.asarray(values, dtype=np.float64).tolist()]
+def reference_texts(values):
+    """The per-number formatter the kernel must reproduce byte for byte."""
+    return [float.__repr__(v) for v in np.asarray(values, dtype=np.float64).tolist()]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(width=64, allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
-def test_kernel_writes_any_finite_double_as_repr_and_percent_17g(values):
-    for shortest in (True, False):
-        assert kernel_texts(values, shortest) == reference_texts(values, shortest)
+def test_kernel_writes_any_finite_double_as_repr(values):
+    assert kernel_texts(values) == reference_texts(values)
 
 
 def at_ulps(values, steps):
@@ -391,11 +394,10 @@ def number_families(n=100_000):
     return {name: v * rng.choice([-1.0, 1.0], v.size) for name, v in families.items()}
 
 
-@pytest.mark.parametrize("shortest", [True, False], ids=["repr", "%.17g"])
 @pytest.mark.parametrize("family", list(number_families(10)))
-def test_kernel_matches_the_formatters_on_seeded_families(family, shortest):
+def test_kernel_matches_the_formatters_on_seeded_families(family):
     values = number_families()[family]
-    assert kernel_texts(values, shortest) == reference_texts(values, shortest)
+    assert kernel_texts(values) == reference_texts(values)
 
 
 def test_exact_formatter_writes_only_what_the_kernel_leaves(monkeypatch):
@@ -407,14 +409,14 @@ def test_exact_formatter_writes_only_what_the_kernel_leaves(monkeypatch):
     undecided, exact = [], []
     real_decimal, real_exact = io._decimal, io._exact_text
 
-    def counting_decimal(x, shortest):
-        parts = real_decimal(x, shortest)
+    def counting_decimal(x):
+        parts = real_decimal(x)
         undecided.append(int(parts[3].sum()))
         return parts
 
-    def counting_exact(x, shortest):
+    def counting_exact(x):
         exact.append(x)
-        return real_exact(x, shortest)
+        return real_exact(x)
 
     monkeypatch.setattr(io, "_decimal", counting_decimal)
     monkeypatch.setattr(io, "_exact_text", counting_exact)
@@ -426,9 +428,9 @@ def test_exact_formatter_writes_only_what_the_kernel_leaves(monkeypatch):
 def test_exact_formatter_writes_the_magnitudes_out_of_the_band(monkeypatch):
     exact = []
     real_exact = io._exact_text
-    monkeypatch.setattr(io, "_exact_text", lambda x, shortest: exact.append(x) or real_exact(x, shortest))
+    monkeypatch.setattr(io, "_exact_text", lambda x: exact.append(x) or real_exact(x))
     values = [1e-30, 0.5, 5e-324, 1e17, 0.0, 1.5e-29, 9.999999999999998e16]
-    assert kernel_texts(values, True) == reference_texts(values, True)
+    assert kernel_texts(values) == reference_texts(values)
     assert exact == [1e-30, 5e-324, 1e17]
 
 

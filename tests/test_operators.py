@@ -312,6 +312,19 @@ def test_order_below_one_is_rejected_by_every_builder(builder, order):
         ORDER_BUILDERS[builder](order)
 
 
+@pytest.mark.parametrize("order", [2.5, 8.0, True])
+@pytest.mark.parametrize("builder", sorted(ORDER_BUILDERS) + ["kernel_matrix"])
+def test_order_that_is_not_an_integer_is_rejected_by_every_builder(builder, order):
+    build = ORDER_BUILDERS.get(builder, lambda order: kernel_matrix(PointSequence([0.5]), order))
+    with pytest.raises(ValueError, match=f"^truncation order {order!r} must be an integer$"):
+        build(order)
+
+
+@pytest.mark.parametrize("builder", sorted(ORDER_BUILDERS))
+def test_numpy_integer_order_is_accepted_by_every_builder(builder):
+    assert ORDER_BUILDERS[builder](np.int64(32)).dim == 32
+
+
 class TestProjectionMonomialSpan:
     def test_excluded_indices_zeroed(self):
         op = projection_monomial_span([1, 3], 5)

@@ -712,12 +712,10 @@ class TestVerifyPartition:
             verify_partition(self._gram(), part, 0.1)
 
     def test_rejects_grammian_with_repeated_labels(self):
-        # classes that name every distinct label still miss a point
+        # a Grammian cannot repeat a label, so classes that name every label name every point
         g = self._gram()
-        g = Grammian(g.matrix, dataclasses.replace(g.provenance, labels=(0, 0, 1)), normalized=True)
-        part = Partition(((0, 1),), "spectral_greedy", (), {})
-        with pytest.raises(NotAPartitionError):
-            verify_partition(g, part, 0.1)
+        with pytest.raises(ValueError, match="labels must be pairwise distinct"):
+            Grammian(g.matrix, dataclasses.replace(g.provenance, labels=(0, 0, 1)), normalized=True)
 
 
 class TestMinimalSearch:

@@ -747,7 +747,8 @@ class TestReportNumbers:
         # the report's numbers as the text written for them
         matrix = json.loads(out.read_text(encoding="utf-8"), parse_float=str, parse_int=str)["grammian"]["matrix"]
         cells = [f"{re}{'' if im[0] == '-' else '+'}{im}j" for re, im in matrix["entries"]]
-        assert csv.read_text(encoding="utf-8").splitlines() == [",".join(cells[k : k + 24]) for k in range(0, 24 * 24, 24)]
+        rows = [",".join(cells[k : k + 24]) for k in range(0, 24 * 24, 24)]
+        assert csv.read_text(encoding="utf-8").splitlines() == rows
 
     def test_construct_st(self, tmp_path):
         pts = write_points(tmp_path, [0.5, -0.2 + 0.4j, 0.1 - 0.7j])
